@@ -348,10 +348,6 @@ def run_synthesize(config: ScenarioConfig) -> list[SweepRow]:
     """run_simulate plus the synthesized sheet state at every grid point."""
     if config.mode is None:
         raise ConfigError("synthesize needs a mode (reflective or transmissive)")
-    if len(config.actual.layers) != 3:
-        raise ConfigError(
-            f"synthesize needs exactly 3 layers in the actual stack, got {len(config.actual.layers)}"
-        )
     rows = []
     for f_ghz in config.freq_ghz.values():
         for theta_deg in config.theta_deg.values():

@@ -23,12 +23,8 @@ class DegenerateInterfaceError(PlanemirageError):
     """Interface denominator eta2*cos2 + eta1*cos1 vanished."""
 
 
-class NonInvertibleSegmentError(PlanemirageError):
-    """Segment transmission coefficient is zero; the 2x2 map has no inverse."""
-
-
 class ResonantSingularityError(PlanemirageError):
-    """Total-reflection denominator m11 + m12*rho_T vanished at this point."""
+    """The reflection recursion's total denominator vanished at this point."""
 
 
 class SheetResonanceError(PlanemirageError):

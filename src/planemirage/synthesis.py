@@ -11,20 +11,19 @@ reflection sees exactly the target's. Two placements:
     unknown is the front reflection coefficient rho_1m, reported with the
     electric surface susceptibility chi_e that realizes it.
 
-Each unknown enters the total reflection through a fractional-linear map,
-so both syntheses are exact single-point inversions. Two independent code
-paths compute each: a closed form assembled from four expanded chain
-products, and an oracle that inverts the fractional-linear map built by
-matrix multiplication. The quotient grouping of the four products matters;
-see reflective_synthesis_products for the arrangement that survives the
-substitution check (the tempting (A - B)/(C - D) grouping returns
-rho_T / rho_4m instead, which evaluates to 1 under self-illusion).
+Each step of the reflection recursion in wavecore is a fractional-linear
+(Moebius) map, so both syntheses are exact single-point inversions of it:
+the reflective one runs Gamma_i backward through every layer of the actual
+stack, the transmissive one takes a single inverse step at its front. Both
+work for actual stacks of any depth. The substitution checks evaluate the
+forward recursion with the synthesized value in place.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,11 +37,9 @@ from .wavecore import (
     PlaneWave,
     Sheet,
     Stack,
-    TransferMatrix2,
     chain_reflection,
     chain_segments,
-    segment_matrix,
-    termination_reflection,
+    fold_reflection,
 )
 
 _DEGENERACY_RTOL = 1e-12
@@ -62,8 +59,8 @@ class Realizability(Enum):
 class IllusionProblem:
     """An actual stack to disguise, a target stack to imitate, one wave.
 
-    The closed forms expand a three-segment chain, so the actual stack must
-    have exactly three layers; the target stack may be any valid stack.
+    Both stacks may have any number of layers and any termination; in
+    reflective mode the actual termination is what the sheet replaces.
     """
 
     actual: Stack
@@ -74,10 +71,6 @@ class IllusionProblem:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
             raise ValidationError(f"mode must be a Mode, got {self.mode!r}")
-        if len(self.actual.layers) != 3:
-            raise ValidationError(
-                f"synthesis needs exactly 3 layers in the actual stack, got {len(self.actual.layers)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -92,82 +85,31 @@ class SynthesisOutcome:
     chi_e_required: complex | None = None       # transmissive mode
 
 
-@dataclass(frozen=True)
-class ReflectiveProducts:
-    """The four chain products of the reflective closed form.
-
-    With e_ij the expanded entries of the actual three-segment chain and
-    (u1, u2) the target chain's closure pair (so Gamma_i = u2/u1):
-
-        A0 = e22*u1,  B0 = e12*u2,  C = e11*u2,  D = e21*u1
-
-    The sheet value is rho_4m = (C - D)/(A0 - B0). The natural termination
-    reflection rho_t of the actual stack is carried separately: the
-    grouping (rho_t*(A0 - B0))/(C - D) looks symmetric but evaluates to
-    rho_t/rho_4m, not rho_4m.
-    """
-
-    a0: complex
-    b0: complex
-    c: complex
-    d: complex
-    rho_t: complex
-
-
-@dataclass(frozen=True)
-class TransmissiveProducts:
-    """The four chain products of the transmissive closed form.
-
-    With Z1 the actual first-layer phase factor, (w1, w2) the closure pair
-    of the actual chain's last two segments against its own termination,
-    and (u1, u2) the target closure pair:
-
-        a = Z1*w2*u2,  b = (1/Z1)*w1*u1,  c = Z1*w2*u1,  d = (1/Z1)*w1*u2
-
-    The sheet value is rho_1m = (c - d)/(a - b); the grouping
-    (a - b)/(c - d) is its reciprocal.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-
 def _require_mode(problem: IllusionProblem, mode: Mode) -> None:
     if problem.mode is not mode:
         raise ValidationError(f"problem mode is {problem.mode}, expected {mode}")
 
 
-def _closure_pair(stack: Stack, wave: PlaneWave) -> tuple[complex, complex]:
-    """(u1, u2) with Gamma = u2/u1, from prefactor-free segment matrices.
+def _solve(p: complex, q: complex, q_scale: float, det: complex, sheet: str) -> complex:
+    """The sheet reflection p/q that an inverse map sends Gamma_i to.
 
-    Dropping the 1/tau prefactors rescales u1 and u2 by a common factor,
-    which every quotient formed from them ignores.
+    The map is degenerate at this point, and DegenerateSynthesisError is
+    raised, in three cases, each judged with the relative tolerance:
+      * q cancels against q_scale, the sum of the magnitudes it was built
+        from: Gamma_i is the image of an infinite sheet reflection;
+      * the map's determinant det is negligible against |p*q|: the forward
+        map is so steep at p/q that rounding it moves Gamma by more than
+        |p*q/det| ulps. A layer whose Z^2 underflows gives det = 0;
+      * p/q overflows.
     """
-    m = TransferMatrix2.identity()
-    for rho, _tau, z in chain_segments(stack, wave):
-        m = m.matmul(TransferMatrix2(1.0 / z, rho * z, rho / z, z))
-    rho_t = termination_reflection(stack, wave)
-    return m.m11 + m.m12 * rho_t, m.m21 + m.m22 * rho_t
-
-
-def _expanded_entries(
-    r1: complex, z1: complex, r2: complex, z2: complex, r3: complex, z3: complex
-) -> tuple[complex, complex, complex, complex]:
-    """Entries of M1*M2*M3 written out as polynomials, no matrix products."""
-    z1i = 1.0 / z1
-    z2i = 1.0 / z2
-    z3i = 1.0 / z3
-    p11 = z1i * z2i + r1 * z1 * r2 * z2i
-    p12 = z1i * r2 * z2 + r1 * z1 * z2
-    p21 = r1 * z1i * z2i + z1 * r2 * z2i
-    p22 = r1 * z1i * r2 * z2 + z1 * z2
-    e11 = p11 * z3i + p12 * r3 * z3i
-    e12 = p11 * r3 * z3 + p12 * z3
-    e21 = p21 * z3i + p22 * r3 * z3i
-    e22 = p21 * r3 * z3 + p22 * z3
-    return e11, e12, e21, e22
+    if abs(q) <= _DEGENERACY_RTOL * q_scale:
+        raise DegenerateSynthesisError(f"no {sheet} produces the target reflection at this point")
+    if abs(det) <= _DEGENERACY_RTOL * abs(p) * abs(q):
+        raise DegenerateSynthesisError(f"the actual stack hides the {sheet} at this point")
+    rho = p / q
+    if not (math.isfinite(rho.real) and math.isfinite(rho.imag)):
+        raise DegenerateSynthesisError(f"the required {sheet} reflection overflows at this point")
+    return rho
 
 
 def target_reflection(problem: IllusionProblem) -> complex:
@@ -175,52 +117,31 @@ def target_reflection(problem: IllusionProblem) -> complex:
     return chain_reflection(problem.target, problem.wave)
 
 
-def reflective_synthesis_products(problem: IllusionProblem) -> ReflectiveProducts:
-    """Assemble the reflective closed form's four products."""
-    _require_mode(problem, Mode.REFLECTIVE)
-    (r1, _, z1), (r2, _, z2), (r3, _, z3) = chain_segments(problem.actual, problem.wave)
-    e11, e12, e21, e22 = _expanded_entries(r1, z1, r2, z2, r3, z3)
-    u1, u2 = _closure_pair(problem.target, problem.wave)
-    rho_t = termination_reflection(problem.actual, problem.wave)
-    return ReflectiveProducts(
-        a0=e22 * u1, b0=e12 * u2, c=e11 * u2, d=e21 * u1, rho_t=rho_t
-    )
+def reflective_synthesis(problem: IllusionProblem) -> complex:
+    """rho_4m, the terminating sheet reflection that makes the actual stack
+    reflect Gamma_i.
 
+    Runs Gamma_i backward through the inverse steps of the actual stack,
 
-def reflective_synthesis_closed_form(problem: IllusionProblem) -> complex:
-    """rho_4m from the four-product closed form.
+        Gamma_{n+1} = (Gamma_n - rho_n) / (Z_n^2 (1 - rho_n Gamma_n)),
 
-    Substituting Sheet(rho_4m) as the actual stack's termination makes its
-    total reflection equal Gamma_i.
-    """
-    p = reflective_synthesis_products(problem)
-    den = p.a0 - p.b0
-    if abs(den) <= _DEGENERACY_RTOL * max(abs(p.a0), abs(p.b0)):
-        raise DegenerateSynthesisError(
-            "no terminating sheet produces the target reflection at this point"
-        )
-    return (p.c - p.d) / den
-
-
-def reflective_synthesis_oracle(problem: IllusionProblem) -> complex:
-    """rho_4m by inverting the fractional-linear map Gamma(rho) directly.
-
-    Gamma(rho) = (m21 + m22*rho)/(m11 + m12*rho) with M the actual chain's
-    full transfer matrix, so rho_4m = (Gamma_i*m11 - m21)/(m22 - Gamma_i*m12).
-    Independent of the closed form: matrix products instead of expanded
-    polynomials, prefactors kept.
+    on a pair Gamma = p/q, so the only division is the last one and an
+    infinite intermediate Gamma passes through. Degeneracy is judged once,
+    on the composed map (see _solve), never step by step: its determinant
+    is the product of the steps' Z_n^2 (1 - rho_n^2), and q_scale bounds
+    the magnitudes that q is summed from.
     """
     _require_mode(problem, Mode.REFLECTIVE)
-    m = TransferMatrix2.identity()
-    for rho, tau, z in chain_segments(problem.actual, problem.wave):
-        m = m.matmul(segment_matrix(rho, tau, z))
+    segments, _ = chain_segments(problem.actual, problem.wave)
     g_i = target_reflection(problem)
-    den = m.m22 - g_i * m.m12
-    if abs(den) <= _DEGENERACY_RTOL * max(abs(m.m22), abs(g_i * m.m12)):
-        raise DegenerateSynthesisError(
-            "no terminating sheet produces the target reflection at this point"
-        )
-    return (g_i * m.m11 - m.m21) / den
+    p, q, det = g_i, 1.0 + 0.0j, 1.0 + 0.0j
+    p_scale, q_scale = abs(g_i), 1.0
+    for rho, z2 in segments:
+        r, z = abs(rho), abs(z2)
+        p, q = p - rho * q, z2 * (q - rho * p)
+        p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
+        det *= z2 * (1.0 - rho * rho)
+    return _solve(p, q, q_scale, det, "terminating sheet")
 
 
 def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> complex:
@@ -229,41 +150,22 @@ def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> compl
     return chain_reflection(substituted, problem.wave)
 
 
-def transmissive_synthesis_products(problem: IllusionProblem) -> TransmissiveProducts:
-    """Assemble the transmissive closed form's four products."""
-    _require_mode(problem, Mode.TRANSMISSIVE)
-    segments = chain_segments(problem.actual, problem.wave)
-    (_r1, _t1, z1), (r2, _, z2), (r3, _, z3) = segments
-    z2i = 1.0 / z2
-    z3i = 1.0 / z3
-    q11 = z2i * z3i + r2 * z2 * r3 * z3i
-    q12 = z2i * r3 * z3 + r2 * z2 * z3
-    q21 = r2 * z2i * z3i + z2 * r3 * z3i
-    q22 = r2 * z2i * r3 * z3 + z2 * z3
-    rho_t = termination_reflection(problem.actual, problem.wave)
-    w1 = q11 + q12 * rho_t
-    w2 = q21 + q22 * rho_t
-    u1, u2 = _closure_pair(problem.target, problem.wave)
-    z1i = 1.0 / z1
-    return TransmissiveProducts(
-        a=z1 * w2 * u2, b=z1i * w1 * u1, c=z1 * w2 * u1, d=z1i * w1 * u2
-    )
-
-
 def transmissive_synthesis(problem: IllusionProblem) -> tuple[complex, complex]:
     """(rho_1m, chi_e): the front-sheet reflection and its susceptibility.
 
-    rho_1m replaces the actual first interface's reflection coefficient;
+    rho_1m replaces the actual first interface's reflection coefficient.
+    With X = Z_1^2 Gamma_2, the forward recursion over layers 2..N brought
+    to the front of layer 1, the total reflection is (r + X)/(1 + r X) for a
+    first interface reflecting r; one inverse step at the front gives
+    rho_1m = (Gamma_i - X)/(1 - Gamma_i X).
     chi_e is the electric-only sheet (chi_m = 0) whose reflection is rho_1m
     at the incidence angle. rho_1m = 1 admits no finite chi_e.
     """
-    p = transmissive_synthesis_products(problem)
-    den = p.a - p.b
-    if abs(den) <= _DEGENERACY_RTOL * max(abs(p.a), abs(p.b)):
-        raise DegenerateSynthesisError(
-            "no front sheet produces the target reflection at this point"
-        )
-    rho_1m = (p.c - p.d) / den
+    _require_mode(problem, Mode.TRANSMISSIVE)
+    segments, rho_t = chain_segments(problem.actual, problem.wave)
+    x = segments[0][1] * fold_reflection(segments[1:], rho_t)
+    g_i = target_reflection(problem)
+    rho_1m = _solve(g_i - x, 1.0 - g_i * x, 1.0 + abs(g_i * x), 1.0 - x * x, "front sheet")
     if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
         raise DegenerateSynthesisError(
             "required front reflection is 1: no finite susceptibility realizes it"
@@ -274,54 +176,11 @@ def transmissive_synthesis(problem: IllusionProblem) -> tuple[complex, complex]:
     return rho_1m, chi.chi_e
 
 
-def transmissive_synthesis_oracle(problem: IllusionProblem) -> complex:
-    """rho_1m by inverting the front-interface fractional-linear map.
-
-    With (w1, w2) the with-prefactor closure of segments 2..3 against the
-    actual termination and Z1 the first-layer phase,
-
-        Gamma(r) = (r*w1/Z1 + Z1*w2) / (w1/Z1 + r*Z1*w2)
-
-    so rho_1m = (Gamma_i*w1/Z1 - Z1*w2) / (w1/Z1 - Gamma_i*Z1*w2).
-    """
-    _require_mode(problem, Mode.TRANSMISSIVE)
-    segments = chain_segments(problem.actual, problem.wave)
-    z1 = segments[0][2]
-    m = TransferMatrix2.identity()
-    for rho, tau, z in segments[1:]:
-        m = m.matmul(segment_matrix(rho, tau, z))
-    rho_t = termination_reflection(problem.actual, problem.wave)
-    w1 = m.m11 + m.m12 * rho_t
-    w2 = m.m21 + m.m22 * rho_t
-    g_i = target_reflection(problem)
-    num = g_i * w1 / z1 - z1 * w2
-    den = w1 / z1 - g_i * z1 * w2
-    if abs(den) <= _DEGENERACY_RTOL * max(abs(w1 / z1), abs(g_i * z1 * w2)):
-        raise DegenerateSynthesisError(
-            "no front sheet produces the target reflection at this point"
-        )
-    return num / den
-
-
 def front_sheet_reflection(problem: IllusionProblem, rho_1: complex) -> complex:
-    """Total reflection of the actual stack with its first interface replaced.
-
-    The replacement keeps the pairing tau = 1 + rho for the modified
-    interface; the tau prefactors cancel in the total reflection anyway.
-    """
-    segments = chain_segments(problem.actual, problem.wave)
-    m = TransferMatrix2.identity()
-    first = True
-    for rho, tau, z in segments:
-        if first:
-            rho, tau = rho_1, 1.0 + rho_1
-            first = False
-        m = m.matmul(segment_matrix(rho, tau, z))
-    rho_t = termination_reflection(problem.actual, problem.wave)
-    den = m.m11 + m.m12 * rho_t
-    if abs(den) <= _DEGENERACY_RTOL * max(abs(m.m11), abs(m.m12 * rho_t)):
-        raise DegenerateSynthesisError("substituted chain is resonant at this point")
-    return (m.m21 + m.m22 * rho_t) / den
+    """Total reflection of the actual stack with its first interface's
+    reflection replaced by rho_1."""
+    segments, rho_t = chain_segments(problem.actual, problem.wave)
+    return fold_reflection(((complex(rho_1), segments[0][1]),) + segments[1:], rho_t)
 
 
 def classify_realizability(rho: complex) -> Realizability:
@@ -344,7 +203,7 @@ def synthesize(problem: IllusionProblem) -> SynthesisOutcome:
     """Solve one illusion problem; dispatches on the problem's mode."""
     wave = problem.wave
     if problem.mode is Mode.REFLECTIVE:
-        rho = reflective_synthesis_closed_form(problem)
+        rho = reflective_synthesis(problem)
         return SynthesisOutcome(
             rho_required=rho,
             realizability=classify_realizability(rho),

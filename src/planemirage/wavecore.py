@@ -1,5 +1,10 @@
 """Plane-wave propagation through a 1D layered stack.
 
+One walk from the incident side (chain_segments) gives each layer's
+interface reflection rho_n and round-trip factor Z_n^2 = e^{-2j k l cos},
+plus the termination reflection; fold_reflection turns them into the total
+reflection with the Airy/Rouard recursion.
+
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
   - principal complex square roots; per-layer cos(theta) keeps Re >= 0,
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateInterfaceError,
     InvalidMediumError,
-    NonInvertibleSegmentError,
     ResonantSingularityError,
     ValidationError,
 )
@@ -141,37 +145,16 @@ class PlaneWave:
 
 @dataclass(frozen=True)
 class LayerWaveState:
-    """Wave descriptors inside one region: wavenumber, angle, impedance."""
+    """Wave descriptors inside one region n: wavenumber k_n, transverse
+    wavenumber k_t = k_n*sin(angle), impedance eta_n and the cosine of the
+    angle. k_t is the same in every region of a stack, so refraction never
+    needs the angle itself.
+    """
 
     k_n: complex            # rad/m
-    theta_n: complex        # radians
+    k_t: complex            # rad/m
     eta_n: complex          # ohms
-    cos_theta_n: complex
-
-
-@dataclass(frozen=True)
-class TransferMatrix2:
-    """2x2 complex matrix relating forward/backward amplitudes."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    @staticmethod
-    def identity() -> TransferMatrix2:
-        return TransferMatrix2(1.0, 0.0, 0.0, 1.0)
-
-    def matmul(self, other: TransferMatrix2) -> TransferMatrix2:
-        return TransferMatrix2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def determinant(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
+    cos_n: complex
 
 
 def incident_wave_state(medium: Medium, wave: PlaneWave) -> LayerWaveState:
@@ -179,7 +162,7 @@ def incident_wave_state(medium: Medium, wave: PlaneWave) -> LayerWaveState:
     k = wave.k0 * cmath.sqrt(medium.eps_r * medium.mu_r)
     eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
     theta = complex(wave.theta1)
-    return LayerWaveState(k_n=k, theta_n=theta, eta_n=eta, cos_theta_n=cmath.cos(theta))
+    return LayerWaveState(k_n=k, k_t=k * cmath.sin(theta), eta_n=eta, cos_n=cmath.cos(theta))
 
 
 def layer_wave_state(medium: Medium, wave: PlaneWave, incident_state: LayerWaveState) -> LayerWaveState:
@@ -189,13 +172,13 @@ def layer_wave_state(medium: Medium, wave: PlaneWave, incident_state: LayerWaveS
     """
     k = wave.k0 * cmath.sqrt(medium.eps_r * medium.mu_r)
     eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
-    sin_t = incident_state.k_n * cmath.sin(incident_state.theta_n) / k
+    sin_t = incident_state.k_t / k
     cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
     # Principal branch keeps Re(cos) >= 0 except across the evanescent cut;
     # on the Re = 0 branch pick the solution decaying toward the termination.
     if cos_t.real < 0.0 or (cos_t.real == 0.0 and (k * cos_t).imag > 0.0):
         cos_t = -cos_t
-    return LayerWaveState(k_n=k, theta_n=cmath.asin(sin_t), eta_n=eta, cos_theta_n=cos_t)
+    return LayerWaveState(k_n=k, k_t=incident_state.k_t, eta_n=eta, cos_n=cos_t)
 
 
 def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -> tuple[complex, complex]:
@@ -204,89 +187,77 @@ def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -
     rho = (n2 - n1)/(n2 + n1) and tau = 2*n2/(n2 + n1) with n_i = eta_i*cos(theta_i),
     so 1 + rho = tau holds identically.
     """
-    n1 = state_n.eta_n * state_n.cos_theta_n
-    n2 = state_np1.eta_n * state_np1.cos_theta_n
+    n1 = state_n.eta_n * state_n.cos_n
+    n2 = state_np1.eta_n * state_np1.cos_n
     den = n2 + n1
     if abs(den) < _DENOM_FLOOR:
         raise DegenerateInterfaceError(f"interface denominator vanished: {den!r}")
-    rho = (n2 - n1) / den
-    tau = 2.0 * n2 / den
-    assert abs(1.0 + rho - tau) <= 1e-12 * max(1.0, abs(tau))
-    return rho, tau
+    return (n2 - n1) / den, 2.0 * n2 / den
 
 
 def propagation_phase(state_n: LayerWaveState, thickness: float) -> complex:
     """One-way phase/decay factor Z = e^{-j k l cos(theta)} across a layer."""
     if not (math.isfinite(thickness) and thickness >= 0.0):
         raise ValidationError(f"thickness must be finite and >= 0, got {thickness!r}")
-    return cmath.exp(-1j * state_n.k_n * thickness * state_n.cos_theta_n)
+    return cmath.exp(-1j * state_n.k_n * thickness * state_n.cos_n)
 
 
-def segment_matrix(rho_n: complex, tau_n: complex, z_n: complex) -> TransferMatrix2:
-    """Transfer matrix of one interface-plus-layer segment.
+Segments = tuple[tuple[complex, complex], ...]
 
-    M = (1/tau) [[1/Z, rho*Z], [rho/Z, Z]]; det(M) = (1 - rho^2)/tau^2.
+
+def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[Segments, complex]:
+    """Walk the stack once from the incident side.
+
+    Returns the per-layer pairs (rho_n, Z_n^2), where rho_n reflects at the
+    interface in front of layer n and Z_n^2 is the round trip across it, and
+    the termination reflection rho_T seen from inside the last layer. A PEC
+    wall forces the total transverse E field to zero, so rho_T = -1; an open
+    half-space reflects with the local interface coefficient (zero when it
+    matches the last layer); a sheet carries its own value.
     """
-    if tau_n == 0:
-        raise NonInvertibleSegmentError("tau = 0: segment matrix undefined")
-    zi = 1.0 / z_n
-    return TransferMatrix2(
-        zi / tau_n,
-        rho_n * z_n / tau_n,
-        rho_n * zi / tau_n,
-        z_n / tau_n,
-    )
-
-
-def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[tuple[complex, complex, complex], ...]:
-    """Per-layer (rho_n, tau_n, Z_n) triples, interfaces numbered from the incident side."""
-    out = []
+    segments = []
     state = incident_wave_state(stack.incident_medium, wave)
     for layer in stack.layers:
         nxt = layer_wave_state(layer.medium, wave, state)
-        rho, tau = interface_coefficients(state, nxt)
-        z = propagation_phase(nxt, layer.thickness)
-        out.append((rho, tau, z))
+        rho, _ = interface_coefficients(state, nxt)
+        segments.append((rho, propagation_phase(nxt, 2.0 * layer.thickness)))
         state = nxt
-    return tuple(out)
-
-
-def last_layer_state(stack: Stack, wave: PlaneWave) -> LayerWaveState:
-    state = incident_wave_state(stack.incident_medium, wave)
-    for layer in stack.layers:
-        state = layer_wave_state(layer.medium, wave, state)
-    return state
+    term = stack.termination
+    if isinstance(term, Pec):
+        rho_t = -1.0 + 0.0j
+    elif isinstance(term, Sheet):
+        rho_t = term.rho
+    else:
+        rho_t, _ = interface_coefficients(state, layer_wave_state(term.half_space, wave, state))
+    return tuple(segments), rho_t
 
 
 def termination_reflection(stack: Stack, wave: PlaneWave) -> complex:
-    """Reflection of the termination as seen from inside the last layer.
+    """Reflection of the termination as seen from inside the last layer."""
+    return chain_segments(stack, wave)[1]
 
-    PEC walls force the total transverse E field to zero, so rho = -1.
-    An open half-space reflects with the local interface coefficient
-    (zero when it matches the last layer); a sheet carries its own value.
+
+def fold_reflection(segments: Segments, rho_t: complex) -> complex:
+    """Reflection at the front of segments closed by rho_t.
+
+    Folds the Airy/Rouard recursion from the back,
+
+        Gamma_n = (rho_n + Z_n^2 Gamma_{n+1}) / (1 + rho_n Z_n^2 Gamma_{n+1}),
+
+    starting from Gamma_{N+1} = rho_T. Gamma is carried as a pair p/q, so an
+    infinite intermediate value passes through and only the total can be
+    singular. Only Z^2 appears, never 1/Z, so a layer thick enough for Z^2
+    to underflow simply hides everything behind it.
     """
-    term = stack.termination
-    if isinstance(term, Pec):
-        return -1.0 + 0.0j
-    if isinstance(term, Sheet):
-        return term.rho
-    last = last_layer_state(stack, wave)
-    half = layer_wave_state(term.half_space, wave, last)
-    rho, _ = interface_coefficients(last, half)
-    return rho
+    p, q = rho_t, 1.0
+    for rho, z2 in reversed(segments):
+        w = z2 * p
+        p, q = rho * q + w, q + rho * w
+    if abs(q) < _DENOM_FLOOR:
+        raise ResonantSingularityError("total-reflection denominator vanished")
+    return p / q
 
 
 def chain_reflection(stack: Stack, wave: PlaneWave) -> complex:
-    """Total reflection Gamma of the stack at z = 0.
-
-    Builds M = M_1 * ... * M_N and closes the chain with the termination
-    reflection rho_T: Gamma = (m21 + m22*rho_T) / (m11 + m12*rho_T).
-    """
-    m = TransferMatrix2.identity()
-    for rho, tau, z in chain_segments(stack, wave):
-        m = m.matmul(segment_matrix(rho, tau, z))
-    rho_t = termination_reflection(stack, wave)
-    den = m.m11 + m.m12 * rho_t
-    if abs(den) < _DENOM_FLOOR:
-        raise ResonantSingularityError(f"total-reflection denominator vanished at f={wave.frequency!r} theta={wave.theta1!r}")
-    return (m.m21 + m.m22 * rho_t) / den
+    """Total reflection Gamma of the stack at z = 0."""
+    return fold_reflection(*chain_segments(stack, wave))

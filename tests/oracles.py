@@ -6,6 +6,12 @@ interface through field continuity, solved as a dense complex system with
 numpy. It shares no propagation, branch, or matrix code with the package;
 agreement is therefore meaningful evidence.
 
+The transfer-matrix section keeps the references the package's reflection
+recursion replaced: the 2x2 segment-matrix chain, the synthesis oracles that
+invert its fractional-linear map, and the paper's expanded four-product
+closed forms for three-layer actual stacks. They share the package's wave
+states and interface coefficients but none of its recursion.
+
 Conventions mirror the library's: e^{+j omega t} time dependence, fields
 written as F e^{-j kz z} + B e^{+j kz z}, reflection referenced at the
 first interface z = 0.
@@ -15,10 +21,27 @@ from __future__ import annotations
 
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
-from planemirage.wavecore import AIR, Layer, Medium, Open, Pec, Sheet, Stack, PlaneWave
+from planemirage.errors import DegenerateSynthesisError
+from planemirage.synthesis import IllusionProblem
+from planemirage.wavecore import (
+    AIR,
+    Layer,
+    Medium,
+    Open,
+    Pec,
+    PlaneWave,
+    Sheet,
+    Stack,
+    incident_wave_state,
+    interface_coefficients,
+    layer_wave_state,
+    propagation_phase,
+    termination_reflection,
+)
 
 C0 = 299792458.0
 
@@ -114,6 +137,184 @@ def linear_system_reflection(stack: Stack, wave: PlaneWave) -> complex:
 
     x = np.linalg.solve(a, b)
     return complex(x[0])
+
+
+# ------------------------------------- transfer matrices and closed forms
+
+# A 2x2 matrix is the tuple (m11, m12, m21, m22).
+IDENTITY = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+
+_DEGENERACY_RTOL = 1e-12
+
+
+def matmul(a, b):
+    return (
+        a[0] * b[0] + a[1] * b[2],
+        a[0] * b[1] + a[1] * b[3],
+        a[2] * b[0] + a[3] * b[2],
+        a[2] * b[1] + a[3] * b[3],
+    )
+
+
+def determinant(m) -> complex:
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def segment_triples(stack: Stack, wave: PlaneWave) -> list[tuple[complex, complex, complex]]:
+    """Per-layer (rho_n, tau_n, Z_n) with Z_n the one-way phase factor."""
+    out = []
+    state = incident_wave_state(stack.incident_medium, wave)
+    for layer in stack.layers:
+        nxt = layer_wave_state(layer.medium, wave, state)
+        rho, tau = interface_coefficients(state, nxt)
+        out.append((rho, tau, propagation_phase(nxt, layer.thickness)))
+        state = nxt
+    return out
+
+
+def segment_matrix(rho: complex, tau: complex, z: complex):
+    """M = (1/tau) [[1/Z, rho*Z], [rho/Z, Z]]; det(M) = (1 - rho^2)/tau^2."""
+    zi = 1.0 / z
+    return (zi / tau, rho * z / tau, rho * zi / tau, z / tau)
+
+
+def chain_matrix(triples):
+    m = IDENTITY
+    for rho, tau, z in triples:
+        m = matmul(m, segment_matrix(rho, tau, z))
+    return m
+
+
+def matrix_reflection(stack: Stack, wave: PlaneWave) -> complex:
+    """Gamma = (m21 + m22*rho_T)/(m11 + m12*rho_T) with M = M_1 ... M_N."""
+    m = chain_matrix(segment_triples(stack, wave))
+    rho_t = termination_reflection(stack, wave)
+    return (m[2] + m[3] * rho_t) / (m[0] + m[1] * rho_t)
+
+
+def _degenerate_if(den: complex, *terms: complex) -> None:
+    if abs(den) <= _DEGENERACY_RTOL * max(abs(t) for t in terms):
+        raise DegenerateSynthesisError("no sheet produces the target reflection at this point")
+
+
+def _target(problem: IllusionProblem) -> complex:
+    return matrix_reflection(problem.target, problem.wave)
+
+
+def reflective_matrix_oracle(problem: IllusionProblem) -> complex:
+    """rho_4m by inverting Gamma(rho) = (m21 + m22*rho)/(m11 + m12*rho):
+    rho_4m = (Gamma_i*m11 - m21)/(m22 - Gamma_i*m12)."""
+    m = chain_matrix(segment_triples(problem.actual, problem.wave))
+    g_i = _target(problem)
+    den = m[3] - g_i * m[1]
+    _degenerate_if(den, m[3], g_i * m[1])
+    return (g_i * m[0] - m[2]) / den
+
+
+def transmissive_matrix_oracle(problem: IllusionProblem) -> complex:
+    """rho_1m by inverting the front-interface map. With (w1, w2) the
+    closure of segments 2..N against the actual termination and Z1 the
+    first-layer phase, Gamma(r) = (r*w1/Z1 + Z1*w2)/(w1/Z1 + r*Z1*w2)."""
+    triples = segment_triples(problem.actual, problem.wave)
+    z1 = triples[0][2]
+    m = chain_matrix(triples[1:])
+    rho_t = termination_reflection(problem.actual, problem.wave)
+    w1 = m[0] + m[1] * rho_t
+    w2 = m[2] + m[3] * rho_t
+    g_i = _target(problem)
+    den = w1 / z1 - g_i * z1 * w2
+    _degenerate_if(den, w1 / z1, g_i * z1 * w2)
+    return (g_i * w1 / z1 - z1 * w2) / den
+
+
+def closure_pair(stack: Stack, wave: PlaneWave) -> tuple[complex, complex]:
+    """(u1, u2) with Gamma = u2/u1, from prefactor-free segment matrices."""
+    m = IDENTITY
+    for rho, _tau, z in segment_triples(stack, wave):
+        m = matmul(m, (1.0 / z, rho * z, rho / z, z))
+    rho_t = termination_reflection(stack, wave)
+    return m[0] + m[1] * rho_t, m[2] + m[3] * rho_t
+
+
+def _expanded_entries(r1, z1, r2, z2, r3, z3):
+    """Entries of M1*M2*M3 (prefactor-free) written out as polynomials."""
+    z1i, z2i, z3i = 1.0 / z1, 1.0 / z2, 1.0 / z3
+    p11 = z1i * z2i + r1 * z1 * r2 * z2i
+    p12 = z1i * r2 * z2 + r1 * z1 * z2
+    p21 = r1 * z1i * z2i + z1 * r2 * z2i
+    p22 = r1 * z1i * r2 * z2 + z1 * z2
+    e11 = p11 * z3i + p12 * r3 * z3i
+    e12 = p11 * r3 * z3 + p12 * z3
+    e21 = p21 * z3i + p22 * r3 * z3i
+    e22 = p21 * r3 * z3 + p22 * z3
+    return e11, e12, e21, e22
+
+
+class ReflectiveProducts(NamedTuple):
+    """The paper's reflective closed form for a three-layer actual stack.
+
+    With e_ij the expanded entries of the actual chain and (u1, u2) the
+    target's closure pair: A0 = e22*u1, B0 = e12*u2, C = e11*u2, D = e21*u1,
+    and rho_4m = (C - D)/(A0 - B0). The grouping rho_t*(A0 - B0)/(C - D),
+    with rho_t the actual termination, looks symmetric but evaluates to
+    rho_t/rho_4m.
+    """
+
+    a0: complex
+    b0: complex
+    c: complex
+    d: complex
+    rho_t: complex
+
+
+class TransmissiveProducts(NamedTuple):
+    """The paper's transmissive closed form for a three-layer actual stack.
+
+    With Z1 the first-layer phase, (w1, w2) the closure of the last two
+    segments against the actual termination and (u1, u2) the target's:
+    a = Z1*w2*u2, b = w1*u1/Z1, c = Z1*w2*u1, d = w1*u2/Z1, and
+    rho_1m = (c - d)/(a - b); (a - b)/(c - d) is its reciprocal.
+    """
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+
+def reflective_products(problem: IllusionProblem) -> ReflectiveProducts:
+    (r1, _, z1), (r2, _, z2), (r3, _, z3) = segment_triples(problem.actual, problem.wave)
+    e11, e12, e21, e22 = _expanded_entries(r1, z1, r2, z2, r3, z3)
+    u1, u2 = closure_pair(problem.target, problem.wave)
+    rho_t = termination_reflection(problem.actual, problem.wave)
+    return ReflectiveProducts(e22 * u1, e12 * u2, e11 * u2, e21 * u1, rho_t)
+
+
+def reflective_closed_form(problem: IllusionProblem) -> complex:
+    p = reflective_products(problem)
+    _degenerate_if(p.a0 - p.b0, p.a0, p.b0)
+    return (p.c - p.d) / (p.a0 - p.b0)
+
+
+def transmissive_products(problem: IllusionProblem) -> TransmissiveProducts:
+    (_, _, z1), (r2, _, z2), (r3, _, z3) = segment_triples(problem.actual, problem.wave)
+    z2i, z3i = 1.0 / z2, 1.0 / z3
+    q11 = z2i * z3i + r2 * z2 * r3 * z3i
+    q12 = z2i * r3 * z3 + r2 * z2 * z3
+    q21 = r2 * z2i * z3i + z2 * r3 * z3i
+    q22 = r2 * z2i * r3 * z3 + z2 * z3
+    rho_t = termination_reflection(problem.actual, problem.wave)
+    w1 = q11 + q12 * rho_t
+    w2 = q21 + q22 * rho_t
+    u1, u2 = closure_pair(problem.target, problem.wave)
+    z1i = 1.0 / z1
+    return TransmissiveProducts(z1 * w2 * u2, z1i * w1 * u1, z1 * w2 * u1, z1i * w1 * u2)
+
+
+def transmissive_closed_form(problem: IllusionProblem) -> complex:
+    p = transmissive_products(problem)
+    _degenerate_if(p.a - p.b, p.a, p.b)
+    return (p.c - p.d) / (p.a - p.b)
 
 
 # ------------------------------------------------------- randomized cases

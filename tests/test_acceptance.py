@@ -24,9 +24,7 @@ from planemirage.synthesis import (
     Mode,
     Realizability,
     front_sheet_reflection,
-    reflective_synthesis_closed_form,
-    reflective_synthesis_oracle,
-    reflective_synthesis_products,
+    reflective_synthesis,
     sheet_terminated_reflection,
     synthesize,
     target_reflection,
@@ -41,6 +39,8 @@ from oracles import (
     random_lossy_stack,
     random_three_layer_stack,
     random_wave,
+    reflective_closed_form,
+    reflective_products,
 )
 
 
@@ -80,35 +80,35 @@ def test_criterion_02_linear_system_oracle_equivalence():
 
 
 def test_criterion_03_closed_form_vs_oracle():
+    # the runtime inverse recursion against the paper's four-product closed form
     rng = random.Random(103)
     worst = 0.0
     for _ in range(1000):
         problem = IllusionProblem(
             random_three_layer_stack(rng), random_lossy_stack(rng), random_wave(rng), Mode.REFLECTIVE
         )
-        closed = reflective_synthesis_closed_form(problem)
-        oracle = reflective_synthesis_oracle(problem)
-        worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-12))
+        closed = reflective_closed_form(problem)
+        runtime = reflective_synthesis(problem)
+        worst = max(worst, abs(closed - runtime) / max(abs(runtime), 1e-12))
     config = builtin_scenario()
     worst_grid = 0.0
     worst_tempting = 0.0
     for wave in _grid_waves():
         problem = IllusionProblem(config.actual, config.target, wave, Mode.REFLECTIVE)
-        closed = reflective_synthesis_closed_form(problem)
-        oracle = reflective_synthesis_oracle(problem)
-        worst_grid = max(worst_grid, abs(closed - oracle) / max(abs(oracle), 1e-12))
-        p = reflective_synthesis_products(problem)
+        closed = reflective_closed_form(problem)
+        runtime = reflective_synthesis(problem)
+        worst_grid = max(worst_grid, abs(closed - runtime) / max(abs(runtime), 1e-12))
+        p = reflective_products(problem)
         tempting = p.rho_t * (p.a0 - p.b0) / (p.c - p.d)
-        worst_tempting = max(worst_tempting, abs(tempting - oracle) / max(abs(oracle), 1e-12))
+        worst_tempting = max(worst_tempting, abs(tempting - runtime) / max(abs(runtime), 1e-12))
     print(
-        f"criterion 03: closed form vs oracle max rel = {max(worst, worst_grid):.3e} "
+        f"criterion 03: closed form vs reflection recursion max rel = {max(worst, worst_grid):.3e} "
         f"(1000 random problems + full demonstration grid)"
     )
     print(
         "criterion 03: finding - grouping the four products as rho_T*(A0-B0)/(C-D) "
-        f"deviates from the oracle by up to {worst_tempting:.3e} (it returns rho_T/rho_4m); "
-        "the shipped (C-D)/(A0-B0) arrangement is the one the substitution check confirms, "
-        "with the fractional-linear oracle authoritative"
+        f"deviates from the recursion by up to {worst_tempting:.3e} (it returns rho_T/rho_4m); "
+        "the (C-D)/(A0-B0) arrangement is the one the substitution check confirms"
     )
     assert worst < 1e-9
     assert worst_grid < 1e-9
@@ -122,7 +122,7 @@ def test_criterion_04_substitution_verification():
     for wave in _grid_waves():
         problem_r = IllusionProblem(config.actual, config.target, wave, Mode.REFLECTIVE)
         g_i = target_reflection(problem_r)
-        rho_4m = reflective_synthesis_closed_form(problem_r)
+        rho_4m = reflective_synthesis(problem_r)
         worst_r = max(worst_r, abs(sheet_terminated_reflection(problem_r, rho_4m) - g_i))
         problem_t = IllusionProblem(config.actual, config.target, wave, Mode.TRANSMISSIVE)
         rho_1m, _ = transmissive_synthesis(problem_t)
@@ -142,7 +142,7 @@ def test_criterion_05_self_illusion_identities():
     for wave in _grid_waves():
         problem_r = IllusionProblem(config.actual, config.actual, wave, Mode.REFLECTIVE)
         # the actual termination is a conducting wall: rho_4 = -1
-        worst_r = max(worst_r, abs(reflective_synthesis_closed_form(problem_r) - (-1.0)))
+        worst_r = max(worst_r, abs(reflective_synthesis(problem_r) - (-1.0)))
         problem_t = IllusionProblem(config.actual, config.actual, wave, Mode.TRANSMISSIVE)
         rho_1m, _ = transmissive_synthesis(problem_t)
         # the actual first interface is air onto air: rho_1 = 0

@@ -26,7 +26,7 @@ from planemirage.errors import (
 from planemirage.synthesis import (
     IllusionProblem,
     Mode,
-    reflective_synthesis_closed_form,
+    reflective_synthesis,
 )
 from planemirage.wavecore import (
     AIR,
@@ -37,10 +37,10 @@ from planemirage.wavecore import (
     PlaneWave,
     Sheet,
     Stack,
-    TransferMatrix2,
     chain_segments,
-    segment_matrix,
 )
+
+from oracles import chain_matrix, segment_triples
 
 _SIM_HEADER = "freq_ghz,theta_deg,g_act_re,g_act_im,g_tgt_re,g_tgt_im,err"
 
@@ -198,20 +198,26 @@ def test_run_synthesize_matches_direct_calls():
     for r in rows:
         wave = PlaneWave(r.freq_ghz * 1e9, math.radians(r.theta_deg))
         problem = IllusionProblem(config.actual, config.target, wave, Mode.REFLECTIVE)
-        assert r.rho_req == reflective_synthesis_closed_form(problem)
+        assert r.rho_req == reflective_synthesis(problem)
         assert r.passive is True
         assert r.err == ""
 
 
-def test_run_synthesize_requires_mode_and_three_layers():
+def test_run_synthesize_requires_mode():
     config = builtin_scenario()
     no_mode = ScenarioConfig(config.actual, config.target, None, _small_axis(), SweepAxis(10, 10, 1))
     with pytest.raises(ConfigError):
         run_synthesize(no_mode)
-    two_layer = Stack(AIR, config.actual.layers[:2], Pec())
-    bad = ScenarioConfig(two_layer, config.target, Mode.REFLECTIVE, _small_axis(), SweepAxis(10, 10, 1))
-    with pytest.raises(ConfigError):
-        run_synthesize(bad)
+
+
+@pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_run_synthesize_takes_any_number_of_layers(mode):
+    config = builtin_scenario()
+    for layers in (config.actual.layers[:1], config.actual.layers[:2], config.actual.layers * 3):
+        actual = Stack(AIR, layers, Pec())
+        rows = run_synthesize(ScenarioConfig(actual, config.target, mode, _small_axis(), SweepAxis(10, 10, 1)))
+        assert [r.err for r in rows] == ["", "", ""]
+        assert all(r.rho_req is not None for r in rows)
 
 
 def test_csv_emission_bytes(tmp_path):
@@ -388,13 +394,11 @@ def _degenerate_target_doc(frequency_ghz):
     """Target whose reflection sits exactly on the synthesis pole at theta = 0."""
     actual = builtin_scenario().actual
     wave = PlaneWave(frequency_ghz * 1e9, 0.0)
-    m = TransferMatrix2.identity()
-    for rho, tau, z in chain_segments(actual, wave):
-        m = m.matmul(segment_matrix(rho, tau, z))
+    m = chain_matrix(segment_triples(actual, wave))
     thickness = 0.015
     shell = Stack(AIR, (Layer(AIR, thickness),), Sheet(0j))
-    z1 = chain_segments(shell, wave)[0][2]
-    rho_t = (m.m22 / m.m12) / (z1 * z1)
+    z2_1 = chain_segments(shell, wave)[0][0][1]
+    rho_t = (m[3] / m[1]) / z2_1
     return {
         "layers": [{"eps": 1.0, "thickness_mm": thickness * 1e3}],
         "termination": {"kind": "sheet", "rho": [rho_t.real, rho_t.imag]},
@@ -433,3 +437,30 @@ def test_partial_failure_keeps_exit_zero(tmp_path):
     assert cells[-1] == ""
     assert cells[-2] in ("0", "1")
     assert cells[6] != ""
+
+
+def test_thick_lossy_layer_is_a_tagged_point_not_a_crash(tmp_path):
+    # 3 m of eps = 4 - 4j: at 20 GHz the round trip underflows to 0, so the
+    # terminating sheet is out of reach; at 0.1 GHz it still attenuates
+    # the round trip only by about 1e-5
+    actual = {
+        "layers": [
+            {"eps": 1.0, "thickness_mm": 100.0},
+            {"eps": [4.0, -4.0], "thickness_mm": 3000.0},
+            {"eps": 1.0, "thickness_mm": 100.0},
+        ],
+        "termination": {"kind": "pec"},
+    }
+    doc = _scenario_doc(actual=actual)
+    doc["sweep"] = {
+        "theta_deg": {"start": 0.0, "stop": 0.0, "step": 1.0},
+        "freq_ghz": {"start": 0.1, "stop": 20.0, "step": 19.9},
+    }
+    config_path = _write_config(tmp_path, doc, name="thick.json")
+    out = tmp_path / "thick.csv"
+    assert main(["synthesize", "--mode", "reflective", "--config", str(config_path), "--out", str(out)]) == 0
+    low, high = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert low[-1] == ""
+    assert high[0] == "20" and high[-1] == "degenerate-synthesis"
+    assert all(math.isfinite(float(cell)) for cell in high[2:6])
+    assert high[6:11] == ["", "", "", "", ""]

@@ -1,4 +1,5 @@
-"""Illusion synthesis: closed forms, oracles, substitution, realizability."""
+"""Illusion synthesis: the inverse recursion against the paper's closed
+forms and the transfer-matrix oracles, substitution, realizability."""
 
 import cmath
 import math
@@ -14,15 +15,11 @@ from planemirage.synthesis import (
     Realizability,
     classify_realizability,
     front_sheet_reflection,
-    reflective_synthesis_closed_form,
-    reflective_synthesis_oracle,
-    reflective_synthesis_products,
+    reflective_synthesis,
     sheet_terminated_reflection,
     synthesize,
     target_reflection,
     transmissive_synthesis,
-    transmissive_synthesis_oracle,
-    transmissive_synthesis_products,
 )
 from planemirage.wavecore import (
     AIR,
@@ -37,12 +34,25 @@ from planemirage.wavecore import (
     incident_wave_state,
     interface_coefficients,
     layer_wave_state,
-    segment_matrix,
     termination_reflection,
-    TransferMatrix2,
 )
 
-from oracles import random_lossy_stack, random_three_layer_stack, random_wave
+from oracles import (
+    chain_matrix,
+    random_layers,
+    random_lossy_medium,
+    random_lossy_stack,
+    random_termination,
+    random_three_layer_stack,
+    random_wave,
+    reflective_closed_form,
+    reflective_matrix_oracle,
+    reflective_products,
+    segment_triples,
+    transmissive_closed_form,
+    transmissive_matrix_oracle,
+    transmissive_products,
+)
 
 # frozen at 50 digits by tools/freeze_reference_values.py
 GAMMA_ACTUAL_10GHZ_NORMAL = complex(-0.74501061868011169, -0.16700707092342785)
@@ -63,8 +73,9 @@ def test_frozen_reflective_point():
     problem = _builtin_problem(Mode.REFLECTIVE)
     assert abs(chain_reflection(problem.actual, problem.wave) - GAMMA_ACTUAL_10GHZ_NORMAL) < 1e-13
     assert abs(target_reflection(problem) - GAMMA_TARGET_10GHZ_NORMAL) < 1e-13
-    rho = reflective_synthesis_closed_form(problem)
+    rho = reflective_synthesis(problem)
     assert abs(rho - RHO_4M_10GHZ_NORMAL) < 1e-13
+    assert abs(reflective_closed_form(problem) - RHO_4M_10GHZ_NORMAL) < 1e-13
     outcome = synthesize(problem)
     assert abs(outcome.rho_required - rho) == 0.0
     assert abs(outcome.eta_required.eta_normalized - ETA_M_NORM_10GHZ_NORMAL) < 1e-13
@@ -78,6 +89,7 @@ def test_frozen_transmissive_point():
     problem = _builtin_problem(Mode.TRANSMISSIVE)
     rho_1m, chi_e = transmissive_synthesis(problem)
     assert abs(rho_1m - RHO_1M_10GHZ_NORMAL) < 1e-13
+    assert abs(transmissive_closed_form(problem) - RHO_1M_10GHZ_NORMAL) < 1e-13
     assert abs(chi_e - CHI_E_10GHZ_NORMAL) < 1e-14
     outcome = synthesize(problem)
     assert outcome.eta_required is None
@@ -90,9 +102,11 @@ def test_closed_form_matches_oracle_reflective():
         problem = IllusionProblem(
             random_three_layer_stack(rng), random_lossy_stack(rng), random_wave(rng), Mode.REFLECTIVE
         )
-        closed = reflective_synthesis_closed_form(problem)
-        oracle = reflective_synthesis_oracle(problem)
+        runtime = reflective_synthesis(problem)
+        closed = reflective_closed_form(problem)
+        oracle = reflective_matrix_oracle(problem)
         assert abs(closed - oracle) < 1e-9 * max(1.0, abs(oracle))
+        assert abs(runtime - oracle) < 1e-9 * max(1.0, abs(oracle))
 
 
 def test_closed_form_matches_oracle_transmissive():
@@ -101,15 +115,17 @@ def test_closed_form_matches_oracle_transmissive():
         problem = IllusionProblem(
             random_three_layer_stack(rng), random_lossy_stack(rng), random_wave(rng), Mode.TRANSMISSIVE
         )
-        closed, _ = transmissive_synthesis(problem)
-        oracle = transmissive_synthesis_oracle(problem)
+        runtime, _ = transmissive_synthesis(problem)
+        closed = transmissive_closed_form(problem)
+        oracle = transmissive_matrix_oracle(problem)
         assert abs(closed - oracle) < 1e-9 * max(1.0, abs(oracle))
+        assert abs(runtime - oracle) < 1e-9 * max(1.0, abs(oracle))
 
 
 def test_substitution_reproduces_target_reflective():
     for theta_deg in (0.0, 22.5, 60.0):
         problem = _builtin_problem(Mode.REFLECTIVE, frequency=11e9, theta=math.radians(theta_deg))
-        rho = reflective_synthesis_closed_form(problem)
+        rho = reflective_synthesis(problem)
         assert abs(sheet_terminated_reflection(problem, rho) - target_reflection(problem)) < 1e-12
 
 
@@ -125,10 +141,10 @@ def test_self_illusion_reflective_returns_the_actual_termination():
     wave = PlaneWave(10.7e9, math.radians(33.5))
     # disguising a stack as itself asks for its own termination back
     problem = IllusionProblem(scenario.actual, scenario.actual, wave, Mode.REFLECTIVE)
-    assert abs(reflective_synthesis_closed_form(problem) - (-1.0)) < 1e-12
+    assert abs(reflective_synthesis(problem) - (-1.0)) < 1e-12
     sheet_stack = Stack(AIR, scenario.actual.layers, Sheet(0.3 - 0.2j))
     problem = IllusionProblem(sheet_stack, sheet_stack, wave, Mode.REFLECTIVE)
-    assert abs(reflective_synthesis_closed_form(problem) - (0.3 - 0.2j)) < 1e-12
+    assert abs(reflective_synthesis(problem) - (0.3 - 0.2j)) < 1e-12
 
 
 def test_self_illusion_transmissive_returns_the_first_interface():
@@ -155,20 +171,20 @@ def test_self_illusion_transmissive_returns_the_first_interface():
 def test_the_tempting_grouping_is_the_reciprocal():
     # (rho_t*(A0 - B0))/(C - D) evaluates to rho_t/rho_4m, not rho_4m
     problem = _builtin_problem(Mode.REFLECTIVE, frequency=11.3e9, theta=math.radians(41.0))
-    p = reflective_synthesis_products(problem)
-    rho_4m = reflective_synthesis_closed_form(problem)
+    p = reflective_products(problem)
+    rho_4m = reflective_synthesis(problem)
     tempting = p.rho_t * (p.a0 - p.b0) / (p.c - p.d)
     assert abs(tempting - p.rho_t / rho_4m) < 1e-12 * abs(tempting)
     assert abs(tempting - rho_4m) > 1e-2  # visibly not the answer here
 
     scenario = builtin_scenario()
     self_problem = IllusionProblem(scenario.actual, scenario.actual, problem.wave, Mode.REFLECTIVE)
-    sp = reflective_synthesis_products(self_problem)
+    sp = reflective_products(self_problem)
     self_tempting = sp.rho_t * (sp.a0 - sp.b0) / (sp.c - sp.d)
     assert abs(self_tempting - 1.0) < 1e-12  # the self-illusion blind spot
 
     t_problem = _builtin_problem(Mode.TRANSMISSIVE, frequency=11.3e9, theta=math.radians(41.0))
-    tp = transmissive_synthesis_products(t_problem)
+    tp = transmissive_products(t_problem)
     rho_1m, _ = transmissive_synthesis(t_problem)
     t_tempting = (tp.a - tp.b) / (tp.c - tp.d)
     assert abs(t_tempting - 1.0 / rho_1m) < 1e-12 * abs(t_tempting)
@@ -181,42 +197,98 @@ def test_identity_chain_synthesis_is_the_target_reflection():
     wave = PlaneWave(10e9, math.radians(12.0))
     problem = IllusionProblem(actual, target, wave, Mode.REFLECTIVE)
     g_i = target_reflection(problem)
-    assert abs(reflective_synthesis_closed_form(problem) - g_i) < 1e-14
-    assert abs(reflective_synthesis_oracle(problem) - g_i) < 1e-14
+    assert abs(reflective_synthesis(problem) - g_i) < 1e-14
+    assert abs(reflective_closed_form(problem) - g_i) < 1e-14
+    assert abs(reflective_matrix_oracle(problem) - g_i) < 1e-14
+
+
+def _air_over_sheet(wave, gamma, thickness=0.015):
+    """A target stack, an air layer over a sheet, whose total reflection is gamma."""
+    shell = Stack(AIR, (Layer(AIR, thickness),), Sheet(0j))
+    z2 = chain_segments(shell, wave)[0][0][1]
+    return Stack(AIR, (Layer(AIR, thickness),), Sheet(gamma / z2))
 
 
 def _unreachable_target(actual, wave, rho_probe):
-    """Single air layer + sheet tuned so the target reflection is Gamma(rho_probe)->infinity image."""
-    thickness = 0.015
-    shell = Stack(AIR, (Layer(AIR, thickness),), Sheet(0j))
-    z = chain_segments(shell, wave)[0][2]
-    m = TransferMatrix2.identity()
-    for rho, tau, zz in chain_segments(actual, wave):
-        m = m.matmul(segment_matrix(rho, tau, zz))
-    return Stack(AIR, (Layer(AIR, thickness),), Sheet(rho_probe(m) / (z * z)))
+    """Target whose reflection rho_probe(M) is computed from the actual chain matrix."""
+    return _air_over_sheet(wave, rho_probe(chain_matrix(segment_triples(actual, wave))))
 
 
 def test_degenerate_reflective_target_raises():
     scenario = builtin_scenario()
     wave = PlaneWave(10e9, 0.0)
     # a target reflection equal to m22/m12 is the image of rho -> infinity
-    target = _unreachable_target(scenario.actual, wave, lambda m: m.m22 / m.m12)
+    target = _unreachable_target(scenario.actual, wave, lambda m: m[3] / m[1])
     problem = IllusionProblem(scenario.actual, target, wave, Mode.REFLECTIVE)
     with pytest.raises(DegenerateSynthesisError):
-        reflective_synthesis_closed_form(problem)
+        reflective_synthesis(problem)
     with pytest.raises(DegenerateSynthesisError):
-        reflective_synthesis_oracle(problem)
+        reflective_closed_form(problem)
+    with pytest.raises(DegenerateSynthesisError):
+        reflective_matrix_oracle(problem)
+
+
+def test_degeneracy_is_judged_on_the_composed_map():
+    # Gamma_i = Z_1^2/rho_2 sends the backward recursion through Gamma_3 =
+    # infinity (the inner step's 1 - rho_2*Gamma_2 cancels to rounding),
+    # yet the composed map is regular and asks for an active sheet.
+    scenario = builtin_scenario()
+    wave = PlaneWave(10e9, 0.0)
+    (_, z2_1), (rho_2, _), _ = chain_segments(scenario.actual, wave)[0]
+    target = _air_over_sheet(wave, z2_1 / rho_2, thickness=0.030)
+    problem = IllusionProblem(scenario.actual, target, wave, Mode.REFLECTIVE)
+    gamma_2 = target_reflection(problem) / z2_1  # rho_1 = 0: air onto air
+    assert abs(1.0 - rho_2 * gamma_2) < 1e-12  # a per-step test would raise here
+    rho_4m = reflective_synthesis(problem)
+    closed = reflective_closed_form(problem)
+    assert abs(closed - (-3.0472 - 0.1487j)) < 1e-4
+    assert abs(rho_4m - closed) < 1e-9 * abs(closed)
+    assert synthesize(problem).realizability is Realizability.ACTIVE_REQUIRED
+
+
+def test_thick_lossy_layer_makes_reflective_synthesis_degenerate():
+    # Z^2 underflows to 0: nothing behind the 3 m layer changes Gamma
+    actual = Stack(AIR, (Layer(AIR, 0.1), Layer(Medium(4.0 - 4.0j), 3.0), Layer(AIR, 0.1)), Pec())
+    target = builtin_scenario().target
+    wave = PlaneWave(20e9)
+    with pytest.raises(DegenerateSynthesisError):
+        reflective_synthesis(IllusionProblem(actual, target, wave, Mode.REFLECTIVE))
+    # the front sheet still works: the stack behind it reflects like a half-space
+    rho_1m, _ = transmissive_synthesis(IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE))
+    problem = IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE)
+    assert abs(front_sheet_reflection(problem, rho_1m) - target_reflection(problem)) < 1e-12
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 5, 40])
+def test_synthesis_on_any_number_of_layers(n_layers):
+    # lossy walls 1-200 mm deep in total, cut into n_layers random layers
+    rng = random.Random(2100 + n_layers)
+    for _ in range(20):
+        layers = tuple(
+            Layer(random_lossy_medium(rng), rng.uniform(1e-3, 200e-3) / n_layers)
+            for _ in range(n_layers)
+        )
+        actual = Stack(AIR, layers, random_termination(rng))
+        target = random_lossy_stack(rng)
+        wave = random_wave(rng)
+        reflective = IllusionProblem(actual, target, wave, Mode.REFLECTIVE)
+        g_i = target_reflection(reflective)
+        rho_4m = reflective_synthesis(reflective)
+        oracle = reflective_matrix_oracle(reflective)
+        assert abs(sheet_terminated_reflection(reflective, rho_4m) - g_i) < 1e-9
+        assert abs(rho_4m - oracle) < 1e-9 * max(1.0, abs(oracle))
+        transmissive = IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE)
+        rho_1m, _ = transmissive_synthesis(transmissive)
+        oracle = transmissive_matrix_oracle(transmissive)
+        assert abs(front_sheet_reflection(transmissive, rho_1m) - g_i) < 1e-9
+        assert abs(rho_1m - oracle) < 1e-9 * max(1.0, abs(oracle))
 
 
 def test_transmissive_unit_front_reflection_raises():
     scenario = builtin_scenario()
     wave = PlaneWave(10e9, 0.0)
     base = IllusionProblem(scenario.actual, scenario.target, wave, Mode.TRANSMISSIVE)
-    g_full = front_sheet_reflection(base, 1.0)
-    thickness = 0.015
-    shell = Stack(AIR, (Layer(AIR, thickness),), Sheet(0j))
-    z = chain_segments(shell, wave)[0][2]
-    target = Stack(AIR, (Layer(AIR, thickness),), Sheet(g_full / (z * z)))
+    target = _air_over_sheet(wave, front_sheet_reflection(base, 1.0))
     problem = IllusionProblem(scenario.actual, target, wave, Mode.TRANSMISSIVE)
     with pytest.raises(DegenerateSynthesisError, match="no finite susceptibility"):
         transmissive_synthesis(problem)
@@ -237,13 +309,15 @@ def test_mode_and_problem_validation():
     wave = PlaneWave(10e9, 0.0)
     transmissive = IllusionProblem(scenario.actual, scenario.target, wave, Mode.TRANSMISSIVE)
     with pytest.raises(ValidationError):
-        reflective_synthesis_closed_form(transmissive)
+        reflective_synthesis(transmissive)
     reflective = IllusionProblem(scenario.actual, scenario.target, wave, Mode.REFLECTIVE)
     with pytest.raises(ValidationError):
         transmissive_synthesis(reflective)
+    # any depth of actual stack is a valid problem
     two_layer = Stack(AIR, scenario.actual.layers[:2], Pec())
-    with pytest.raises(ValidationError):
-        IllusionProblem(two_layer, scenario.target, wave, Mode.REFLECTIVE)
+    problem = IllusionProblem(two_layer, scenario.target, wave, Mode.REFLECTIVE)
+    rho = reflective_synthesis(problem)
+    assert abs(sheet_terminated_reflection(problem, rho) - target_reflection(problem)) < 1e-12
     with pytest.raises(ValidationError):
         IllusionProblem(scenario.actual, scenario.target, wave, "reflective")
 
@@ -254,7 +328,7 @@ def test_termination_independence_of_transmissive_front():
     wave = PlaneWave(11e9, math.radians(25.0))
     problem = IllusionProblem(scenario.actual, scenario.target, wave, Mode.TRANSMISSIVE)
     natural = chain_reflection(scenario.actual, wave)
-    rho_1 = chain_segments(scenario.actual, wave)[0][0]
+    rho_1 = chain_segments(scenario.actual, wave)[0][0][0]
     assert abs(front_sheet_reflection(problem, rho_1) - natural) < 1e-12
 
 
@@ -263,3 +337,18 @@ def test_termination_reflection_passthrough():
     wave = PlaneWave(10e9, 0.0)
     assert termination_reflection(scenario.actual, wave) == -1.0
     assert termination_reflection(scenario.target, wave) == 0.0
+
+
+def test_deep_lossy_wall_hides_its_termination():
+    # 40 random lossy layers of 1-200 mm: the round trip through the wall
+    # is attenuated far below rounding, so no sheet behind it can act
+    rng = random.Random(2140)
+    actual = Stack(AIR, random_layers(rng, random_lossy_medium, 40), Pec())
+    wave = PlaneWave(10e9, 0.0)
+    attenuation = 1.0
+    for _, z2 in chain_segments(actual, wave)[0]:
+        attenuation *= abs(z2)
+    assert attenuation < 1e-30
+    problem = IllusionProblem(actual, builtin_scenario().target, wave, Mode.REFLECTIVE)
+    with pytest.raises(DegenerateSynthesisError, match="hides"):
+        reflective_synthesis(problem)

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,19 +20,28 @@ from planemirage.wavecore import (
     PlaneWave,
     Sheet,
     Stack,
-    TransferMatrix2,
     ValidationError,
     chain_reflection,
     chain_segments,
+    fold_reflection,
     incident_wave_state,
     interface_coefficients,
     layer_wave_state,
     propagation_phase,
-    segment_matrix,
     termination_reflection,
 )
 
-from oracles import linear_system_reflection, random_lossless_pec_stack, random_lossy_stack, random_wave
+from oracles import (
+    IDENTITY,
+    determinant,
+    linear_system_reflection,
+    matmul,
+    matrix_reflection,
+    random_lossless_pec_stack,
+    random_lossy_stack,
+    random_wave,
+    segment_matrix,
+)
 
 # frozen at 50 digits by tools/freeze_reference_values.py
 RHO_AIR_TO_LOSSY_SLAB = complex(-0.32774996338663593, 0.0045767443223096661)
@@ -58,9 +68,10 @@ def test_normal_incidence_interface_matches_frozen_value():
 def test_refraction_angle_into_eps4_at_60deg():
     wave = PlaneWave(10e9, math.radians(60.0))
     _, slab = _states(Medium(4.0 + 0.0j), wave)
-    assert abs(slab.theta_n.real - THETA_IN_EPS4_AT_60DEG) < 1e-15
-    assert abs(slab.theta_n.imag) < 1e-15
-    assert abs(slab.cos_theta_n - math.cos(THETA_IN_EPS4_AT_60DEG)) < 1e-15
+    theta_n = cmath.asin(slab.k_t / slab.k_n)
+    assert abs(theta_n.real - THETA_IN_EPS4_AT_60DEG) < 1e-15
+    assert abs(theta_n.imag) < 1e-15
+    assert abs(slab.cos_n - math.cos(THETA_IN_EPS4_AT_60DEG)) < 1e-15
 
 
 def test_propagation_phase_matches_frozen_value():
@@ -109,25 +120,64 @@ def test_passive_layer_decays_toward_termination():
     # lossy and evanescent regions must attenuate, never grow
     wave = PlaneWave(10e9, math.radians(70.0))
     _, lossy = _states(FR4ISH, wave)
-    assert (lossy.k_n * lossy.cos_theta_n).imag < 0.0
+    assert (lossy.k_n * lossy.cos_n).imag < 0.0
     assert abs(propagation_phase(lossy, 0.05)) < 1.0
 
     # total internal reflection: dense incident medium into air
     dense = Stack(Medium(4.0 + 0j), (Layer(AIR, 0.01),), Pec())
     state = layer_wave_state(AIR, wave, incident_wave_state(dense.incident_medium, wave))
-    assert state.cos_theta_n.real == 0.0
-    assert (state.k_n * state.cos_theta_n).imag < 0.0
+    assert state.cos_n.real == 0.0
+    assert (state.k_n * state.cos_n).imag < 0.0
     assert abs(propagation_phase(state, 0.01)) < 1.0
 
 
 def test_segment_matrix_determinant():
+    # the transfer-matrix reference in tests/oracles.py
     rho, tau, z = 0.3 + 0.1j, 1.3 + 0.1j, cmath.exp(-0.4j)
     m = segment_matrix(rho, tau, z)
-    det = m.determinant()
+    det = determinant(m)
     expected = (1.0 - rho * rho) / (tau * tau)
     assert abs(det - expected) < 1e-15
-    ident = TransferMatrix2.identity().matmul(m)
+    ident = matmul(IDENTITY, m)
     assert ident == m
+
+
+def test_recursion_agrees_with_transfer_matrix_chain():
+    # the recursion's step is the segment matrix's fractional-linear map
+    rng = random.Random(1003)
+    worst = 0.0
+    for _ in range(200):
+        stack = random_lossy_stack(rng)
+        wave = random_wave(rng)
+        want = matrix_reflection(stack, wave)
+        worst = max(worst, abs(chain_reflection(stack, wave) - want) / max(1.0, abs(want)))
+    assert worst < 1e-12
+
+
+def test_thick_lossy_layer_hides_what_is_behind_it():
+    # Z^2 underflows to 0 across 3 m of eps = 4 - 4j at 20 GHz
+    wave = PlaneWave(20e9)
+    lossy = Medium(4.0 - 4.0j)
+    walled = Stack(AIR, (Layer(AIR, 0.1), Layer(lossy, 3.0), Layer(AIR, 0.1)), Pec())
+    assert chain_segments(walled, wave)[0][1][1] == 0.0
+    half_space = Stack(AIR, (Layer(AIR, 0.1),), Open(lossy))
+    assert abs(chain_reflection(walled, wave) - chain_reflection(half_space, wave)) < 1e-12
+
+
+def test_evanescent_gap_behind_a_dense_medium():
+    # total internal reflection: a 2 m air gap behind eps = 9 at 60 degrees
+    stack = Stack(Medium(9.0), (Layer(AIR, 2.0),), Pec())
+    wave = PlaneWave(10e9, math.radians(60.0))
+    with np.errstate(over="ignore"):  # the oracle's growing exponential is inf
+        want = linear_system_reflection(stack, wave)
+    assert abs(chain_reflection(stack, wave) - want) < 1e-9
+    assert abs(abs(want) - 1.0) < 1e-12
+
+
+def test_fold_passes_an_infinite_intermediate_reflection():
+    # the back layer alone is resonant (Gamma_2 = infinity); the front maps it to 1/rho_1
+    rho_1, rho_2, z2 = 0.4 + 0.1j, 0.5, 1.0 + 0.0j
+    assert abs(fold_reflection(((rho_1, z2), (rho_2, z2)), -1.0 / rho_2) - 1.0 / rho_1) < 1e-15
 
 
 def test_termination_reflections():
@@ -172,10 +222,18 @@ def test_lossless_pec_stacks_conserve_energy():
 def test_chain_segments_shape():
     wave = PlaneWave(10e9, math.radians(25.0))
     stack = Stack(AIR, (Layer(AIR, 0.12), Layer(FR4ISH, 0.06), Layer(AIR, 0.12)), Pec())
-    segments = chain_segments(stack, wave)
+    segments, rho_t = chain_segments(stack, wave)
     assert len(segments) == 3
     assert abs(segments[0][0]) < 1e-15  # air onto air
     assert abs(segments[1][0]) > 0.1
+    assert rho_t == -1.0
+    # (rho_n, Z_n^2): the second entry is the round trip across the layer
+    state = incident_wave_state(AIR, wave)
+    for layer, (rho, z2) in zip(stack.layers, segments):
+        nxt = layer_wave_state(layer.medium, wave, state)
+        assert rho == interface_coefficients(state, nxt)[0]
+        assert abs(z2 - propagation_phase(nxt, layer.thickness) ** 2) <= 1e-15 * abs(z2)
+        state = nxt
 
 
 def test_validation_rejects_bad_inputs():
