@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import json
 import math
 import re
@@ -67,6 +68,7 @@ from .wavecore import (
     Sheet,
     Stack,
     chain_reflection,
+    fold_reflection,
 )
 
 _GRID_NUDGE = 1e-9  # absorbs float noise in (stop - start)/step
@@ -322,77 +324,69 @@ def _error_tag(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 
-def run_simulate(config: ScenarioConfig) -> list[SweepRow]:
-    """Total reflection of both stacks at every grid point, (freq, theta) order."""
+def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
+    """Both stacks' total reflection at every grid point, (freq, theta)
+    order, plus the synthesized sheet state when mode is given. The
+    reflections come from the point's IllusionProblem, whose walks the
+    synthesis reuses; simulate has nothing to share and skips it."""
     rows = []
     for f_ghz in config.freq_ghz.values():
         for theta_deg in config.theta_deg.values():
             wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
+            problem = IllusionProblem(config.actual, config.target, wave, mode) if mode else None
             errs = []
-            g_act = g_tgt = None
+            g_act = g_tgt = rho_req = aux = passive = None
             try:
-                g_act = chain_reflection(config.actual, wave)
+                if problem:
+                    g_act = fold_reflection(*problem.actual_walk)
+                else:
+                    g_act = chain_reflection(config.actual, wave)
             except PlanemirageError as exc:
                 errs.append(_error_tag(exc))
             try:
-                g_tgt = chain_reflection(config.target, wave)
+                g_tgt = problem.gamma_i if problem else chain_reflection(config.target, wave)
             except PlanemirageError as exc:
                 errs.append(_error_tag(exc))
+            if problem:
+                try:
+                    outcome = synthesize(problem)
+                    rho_req = outcome.rho_required
+                    if mode is Mode.REFLECTIVE:
+                        aux = outcome.eta_required.eta_normalized
+                    else:
+                        aux = outcome.chi_e_required
+                    passive = outcome.realizability is Realizability.PASSIVE
+                except PlanemirageError as exc:
+                    errs.append(_error_tag(exc))
             rows.append(
-                SweepRow(f_ghz, theta_deg, g_act, g_tgt, err=";".join(errs))
+                SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs))
             )
     return rows
+
+
+def run_simulate(config: ScenarioConfig) -> list[SweepRow]:
+    """Total reflection of both stacks at every grid point, (freq, theta) order."""
+    return _sweep(config, None)
 
 
 def run_synthesize(config: ScenarioConfig) -> list[SweepRow]:
     """run_simulate plus the synthesized sheet state at every grid point."""
     if config.mode is None:
         raise ConfigError("synthesize needs a mode (reflective or transmissive)")
-    rows = []
-    for f_ghz in config.freq_ghz.values():
-        for theta_deg in config.theta_deg.values():
-            wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
-            errs = []
-            g_act = g_tgt = rho_req = aux = passive = None
-            try:
-                g_act = chain_reflection(config.actual, wave)
-            except PlanemirageError as exc:
-                errs.append(_error_tag(exc))
-            try:
-                g_tgt = chain_reflection(config.target, wave)
-            except PlanemirageError as exc:
-                errs.append(_error_tag(exc))
-            try:
-                problem = IllusionProblem(config.actual, config.target, wave, config.mode)
-                outcome = synthesize(problem)
-                rho_req = outcome.rho_required
-                if config.mode is Mode.REFLECTIVE:
-                    aux = outcome.eta_required.eta_normalized
-                else:
-                    aux = outcome.chi_e_required
-                passive = outcome.realizability is Realizability.PASSIVE
-            except PlanemirageError as exc:
-                errs.append(_error_tag(exc))
-            rows.append(
-                SweepRow(
-                    f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)
-                )
-            )
-    return rows
+    return _sweep(config, config.mode)
 
 
 # ----------------------------------------------------------------- emission
 
 
-_SIM_HEADER = "freq_ghz,theta_deg,g_act_re,g_act_im,g_tgt_re,g_tgt_im,err"
-_SYN_HEADER_REFLECTIVE = (
-    "freq_ghz,theta_deg,g_act_re,g_act_im,g_tgt_re,g_tgt_im,"
-    "rho_req_re,rho_req_im,eta_n_re,eta_n_im,passive,err"
-)
-_SYN_HEADER_TRANSMISSIVE = (
-    "freq_ghz,theta_deg,g_act_re,g_act_im,g_tgt_re,g_tgt_im,"
-    "rho_req_re,rho_req_im,chi_e_re,chi_e_im,passive,err"
-)
+# The complex columns of each table kind, carried by a row in the order
+# g_act, g_tgt, rho_req, aux. Every table starts with freq_ghz,theta_deg and
+# ends with err; a synthesis table puts passive before err.
+_TABLES = {
+    "simulate": ("g_act", "g_tgt"),
+    "synthesize-reflective": ("g_act", "g_tgt", "rho_req", "eta_n"),
+    "synthesize-transmissive": ("g_act", "g_tgt", "rho_req", "chi_e"),
+}
 
 
 def _fmt(value: float) -> str:
@@ -406,36 +400,22 @@ def _cells(value: complex | None) -> list[str]:
 
 
 def _csv_lines(rows: list[SweepRow], kind: str) -> list[str]:
-    if kind == "simulate":
-        lines = [_SIM_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [_fmt(r.freq_ghz), _fmt(r.theta_deg)]
-                    + _cells(r.g_act)
-                    + _cells(r.g_tgt)
-                    + [r.err]
-                )
-            )
-        return lines
-    if kind == "synthesize-reflective":
-        lines = [_SYN_HEADER_REFLECTIVE]
-    elif kind == "synthesize-transmissive":
-        lines = [_SYN_HEADER_TRANSMISSIVE]
-    else:
+    if kind not in _TABLES:
         raise ValueError(f"unknown table kind {kind!r}")
+    names = _TABLES[kind]
+    synthesis = kind != "simulate"
+    header = ["freq_ghz", "theta_deg"]
+    for name in names:
+        header += [f"{name}_re", f"{name}_im"]
+    lines = [",".join(header + (["passive", "err"] if synthesis else ["err"]))]
     for r in rows:
-        passive = "" if r.passive is None else ("1" if r.passive else "0")
-        lines.append(
-            ",".join(
-                [_fmt(r.freq_ghz), _fmt(r.theta_deg)]
-                + _cells(r.g_act)
-                + _cells(r.g_tgt)
-                + _cells(r.rho_req)
-                + _cells(r.aux)
-                + [passive, r.err]
-            )
-        )
+        cells = [_fmt(r.freq_ghz), _fmt(r.theta_deg)]
+        for value in (r.g_act, r.g_tgt, r.rho_req, r.aux)[: len(names)]:
+            cells += _cells(value)
+        if synthesis:
+            cells.append("" if r.passive is None else ("1" if r.passive else "0"))
+        cells.append(r.err)
+        lines.append(",".join(cells))
     return lines
 
 
@@ -697,15 +677,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         raise ConfigError("a config is required: --config <path> or --scenario builtin")
     mode_flag = getattr(args, "mode", None)
     if mode_flag is not None:
-        config = ScenarioConfig(
-            actual=config.actual,
-            target=config.target,
-            mode=Mode(mode_flag),
-            theta_deg=config.theta_deg,
-            freq_ghz=config.freq_ghz,
-            output_format=config.output_format,
-            output_path=config.output_path,
-        )
+        config = dataclasses.replace(config, mode=Mode(mode_flag))
     return config
 
 
@@ -722,11 +694,7 @@ def _cmd_sweep(args, synthesis: bool) -> int:
     out = _resolve_out(args, config)
     if synthesis:
         rows = run_synthesize(config)
-        kind = (
-            "synthesize-reflective"
-            if config.mode is Mode.REFLECTIVE
-            else "synthesize-transmissive"
-        )
+        kind = f"synthesize-{config.mode.value}"
     else:
         rows = run_simulate(config)
         kind = "simulate"

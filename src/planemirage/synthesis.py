@@ -26,6 +26,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import DegenerateSynthesisError, ValidationError
 from .gstc import (
@@ -35,6 +36,7 @@ from .gstc import (
 )
 from .wavecore import (
     PlaneWave,
+    Segments,
     Sheet,
     Stack,
     chain_reflection,
@@ -61,6 +63,10 @@ class IllusionProblem:
 
     Both stacks may have any number of layers and any termination; in
     reflective mode the actual termination is what the sheet replaces.
+    Each stack is walked at most once: actual_walk and gamma_i are computed
+    on first use and kept, so a sweep that reports both reflections shares
+    them with the synthesis. A walk that raises keeps nothing and raises
+    again on the next use.
     """
 
     actual: Stack
@@ -71,6 +77,16 @@ class IllusionProblem:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, Mode):
             raise ValidationError(f"mode must be a Mode, got {self.mode!r}")
+
+    @cached_property
+    def actual_walk(self) -> tuple[Segments, complex]:
+        """chain_segments of the actual stack: its (rho_n, Z_n^2) and rho_T."""
+        return chain_segments(self.actual, self.wave)
+
+    @cached_property
+    def gamma_i(self) -> complex:
+        """Gamma_i, the total reflection of the target stack."""
+        return chain_reflection(self.target, self.wave)
 
 
 @dataclass(frozen=True)
@@ -114,7 +130,7 @@ def _solve(p: complex, q: complex, q_scale: float, det: complex, sheet: str) -> 
 
 def target_reflection(problem: IllusionProblem) -> complex:
     """Gamma_i, the total reflection the observer should see."""
-    return chain_reflection(problem.target, problem.wave)
+    return problem.gamma_i
 
 
 def reflective_synthesis(problem: IllusionProblem) -> complex:
@@ -132,8 +148,8 @@ def reflective_synthesis(problem: IllusionProblem) -> complex:
     the magnitudes that q is summed from.
     """
     _require_mode(problem, Mode.REFLECTIVE)
-    segments, _ = chain_segments(problem.actual, problem.wave)
-    g_i = target_reflection(problem)
+    segments, _ = problem.actual_walk
+    g_i = problem.gamma_i
     p, q, det = g_i, 1.0 + 0.0j, 1.0 + 0.0j
     p_scale, q_scale = abs(g_i), 1.0
     for rho, z2 in segments:
@@ -162,9 +178,9 @@ def transmissive_synthesis(problem: IllusionProblem) -> tuple[complex, complex]:
     at the incidence angle. rho_1m = 1 admits no finite chi_e.
     """
     _require_mode(problem, Mode.TRANSMISSIVE)
-    segments, rho_t = chain_segments(problem.actual, problem.wave)
+    segments, rho_t = problem.actual_walk
     x = segments[0][1] * fold_reflection(segments[1:], rho_t)
-    g_i = target_reflection(problem)
+    g_i = problem.gamma_i
     rho_1m = _solve(g_i - x, 1.0 - g_i * x, 1.0 + abs(g_i * x), 1.0 - x * x, "front sheet")
     if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
         raise DegenerateSynthesisError(
@@ -179,7 +195,7 @@ def transmissive_synthesis(problem: IllusionProblem) -> tuple[complex, complex]:
 def front_sheet_reflection(problem: IllusionProblem, rho_1: complex) -> complex:
     """Total reflection of the actual stack with its first interface's
     reflection replaced by rho_1."""
-    segments, rho_t = chain_segments(problem.actual, problem.wave)
+    segments, rho_t = problem.actual_walk
     return fold_reflection(((complex(rho_1), segments[0][1]),) + segments[1:], rho_t)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateInterfaceError,
+    DomainError,
     InvalidMediumError,
     ResonantSingularityError,
     ValidationError,
@@ -53,8 +54,8 @@ class Medium:
         mu = complex(self.mu_r)
         if not (_finite(eps) and _finite(mu)):
             raise InvalidMediumError(f"non-finite medium parameters: eps_r={eps!r} mu_r={mu!r}")
-        if eps == 0:
-            raise InvalidMediumError("eps_r = 0 has no finite wave impedance")
+        if eps == 0 or mu == 0:
+            raise InvalidMediumError(f"eps_r and mu_r must be nonzero: eps_r={eps!r} mu_r={mu!r}")
         object.__setattr__(self, "eps_r", eps)
         object.__setattr__(self, "mu_r", mu)
 
@@ -196,10 +197,14 @@ def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -
 
 
 def propagation_phase(state_n: LayerWaveState, thickness: float) -> complex:
-    """One-way phase/decay factor Z = e^{-j k l cos(theta)} across a layer."""
+    """One-way phase/decay factor Z = e^{-j k l cos(theta)} across a layer;
+    DomainError where it overflows, as across a thick gain layer."""
     if not (math.isfinite(thickness) and thickness >= 0.0):
         raise ValidationError(f"thickness must be finite and >= 0, got {thickness!r}")
-    return cmath.exp(-1j * state_n.k_n * thickness * state_n.cos_n)
+    try:
+        return cmath.exp(-1j * state_n.k_n * thickness * state_n.cos_n)
+    except OverflowError:
+        raise DomainError("the propagation factor across a gain layer overflows") from None
 
 
 Segments = tuple[tuple[complex, complex], ...]
@@ -247,15 +252,20 @@ def fold_reflection(segments: Segments, rho_t: complex) -> complex:
     starting from Gamma_{N+1} = rho_T. Gamma is carried as a pair p/q, so an
     infinite intermediate value passes through and only the total can be
     singular. Only Z^2 appears, never 1/Z, so a layer thick enough for Z^2
-    to underflow simply hides everything behind it.
+    to underflow simply hides everything behind it. Gain layers can make
+    the pair overflow; a total that is not finite raises DomainError.
     """
     p, q = rho_t, 1.0
     for rho, z2 in reversed(segments):
         w = z2 * p
         p, q = rho * q + w, q + rho * w
-    if abs(q) < _DENOM_FLOOR:
+    # hypot, unlike abs, gives inf instead of raising when gain layers push |q| past the float range
+    if math.hypot(q.real, q.imag) < _DENOM_FLOOR:
         raise ResonantSingularityError("total-reflection denominator vanished")
-    return p / q
+    gamma = p / q
+    if not cmath.isfinite(gamma):
+        raise DomainError("the total reflection overflows at this point")
+    return gamma
 
 
 def chain_reflection(stack: Stack, wave: PlaneWave) -> complex:

@@ -23,10 +23,13 @@ from planemirage.errors import (
     EvanescentOrderError,
     ResonantSingularityError,
 )
+from planemirage import wavecore
+from planemirage.gstc import impedance_from_reflection
 from planemirage.synthesis import (
     IllusionProblem,
     Mode,
     reflective_synthesis,
+    transmissive_synthesis,
 )
 from planemirage.wavecore import (
     AIR,
@@ -37,6 +40,7 @@ from planemirage.wavecore import (
     PlaneWave,
     Sheet,
     Stack,
+    chain_reflection,
     chain_segments,
 )
 
@@ -188,19 +192,55 @@ def test_run_simulate_grid_order():
         assert r.rho_req is None
 
 
-def test_run_synthesize_matches_direct_calls():
+@pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_run_synthesize_matches_direct_calls(mode):
     config = builtin_scenario()
-    small = ScenarioConfig(
-        config.actual, config.target, Mode.REFLECTIVE, _small_axis(), SweepAxis(10.0, 10.0, 0.1)
-    )
+    small = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.0, 0.1))
     rows = run_synthesize(small)
     assert len(rows) == 3
     for r in rows:
         wave = PlaneWave(r.freq_ghz * 1e9, math.radians(r.theta_deg))
-        problem = IllusionProblem(config.actual, config.target, wave, Mode.REFLECTIVE)
-        assert r.rho_req == reflective_synthesis(problem)
+        assert r.g_act == chain_reflection(config.actual, wave)
+        assert r.g_tgt == chain_reflection(config.target, wave)
+        problem = IllusionProblem(config.actual, config.target, wave, mode)
+        if mode is Mode.REFLECTIVE:
+            rho = reflective_synthesis(problem)
+            aux = impedance_from_reflection(rho).eta_normalized
+        else:
+            rho, aux = transmissive_synthesis(problem)
+        assert r.rho_req == rho
+        assert r.aux == aux
         assert r.passive is True
         assert r.err == ""
+
+
+def _deep_stack(n_layers):
+    layers = tuple(
+        Layer(Medium(2.0 + 0.5 * (i % 4) - 0.02j), 0.004 + 0.001 * (i % 3)) for i in range(n_layers)
+    )
+    return Stack(AIR, layers, Open(Medium(3.0)))
+
+
+@pytest.mark.parametrize("stacks", ["builtin", "deep"])
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_sweeps_walk_each_stack_once_per_point(monkeypatch, stacks, mode):
+    # one wave state per layer, plus the half-space behind an Open termination
+    actual, target = (_deep_stack(9), _deep_stack(12))
+    if stacks == "builtin":
+        actual, target = builtin_scenario().actual, builtin_scenario().target
+    config = ScenarioConfig(actual, target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
+    calls = []
+    real = wavecore.layer_wave_state
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(wavecore, "layer_wave_state", counted)
+    rows = run_simulate(config) if mode is None else run_synthesize(config)
+    assert [r.err for r in rows] == [""] * 6
+    per_point = sum(len(s.layers) + isinstance(s.termination, Open) for s in (actual, target))
+    assert len(calls) == len(rows) * per_point
 
 
 def test_run_synthesize_requires_mode():
@@ -289,6 +329,14 @@ def test_main_simulate_builtin(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == _SIM_HEADER
     assert len(lines) == 1 + 161 * 21
+
+
+def test_main_rejects_zero_permeability(tmp_path, capsys):
+    doc = _scenario_doc()
+    doc["actual"]["layers"][1]["mu"] = 0
+    config_path = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_main_config_conflicts(tmp_path):
@@ -464,3 +512,36 @@ def test_thick_lossy_layer_is_a_tagged_point_not_a_crash(tmp_path):
     assert high[0] == "20" and high[-1] == "degenerate-synthesis"
     assert all(math.isfinite(float(cell)) for cell in high[2:6])
     assert high[6:11] == ["", "", "", "", ""]
+
+
+@pytest.mark.parametrize(
+    "gain_layers",
+    [
+        # the round trip across 3 m overflows
+        [{"eps": 1.0, "thickness_mm": 100.0}, {"eps": [4.0, 4.0], "thickness_mm": 3000.0}],
+        # each round trip is finite, the total reflection is not
+        [
+            {"eps": [4.0, 4.0], "thickness_mm": 500.0},
+            {"eps": 1.0, "thickness_mm": 10.0},
+            {"eps": [4.0, 4.0], "thickness_mm": 500.0},
+        ],
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["synthesize", "--mode", "reflective"], ["synthesize", "--mode", "transmissive"]],
+)
+def test_gain_medium_overflow_is_a_tagged_point_not_a_crash(tmp_path, gain_layers, command):
+    doc = _scenario_doc(actual={"layers": gain_layers, "termination": {"kind": "pec"}})
+    doc["sweep"] = {
+        "theta_deg": {"start": 0.0, "stop": 0.0, "step": 1.0},
+        "freq_ghz": {"start": 0.1, "stop": 20.0, "step": 19.9},
+    }
+    config_path = _write_config(tmp_path, doc, name="gain.json")
+    out = tmp_path / "gain.csv"
+    assert main(command + ["--config", str(config_path), "--out", str(out)]) == 0
+    low, high = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert low[-1] == ""
+    assert high[0] == "20" and high[2:4] == ["", ""]
+    assert high[-1].split(";")[0] == "domain"
+    assert all(math.isfinite(float(cell)) for cell in low[:-1] + high[4:6])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planemirage.errors import DomainError
 from planemirage.wavecore import (
     AIR,
     ETA0,
@@ -180,6 +181,30 @@ def test_fold_passes_an_infinite_intermediate_reflection():
     assert abs(fold_reflection(((rho_1, z2), (rho_2, z2)), -1.0 / rho_2) - 1.0 / rho_1) < 1e-15
 
 
+def test_thick_gain_layer_overflow_is_a_domain_error():
+    # Im eps > 0 grows toward the termination: e^{2 Im(k) l} passes 1e308 across 3 m at 20 GHz
+    gain = Medium(4.0 + 4.0j)
+    wave = PlaneWave(20e9)
+    state = layer_wave_state(gain, wave, incident_wave_state(AIR, wave))
+    with pytest.raises(DomainError):
+        propagation_phase(state, 3.0)
+    with pytest.raises(DomainError):
+        chain_reflection(Stack(AIR, (Layer(gain, 3.0),), Pec()), wave)
+
+
+def test_gain_layers_that_overflow_the_fold_are_a_domain_error():
+    # each round trip is finite (about e^381), their product is not: the pair p/q is nan
+    gain = Layer(Medium(4.0 + 4.0j), 0.5)
+    stack = Stack(AIR, (gain, Layer(AIR, 0.01), gain), Pec())
+    segments, rho_t = chain_segments(stack, PlaneWave(20e9))
+    assert all(math.isfinite(abs(z2)) for _, z2 in segments)
+    with pytest.raises(DomainError):
+        fold_reflection(segments, rho_t)
+    # both parts of the denominator are finite, its magnitude is not
+    with pytest.raises(DomainError):
+        fold_reflection(((0.99, complex(1.5e308, 1.5e308)),), 0.99)
+
+
 def test_termination_reflections():
     wave = PlaneWave(10e9, 0.0)
     layers = (Layer(AIR, 0.1),)
@@ -239,6 +264,8 @@ def test_chain_segments_shape():
 def test_validation_rejects_bad_inputs():
     with pytest.raises(InvalidMediumError):
         Medium(0.0)
+    with pytest.raises(InvalidMediumError):  # k = k0 sqrt(eps mu) = 0: refraction divides by it
+        chain_reflection(Stack(AIR, (Layer(Medium(2.0, 0.0), 0.01),), Pec()), PlaneWave(10e9))
     with pytest.raises(InvalidMediumError):
         Medium(complex(float("nan"), 0.0))
     with pytest.raises(ValidationError):
