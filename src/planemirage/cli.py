@@ -53,6 +53,7 @@ from .synthesis import (
     synthesize,
 )
 from .unitcell import (
+    MAP_HEADER,
     build_coding_set,
     load_reflection_map,
     load_sample_map,
@@ -166,20 +167,19 @@ def builtin_scenario() -> ScenarioConfig:
 # ---------------------------------------------------------------- config I/O
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return doc
 
 
-def _require_keys(obj: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+def _require_keys(obj, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{where}: missing required key {key!r}")
@@ -207,8 +207,6 @@ def _parse_complex(value, where: str) -> complex:
 
 
 def _parse_medium(obj, where: str) -> Medium:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object with an 'eps' key")
     _require_keys(obj, where, ("eps",), ("mu",))
     eps = _parse_complex(obj["eps"], f"{where}.eps")
     mu = _parse_complex(obj.get("mu", 1.0), f"{where}.mu")
@@ -219,8 +217,7 @@ def _parse_medium(obj, where: str) -> Medium:
 
 
 def _parse_termination(obj, where: str):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"{where}: expected an object with a 'kind' key")
+    _require_keys(obj, where, ("kind",), ("eps", "mu", "rho"))
     kind = obj["kind"]
     if kind == "pec":
         _require_keys(obj, where, ("kind",))
@@ -237,8 +234,6 @@ def _parse_termination(obj, where: str):
 
 
 def _parse_stack(obj, where: str) -> Stack:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
     _require_keys(obj, where, ("layers", "termination"), ("incident",))
     incident = _parse_medium(obj["incident"], f"{where}.incident") if "incident" in obj else AIR
     layers_obj = obj["layers"]
@@ -247,12 +242,8 @@ def _parse_stack(obj, where: str) -> Stack:
     layers = []
     for i, layer_obj in enumerate(layers_obj):
         lw = f"{where}.layers[{i}]"
-        if not isinstance(layer_obj, dict):
-            raise ConfigError(f"{lw}: expected an object")
         _require_keys(layer_obj, lw, ("eps", "thickness_mm"), ("mu",))
-        medium = _parse_medium(
-            {k: v for k, v in layer_obj.items() if k != "thickness_mm"}, lw
-        )
+        medium = _parse_medium({k: v for k, v in layer_obj.items() if k != "thickness_mm"}, lw)
         thickness_mm = _parse_number(layer_obj["thickness_mm"], f"{lw}.thickness_mm")
         if thickness_mm < 0.0:
             raise ConfigError(f"{lw}.thickness_mm: must be >= 0, got {thickness_mm}")
@@ -265,8 +256,6 @@ def _parse_stack(obj, where: str) -> Stack:
 
 
 def _parse_axis(obj, where: str) -> SweepAxis:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object with start/stop/step")
     _require_keys(obj, where, ("start", "stop", "step"))
     return SweepAxis(
         _parse_number(obj["start"], f"{where}.start"),
@@ -287,22 +276,15 @@ def parse_scenario(path: Path) -> ScenarioConfig:
             raise ConfigError(f"mode must be reflective or transmissive, got {doc['mode']!r}")
         mode = Mode(doc["mode"])
     sweep = doc["sweep"]
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep: expected an object")
     _require_keys(sweep, "sweep", ("theta_deg", "freq_ghz"))
     theta = _parse_axis(sweep["theta_deg"], "sweep.theta_deg")
     freq = _parse_axis(sweep["freq_ghz"], "sweep.freq_ghz")
-    output_format = "csv"
-    output_path = None
-    if "output" in doc:
-        out = doc["output"]
-        if not isinstance(out, dict):
-            raise ConfigError("output: expected an object")
-        _require_keys(out, "output", (), ("format", "path"))
-        output_format = out.get("format", "csv")
-        output_path = out.get("path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ConfigError("output.path: expected a string")
+    out = doc.get("output", {})
+    _require_keys(out, "output", (), ("format", "path"))
+    output_format = out.get("format", "csv")
+    output_path = out.get("path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError("output.path: expected a string")
     return ScenarioConfig(
         actual=actual,
         target=target,
@@ -328,17 +310,19 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
     """Both stacks' total reflection at every grid point, (freq, theta)
     order, plus the synthesized sheet state when mode is given. The
     reflections come from the point's IllusionProblem, whose walks the
-    synthesis reuses; simulate has nothing to share and skips it."""
+    synthesis reuses; simulate has nothing to share and skips it. A point
+    whose walk or Gamma_i raised is not synthesized: one tag per failure."""
     rows = []
     for f_ghz in config.freq_ghz.values():
         for theta_deg in config.theta_deg.values():
             wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
             problem = IllusionProblem(config.actual, config.target, wave, mode) if mode else None
             errs = []
-            g_act = g_tgt = rho_req = aux = passive = None
+            walk = g_act = g_tgt = rho_req = aux = passive = None
             try:
                 if problem:
-                    g_act = fold_reflection(*problem.actual_walk)
+                    walk = problem.actual_walk
+                    g_act = fold_reflection(*walk)
                 else:
                     g_act = chain_reflection(config.actual, wave)
             except PlanemirageError as exc:
@@ -347,7 +331,7 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
                 g_tgt = problem.gamma_i if problem else chain_reflection(config.target, wave)
             except PlanemirageError as exc:
                 errs.append(_error_tag(exc))
-            if problem:
+            if problem and walk and g_tgt is not None:
                 try:
                     outcome = synthesize(problem)
                     rho_req = outcome.rho_required
@@ -393,13 +377,30 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _cells(value: complex | None) -> list[str]:
+def _pair(value: complex | None) -> list[str]:
     if value is None:
         return ["", ""]
     return [_fmt(value.real), _fmt(value.imag)]
 
 
-def _csv_lines(rows: list[SweepRow], kind: str) -> list[str]:
+def _cells(values) -> list[str]:
+    """The one CSV cell rule: a number is written %.17g (a bool too, as 1
+    or 0), a complex value takes two cells, None is an empty cell and a
+    string is written as it is. Sweep rows, whose column types are fixed,
+    follow the same rule where _sweep_table builds them."""
+    cells = []
+    for value in values:
+        if isinstance(value, complex):
+            cells += _pair(value)
+        elif value is None or isinstance(value, str):
+            cells.append(value or "")
+        else:
+            cells.append(_fmt(value))
+    return cells
+
+
+def _sweep_table(rows: list[SweepRow], kind: str):
+    """Header and lazily formatted cells of a sweep table."""
     if kind not in _TABLES:
         raise ValueError(f"unknown table kind {kind!r}")
     names = _TABLES[kind]
@@ -407,16 +408,27 @@ def _csv_lines(rows: list[SweepRow], kind: str) -> list[str]:
     header = ["freq_ghz", "theta_deg"]
     for name in names:
         header += [f"{name}_re", f"{name}_im"]
-    lines = [",".join(header + (["passive", "err"] if synthesis else ["err"]))]
-    for r in rows:
-        cells = [_fmt(r.freq_ghz), _fmt(r.theta_deg)]
+    header += ["passive", "err"] if synthesis else ["err"]
+
+    def row_cells(r: SweepRow) -> list[str]:
+        out = [_fmt(r.freq_ghz), _fmt(r.theta_deg)]
         for value in (r.g_act, r.g_tgt, r.rho_req, r.aux)[: len(names)]:
-            cells += _cells(value)
-        if synthesis:
-            cells.append("" if r.passive is None else ("1" if r.passive else "0"))
-        cells.append(r.err)
-        lines.append(",".join(cells))
-    return lines
+            out += _pair(value)
+        if synthesis:  # _fmt(r.passive), without its slow float conversion
+            out.append("" if r.passive is None else ("1" if r.passive else "0"))
+        out.append(r.err)
+        return out
+
+    return header, map(row_cells, rows)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Every CSV table: the header line, then one line of comma-joined
+    cells per row; every line ends in a newline."""
+    # The empty last item ends the last line. The list of lines is freed
+    # before the write encodes the text, which keeps a large table's peak
+    # memory at two copies of it.
+    _write_text(path, "\n".join([",".join(header), *map(",".join, rows), ""]))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -516,7 +528,7 @@ def _emit_svg(rows: list[SweepRow], kind: str, path: Path) -> None:
 def emit(rows: list[SweepRow], kind: str, output_format: str, path: Path) -> None:
     """Write a sweep table to path as CSV (canonical) or SVG (presentation)."""
     if output_format == "csv":
-        _write_text(path, "\n".join(_csv_lines(rows, kind)) + "\n")
+        _write_csv(path, *_sweep_table(rows, kind))
     elif output_format == "svg":
         _emit_svg(rows, kind, path)
     else:
@@ -527,8 +539,6 @@ def emit(rows: list[SweepRow], kind: str, output_format: str, path: Path) -> Non
 
 
 def _load_map_from_config(doc: dict, where: str):
-    if "map" not in doc:
-        raise ConfigError(f"{where}: missing required key 'map'")
     source = doc["map"]
     if source == "sample":
         return load_sample_map()
@@ -546,116 +556,6 @@ def _parse_rho_target(value, where: str) -> complex:
     return _parse_complex(value, where)
 
 
-def _cmd_select_cell(config_path: Path, out: Path) -> int:
-    doc = _load_json(config_path)
-    _require_keys(
-        doc, str(config_path), ("map", "frequency_ghz", "rho_target"), ("phase_only",)
-    )
-    reflection_map = _load_map_from_config(doc, str(config_path))
-    frequency = _parse_number(doc["frequency_ghz"], "frequency_ghz")
-    rho_target = _parse_rho_target(doc["rho_target"], "rho_target")
-    phase_only = doc.get("phase_only", False)
-    if not isinstance(phase_only, bool):
-        raise ConfigError("phase_only: expected true or false")
-    rec = select_state(reflection_map, frequency, rho_target, phase_only=phase_only)
-    lines = [
-        "f_ghz,r_ohm,c_pf,rho_re,rho_im",
-        ",".join(
-            [_fmt(rec.f_ghz), _fmt(rec.r_ohm), _fmt(rec.c_pf), _fmt(rec.rho.real), _fmt(rec.rho.imag)]
-        ),
-    ]
-    _write_text(out, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_coding_set(config_path: Path, out: Path) -> int:
-    doc = _load_json(config_path)
-    _require_keys(
-        doc, str(config_path), ("map", "frequency_ghz", "n_bit"), ("min_amplitude",)
-    )
-    reflection_map = _load_map_from_config(doc, str(config_path))
-    frequency = _parse_number(doc["frequency_ghz"], "frequency_ghz")
-    n_bit = doc["n_bit"]
-    if isinstance(n_bit, bool) or not isinstance(n_bit, int):
-        raise ConfigError(f"n_bit: expected an integer, got {n_bit!r}")
-    min_amplitude = _parse_number(doc.get("min_amplitude", 0.3), "min_amplitude")
-    coding = build_coding_set(reflection_map, frequency, n_bit, min_amplitude)
-    lines = ["slot,target_phase_rad,f_ghz,r_ohm,c_pf,rho_re,rho_im"]
-    for slot, (phase, rec) in enumerate(zip(coding.target_phases, coding.states)):
-        lines.append(
-            ",".join(
-                [
-                    str(slot),
-                    _fmt(phase),
-                    _fmt(rec.f_ghz),
-                    _fmt(rec.r_ohm),
-                    _fmt(rec.c_pf),
-                    _fmt(rec.rho.real),
-                    _fmt(rec.rho.imag),
-                ]
-            )
-        )
-    _write_text(out, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_companion(submode: str, config_path: Path, out: Path) -> int:
-    doc = _load_json(config_path)
-    where = str(config_path)
-    if submode == "to-map":
-        _require_keys(doc, where, ("r1_mm", "r2_mm", "q"), ("samples",))
-        transform = RadialTransform(
-            _parse_number(doc["r1_mm"], "r1_mm") * 1e-3,
-            _parse_number(doc["r2_mm"], "r2_mm") * 1e-3,
-            _parse_number(doc["q"], "q"),
-        )
-        samples = _parse_samples(doc)
-        lines = ["r_mm,r_prime_mm,r_back_mm"]
-        for i in range(samples):
-            r = transform.r2 * i / (samples - 1)
-            r_prime = radial_forward(transform, r)
-            r_back = radial_inverse(transform, r_prime)
-            lines.append(f"{_fmt(r * 1e3)},{_fmt(r_prime * 1e3)},{_fmt(r_back * 1e3)}")
-        _write_text(out, "\n".join(lines) + "\n")
-        return 0
-    if submode == "pb-phase":
-        _require_keys(doc, where, ("amplitude", "period_mm"), ("sigma", "samples"))
-        sigma = doc.get("sigma", 1)
-        if sigma not in (1, -1):
-            raise ConfigError(f"sigma: expected 1 or -1, got {sigma!r}")
-        profile = StripProfile(
-            _parse_number(doc["amplitude"], "amplitude"),
-            _parse_number(doc["period_mm"], "period_mm") * 1e-3,
-            sigma,
-        )
-        samples = _parse_samples(doc)
-        lines = ["x_mm,height_mm,phase_rad"]
-        for i in range(samples):
-            x = profile.period * i / (samples - 1)
-            lines.append(
-                f"{_fmt(x * 1e3)},{_fmt(strip_height(profile, x) * 1e3)},{_fmt(pb_phase(profile, x))}"
-            )
-        _write_text(out, "\n".join(lines) + "\n")
-        return 0
-    if submode == "grating":
-        _require_keys(doc, where, ("wavelength_mm", "period_mm"), ("max_order",))
-        wavelength = _parse_number(doc["wavelength_mm"], "wavelength_mm") * 1e-3
-        period = _parse_number(doc["period_mm"], "period_mm") * 1e-3
-        max_order = doc.get("max_order", 3)
-        if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 0:
-            raise ConfigError(f"max_order: expected an integer >= 0, got {max_order!r}")
-        lines = ["m,theta_deg,err"]
-        for m in range(-max_order, max_order + 1):
-            try:
-                theta = grating_angle(m, wavelength, period)
-                lines.append(f"{m},{_fmt(math.degrees(theta))},")
-            except EvanescentOrderError as exc:
-                lines.append(f"{m},,{_error_tag(exc)}")
-        _write_text(out, "\n".join(lines) + "\n")
-        return 0
-    raise ConfigError(f"unknown companion submode {submode!r}")
-
-
 def _parse_samples(doc: dict) -> int:
     samples = doc.get("samples", 101)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
@@ -663,10 +563,97 @@ def _parse_samples(doc: dict) -> int:
     return samples
 
 
+def _select_cell(doc: dict, where: str):
+    _require_keys(doc, where, ("map", "frequency_ghz", "rho_target"), ("phase_only",))
+    reflection_map = _load_map_from_config(doc, where)
+    frequency = _parse_number(doc["frequency_ghz"], "frequency_ghz")
+    rho_target = _parse_rho_target(doc["rho_target"], "rho_target")
+    phase_only = doc.get("phase_only", False)
+    if not isinstance(phase_only, bool):
+        raise ConfigError("phase_only: expected true or false")
+    rec = select_state(reflection_map, frequency, rho_target, phase_only=phase_only)
+    return MAP_HEADER.split(","), [(rec.f_ghz, rec.r_ohm, rec.c_pf, rec.rho)]
+
+
+def _coding_set(doc: dict, where: str):
+    _require_keys(doc, where, ("map", "frequency_ghz", "n_bit"), ("min_amplitude",))
+    reflection_map = _load_map_from_config(doc, where)
+    frequency = _parse_number(doc["frequency_ghz"], "frequency_ghz")
+    n_bit = doc["n_bit"]
+    if isinstance(n_bit, bool) or not isinstance(n_bit, int):
+        raise ConfigError(f"n_bit: expected an integer, got {n_bit!r}")
+    min_amplitude = _parse_number(doc.get("min_amplitude", 0.3), "min_amplitude")
+    coding = build_coding_set(reflection_map, frequency, n_bit, min_amplitude)
+    return ["slot", "target_phase_rad", *MAP_HEADER.split(",")], [
+        (slot, phase, rec.f_ghz, rec.r_ohm, rec.c_pf, rec.rho)
+        for slot, (phase, rec) in enumerate(zip(coding.target_phases, coding.states))
+    ]
+
+
+def _to_map(doc: dict, where: str):
+    _require_keys(doc, where, ("r1_mm", "r2_mm", "q"), ("samples",))
+    transform = RadialTransform(
+        _parse_number(doc["r1_mm"], "r1_mm") * 1e-3,
+        _parse_number(doc["r2_mm"], "r2_mm") * 1e-3,
+        _parse_number(doc["q"], "q"),
+    )
+    samples = _parse_samples(doc)
+    rows = []
+    for i in range(samples):
+        r = transform.r2 * i / (samples - 1)
+        r_prime = radial_forward(transform, r)
+        rows.append((r * 1e3, r_prime * 1e3, radial_inverse(transform, r_prime) * 1e3))
+    return ["r_mm", "r_prime_mm", "r_back_mm"], rows
+
+
+def _pb_phase(doc: dict, where: str):
+    _require_keys(doc, where, ("amplitude", "period_mm"), ("sigma", "samples"))
+    sigma = doc.get("sigma", 1)
+    if sigma not in (1, -1):
+        raise ConfigError(f"sigma: expected 1 or -1, got {sigma!r}")
+    profile = StripProfile(
+        _parse_number(doc["amplitude"], "amplitude"),
+        _parse_number(doc["period_mm"], "period_mm") * 1e-3,
+        sigma,
+    )
+    samples = _parse_samples(doc)
+    xs = [profile.period * i / (samples - 1) for i in range(samples)]
+    rows = [(x * 1e3, strip_height(profile, x) * 1e3, pb_phase(profile, x)) for x in xs]
+    return ["x_mm", "height_mm", "phase_rad"], rows
+
+
+def _grating(doc: dict, where: str):
+    _require_keys(doc, where, ("wavelength_mm", "period_mm"), ("max_order",))
+    wavelength = _parse_number(doc["wavelength_mm"], "wavelength_mm") * 1e-3
+    period = _parse_number(doc["period_mm"], "period_mm") * 1e-3
+    max_order = doc.get("max_order", 3)
+    if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 0:
+        raise ConfigError(f"max_order: expected an integer >= 0, got {max_order!r}")
+    rows = []
+    for m in range(-max_order, max_order + 1):
+        try:
+            rows.append((m, math.degrees(grating_angle(m, wavelength, period)), None))
+        except EvanescentOrderError as exc:
+            rows.append((m, None, _error_tag(exc)))
+    return ["m", "theta_deg", "err"], rows
+
+
+# Subcommand -> (help, table function or one per submode). A table function
+# takes the parsed JSON config and its name and returns (header, rows).
+_TABLE_COMMANDS = {
+    "select-cell": ("nearest unit-cell state to a target reflection", _select_cell),
+    "coding-set": ("N-bit coding set from a reflection map", _coding_set),
+    "companion": (
+        "closed-form auxiliary models",
+        {"to-map": _to_map, "pb-phase": _pb_phase, "grating": _grating},
+    ),
+}
+
+
 # ------------------------------------------------------------------ driver
 
 
-def _scenario_from_args(args) -> ScenarioConfig:
+def _cmd_sweep(args) -> int:
     if args.scenario is not None and args.config is not None:
         raise ConfigError("give either --config or --scenario builtin, not both")
     if args.scenario is not None:
@@ -675,33 +662,18 @@ def _scenario_from_args(args) -> ScenarioConfig:
         config = parse_scenario(args.config)
     else:
         raise ConfigError("a config is required: --config <path> or --scenario builtin")
-    mode_flag = getattr(args, "mode", None)
-    if mode_flag is not None:
-        config = dataclasses.replace(config, mode=Mode(mode_flag))
-    return config
-
-
-def _resolve_out(args, config: ScenarioConfig | None = None) -> Path:
-    if args.out is not None:
-        return args.out
-    if config is not None and config.output_path is not None:
-        return Path(config.output_path)
-    raise ConfigError("an output path is required: --out <path>")
-
-
-def _cmd_sweep(args, synthesis: bool) -> int:
-    config = _scenario_from_args(args)
-    out = _resolve_out(args, config)
-    if synthesis:
+    out = args.out or config.output_path
+    if out is None:
+        raise ConfigError("an output path is required: --out <path>")
+    if args.command == "simulate":
+        rows, kind = run_simulate(config), "simulate"
+    else:
+        if args.mode is not None:
+            config = dataclasses.replace(config, mode=Mode(args.mode))
         rows = run_synthesize(config)
         kind = f"synthesize-{config.mode.value}"
-    else:
-        rows = run_simulate(config)
-        kind = "simulate"
-    emit(rows, kind, config.output_format, out)
-    if rows and all(r.err for r in rows):
-        return 2
-    return 0
+    emit(rows, kind, config.output_format, Path(out))
+    return 2 if rows and all(r.err for r in rows) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -728,32 +700,23 @@ def main(argv: list[str] | None = None) -> int:
         help="override the config's synthesis mode",
     )
 
-    p_sel = sub.add_parser("select-cell", help="nearest unit-cell state to a target reflection")
-    p_sel.add_argument("--config", type=Path, required=True)
-    p_sel.add_argument("--out", type=Path, required=True)
-
-    p_cod = sub.add_parser("coding-set", help="N-bit coding set from a reflection map")
-    p_cod.add_argument("--config", type=Path, required=True)
-    p_cod.add_argument("--out", type=Path, required=True)
-
-    p_com = sub.add_parser("companion", help="closed-form auxiliary models")
-    p_com.add_argument("submode", choices=["to-map", "pb-phase", "grating"])
-    p_com.add_argument("--config", type=Path, required=True)
-    p_com.add_argument("--out", type=Path, required=True)
+    for name, (help_text, table) in _TABLE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(table, dict):
+            p.add_argument("submode", choices=list(table))
+        p.add_argument("--config", type=Path, required=True)
+        p.add_argument("--out", type=Path, required=True)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_sweep(args, synthesis=False)
-        if args.command == "synthesize":
-            return _cmd_sweep(args, synthesis=True)
-        if args.command == "select-cell":
-            return _cmd_select_cell(args.config, args.out)
-        if args.command == "coding-set":
-            return _cmd_coding_set(args.config, args.out)
-        if args.command == "companion":
-            return _cmd_companion(args.submode, args.config, args.out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.command in ("simulate", "synthesize"):
+            return _cmd_sweep(args)
+        table = _TABLE_COMMANDS[args.command][1]
+        if isinstance(table, dict):
+            table = table[args.submode]
+        header, rows = table(_load_json(args.config), str(args.config))
+        _write_csv(args.out, header, map(_cells, rows))
+        return 0
     except ConfigError as exc:
         print(f"planemirage: config error: {exc}", file=sys.stderr)
         return 1

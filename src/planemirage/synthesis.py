@@ -22,7 +22,6 @@ forward recursion with the synthesized value in place.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -162,8 +161,8 @@ def reflective_synthesis(problem: IllusionProblem) -> complex:
 
 def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> complex:
     """Total reflection of the actual stack with its termination replaced by Sheet(rho)."""
-    substituted = dataclasses.replace(problem.actual, termination=Sheet(rho))
-    return chain_reflection(substituted, problem.wave)
+    segments, _ = problem.actual_walk
+    return fold_reflection(segments, Sheet(rho).rho)
 
 
 def transmissive_synthesis(problem: IllusionProblem) -> tuple[complex, complex]:

@@ -164,6 +164,37 @@ def test_parse_scenario_rejections(tmp_path):
             parse_scenario(path)
 
 
+def _put(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("actual", "incident"),
+        ("actual", "layers", 1),
+        ("target", "termination"),
+        ("sweep", "freq_ghz"),
+        ("sweep",),
+        ("output",),
+        ("target",),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+@pytest.mark.parametrize("value", ["pec", [1.0, 2.0]])
+def test_non_object_config_values_are_config_errors(tmp_path, capsys, path, value):
+    doc = _scenario_doc()
+    _put(doc, path, value)
+    config_path = _write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="expected an object"):
+        parse_scenario(config_path)
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_parse_scenario_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -431,6 +462,73 @@ def test_main_companion_grating(tmp_path):
     assert table["-3"] == ["", "evanescent-order"]
 
 
+# Exact CSV text of each table command, as written before the commands
+# shared one writer; the near-zero cells carry libm rounding (x86-64 Linux).
+_TABLE_GOLDEN = {
+    "select-polar": (
+        ["select-cell"],
+        {"map": "sample", "frequency_ghz": 4.5, "rho_target": {"amplitude": 0.5, "phase_deg": 64.0}},
+        "f_ghz,r_ohm,c_pf,rho_re,rho_im\n"
+        "4.5,27,0.34999999999999998,0.21918557339453873,0.44939702314958352\n",
+    ),
+    "select-pair": (
+        ["select-cell"],
+        {"map": "sample", "frequency_ghz": 5.0, "rho_target": [0.1, 0.2], "phase_only": True},
+        "f_ghz,r_ohm,c_pf,rho_re,rho_im\n"
+        "5,33,0.29999999999999999,0.17767082756622884,0.37372814723879061\n",
+    ),
+    "coding-set": (
+        ["coding-set"],
+        {"map": "sample", "frequency_ghz": 5.0, "n_bit": 2},
+        "slot,target_phase_rad,f_ghz,r_ohm,c_pf,rho_re,rho_im\n"
+        "0,1.8842340895262313,5,10,0.20000000000000001,-0.27494060015436306,0.84826214375973497\n"
+        "1,3.4550304163211276,5,100,0.80000000000000004,-0.28104372003339179,-0.16344230481700645\n"
+        "2,5.0258267431160242,5,10,1,0.23081987927869721,-0.77392836494933859\n"
+        "3,6.5966230699109207,5,10,0.34999999999999998,0.64733188974435385,0.33988621446686773\n",
+    ),
+    "to-map": (
+        ["companion", "to-map"],
+        {"r1_mm": 50.0, "r2_mm": 300.0, "q": 3.0, "samples": 5},
+        "r_mm,r_prime_mm,r_back_mm\n"
+        "0,0,0\n"
+        "75,24.999999999999996,75\n"
+        "150,49.999999999999993,150\n"
+        "224.99999999999997,175.00000000000003,225\n"
+        "300,300,299.99999999999994\n",
+    ),
+    "pb-phase": (
+        ["companion", "pb-phase"],
+        {"amplitude": 0.8, "period_mm": 12.0, "sigma": -1, "samples": 5},
+        "x_mm,height_mm,phase_rad\n"
+        "0,0,-1.3494818844471055\n"
+        "3,1.5278874536821954,-9.7971743931788262e-17\n"
+        "6,1.8711224796093006e-16,1.3494818844471055\n"
+        "9.0000000000000018,-1.5278874536821954,-1.1271702397248355e-15\n"
+        "12,-3.7422449592186012e-16,-1.3494818844471055\n",
+    ),
+    "grating": (
+        ["companion", "grating"],
+        {"wavelength_mm": 30.0, "period_mm": 60.0, "max_order": 3},
+        "m,theta_deg,err\n"
+        "-3,,evanescent-order\n"
+        "-2,-90,\n"
+        "-1,-30.000000000000004,\n"
+        "0,0,\n"
+        "1,30.000000000000004,\n"
+        "2,90,\n"
+        "3,,evanescent-order\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_GOLDEN))
+def test_table_commands_write_golden_bytes(tmp_path, case):
+    command, doc, expected = _TABLE_GOLDEN[case]
+    out = tmp_path / "table.csv"
+    assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
 def test_main_companion_bad_samples(tmp_path):
     config_path = _write_config(
         tmp_path, {"r1_mm": 50.0, "r2_mm": 300.0, "q": 3.0, "samples": 1}, name="bad.json"
@@ -514,6 +612,20 @@ def test_thick_lossy_layer_is_a_tagged_point_not_a_crash(tmp_path):
     assert high[6:11] == ["", "", "", "", ""]
 
 
+@pytest.mark.parametrize("role", ["actual", "target"])
+@pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_failed_walk_is_tagged_once(role, mode):
+    # the round trip across 3 m of eps = 4 + 4j overflows at 20 GHz, so the
+    # stack's walk raises; the point is not synthesized on top of it
+    gain = Stack(AIR, (Layer(AIR, 0.1), Layer(Medium(4 + 4j), 3.0)), Pec())
+    config = builtin_scenario()
+    stacks = {"actual": config.actual, "target": config.target, role: gain}
+    axis = SweepAxis(20.0, 20.0, 1.0)
+    rows = run_synthesize(ScenarioConfig(stacks["actual"], stacks["target"], mode, _small_axis(), axis))
+    assert [r.err for r in rows] == ["domain"] * 3
+    assert all(r.rho_req is None and r.aux is None and r.passive is None for r in rows)
+
+
 @pytest.mark.parametrize(
     "gain_layers",
     [
@@ -543,5 +655,8 @@ def test_gain_medium_overflow_is_a_tagged_point_not_a_crash(tmp_path, gain_layer
     low, high = (line.split(",") for line in out.read_text().splitlines()[1:])
     assert low[-1] == ""
     assert high[0] == "20" and high[2:4] == ["", ""]
-    assert high[-1].split(";")[0] == "domain"
+    # only the sandwich walks: its fold fails, and synthesis is still tried
+    sandwich = len(gain_layers) == 3
+    synthesized = sandwich and command != ["simulate"]
+    assert high[-1] == ("domain;degenerate-synthesis" if synthesized else "domain")
     assert all(math.isfinite(float(cell)) for cell in low[:-1] + high[4:6])

@@ -2,12 +2,14 @@
 forms and the transfer-matrix oracles, substitution, realizability."""
 
 import cmath
+import dataclasses
 import math
 import random
 
 import pytest
 
 from planemirage.cli import builtin_scenario
+from planemirage import wavecore
 from planemirage.errors import DegenerateSynthesisError, OpenCircuitError, ValidationError
 from planemirage.synthesis import (
     IllusionProblem,
@@ -134,6 +136,34 @@ def test_substitution_reproduces_target_transmissive():
         problem = _builtin_problem(Mode.TRANSMISSIVE, frequency=11e9, theta=math.radians(theta_deg))
         rho, _ = transmissive_synthesis(problem)
         assert abs(front_sheet_reflection(problem, rho) - target_reflection(problem)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_substitution_checks_reuse_the_points_walk(monkeypatch, mode):
+    # after synthesize, both checks fold the walk the problem already holds,
+    # and the sheet-terminated one equals a fresh walk of the substituted stack
+    rng = random.Random(2180)
+    cases = []
+    while len(cases) < 20:
+        problem = IllusionProblem(random_lossy_stack(rng), random_lossy_stack(rng), random_wave(rng), mode)
+        try:
+            rho = synthesize(problem).rho_required
+        except DegenerateSynthesisError:
+            continue
+        substituted = dataclasses.replace(problem.actual, termination=Sheet(rho))
+        cases.append((problem, rho, chain_reflection(substituted, problem.wave)))
+    calls = []
+    real = wavecore.layer_wave_state
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(wavecore, "layer_wave_state", counted)
+    for problem, rho, walked in cases:
+        assert sheet_terminated_reflection(problem, rho) == walked
+        front_sheet_reflection(problem, rho)
+    assert calls == []
 
 
 def test_self_illusion_reflective_returns_the_actual_termination():
