@@ -46,11 +46,13 @@ from .errors import (
     PlanemirageError,
     WriteError,
 )
+from .gstc import impedance_from_reflection, susceptibility_from_reflection
 from .synthesis import (
-    IllusionProblem,
     Mode,
     Realizability,
-    synthesize,
+    classify_realizability,
+    reflective_inversion,
+    transmissive_inversion,
 )
 from .unitcell import (
     MAP_HEADER,
@@ -68,8 +70,9 @@ from .wavecore import (
     PlaneWave,
     Sheet,
     Stack,
-    chain_reflection,
+    angle_walk,
     fold_reflection,
+    frequency_step,
 )
 
 _GRID_NUDGE = 1e-9  # absorbs float noise in (stop - start)/step
@@ -224,9 +227,7 @@ def _parse_termination(obj, where: str):
         return Pec()
     if kind == "open":
         _require_keys(obj, where, ("kind",), ("eps", "mu"))
-        if "eps" in obj:
-            return Open(_parse_medium({k: v for k, v in obj.items() if k != "kind"}, where))
-        return Open(AIR)
+        return Open(_parse_medium({"eps": 1.0, **{k: v for k, v in obj.items() if k != "kind"}}, where))
     if kind == "sheet":
         _require_keys(obj, where, ("kind", "rho"))
         return Sheet(_parse_complex(obj["rho"], f"{where}.rho"))
@@ -306,40 +307,64 @@ def _error_tag(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 
+def _angle_walk(stack: Stack, theta: float):
+    """The stack's angle walk at theta, or the error tag of the walk if it raised."""
+    try:
+        return angle_walk(stack, theta)
+    except PlanemirageError as exc:
+        return _error_tag(exc)
+
+
+def _reflect(walk, k0: float, errs: list[str]):
+    """(segments, rho_T, Gamma) of one stack at k0 from its angle walk. A
+    failure, the walk's own tag included, goes to errs and leaves None for
+    what it kept from being computed."""
+    segments = rho_t = gamma = None
+    if isinstance(walk, str):
+        errs.append(walk)
+    else:
+        try:
+            segments, rho_t = frequency_step(walk, k0)
+            gamma = fold_reflection(segments, rho_t)
+        except PlanemirageError as exc:
+            errs.append(_error_tag(exc))
+    return segments, rho_t, gamma
+
+
 def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
     """Both stacks' total reflection at every grid point, (freq, theta)
-    order, plus the synthesized sheet state when mode is given. The
-    reflections come from the point's IllusionProblem, whose walks the
-    synthesis reuses; simulate has nothing to share and skips it. A point
-    whose walk or Gamma_i raised is not synthesized: one tag per failure."""
+    order, plus the synthesized sheet state when mode is given.
+
+    Every medium is non-dispersive, so each stack is walked once per angle
+    and each point only takes the frequency step and the fold; a point
+    gets the same bits as chain_reflection and the IllusionProblem
+    functions. A failed walk is tagged at every frequency of its angle. A
+    point whose actual segments or Gamma_i failed is not synthesized: one
+    tag per failure."""
+    angles = []
+    for theta_deg in config.theta_deg.values():
+        theta = math.radians(theta_deg)
+        walks = (_angle_walk(config.actual, theta), _angle_walk(config.target, theta))
+        angles.append((theta_deg, cmath.cos(theta), *walks))
+    invert = reflective_inversion if mode is Mode.REFLECTIVE else transmissive_inversion
     rows = []
     for f_ghz in config.freq_ghz.values():
-        for theta_deg in config.theta_deg.values():
-            wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
-            problem = IllusionProblem(config.actual, config.target, wave, mode) if mode else None
+        k0 = PlaneWave(f_ghz * 1e9).k0
+        for theta_deg, cos_theta, actual, target in angles:
             errs = []
-            walk = g_act = g_tgt = rho_req = aux = passive = None
-            try:
-                if problem:
-                    walk = problem.actual_walk
-                    g_act = fold_reflection(*walk)
-                else:
-                    g_act = chain_reflection(config.actual, wave)
-            except PlanemirageError as exc:
-                errs.append(_error_tag(exc))
-            try:
-                g_tgt = problem.gamma_i if problem else chain_reflection(config.target, wave)
-            except PlanemirageError as exc:
-                errs.append(_error_tag(exc))
-            if problem and walk and g_tgt is not None:
+            segments, rho_t, g_act = _reflect(actual, k0, errs)
+            g_tgt = _reflect(target, k0, errs)[2]
+            rho_req = aux = passive = None
+            if mode and segments is not None and g_tgt is not None:
                 try:
-                    outcome = synthesize(problem)
-                    rho_req = outcome.rho_required
+                    rho = invert(segments, rho_t, g_tgt)
                     if mode is Mode.REFLECTIVE:
-                        aux = outcome.eta_required.eta_normalized
+                        sheet = impedance_from_reflection(rho).eta_normalized
                     else:
-                        aux = outcome.chi_e_required
-                    passive = outcome.realizability is Realizability.PASSIVE
+                        sheet = susceptibility_from_reflection(rho, k0, cos_theta).chi_e
+                    rho_req, aux, passive = (
+                        rho, sheet, classify_realizability(rho) is Realizability.PASSIVE
+                    )
                 except PlanemirageError as exc:
                     errs.append(_error_tag(exc))
             rows.append(
@@ -400,7 +425,7 @@ def _cells(values) -> list[str]:
 
 
 def _sweep_table(rows: list[SweepRow], kind: str):
-    """Header and lazily formatted cells of a sweep table."""
+    """Header and lazily formatted lines of a sweep table."""
     if kind not in _TABLES:
         raise ValueError(f"unknown table kind {kind!r}")
     names = _TABLES[kind]
@@ -409,26 +434,38 @@ def _sweep_table(rows: list[SweepRow], kind: str):
     for name in names:
         header += [f"{name}_re", f"{name}_im"]
     header += ["passive", "err"] if synthesis else ["err"]
+    # A row with no err has every cell, so one format string writes it,
+    # the passive flag as %s and the empty err as the trailing comma.
+    ok = ",".join(["%.17g"] * (2 + 2 * len(names)) + ["%s"] * synthesis) + ","
 
-    def row_cells(r: SweepRow) -> list[str]:
+    def row_line(r: SweepRow) -> str:
+        if not r.err:
+            a, t = r.g_act, r.g_tgt
+            if not synthesis:
+                return ok % (r.freq_ghz, r.theta_deg, a.real, a.imag, t.real, t.imag)
+            rho, aux = r.rho_req, r.aux
+            return ok % (
+                r.freq_ghz, r.theta_deg, a.real, a.imag, t.real, t.imag,
+                rho.real, rho.imag, aux.real, aux.imag, "1" if r.passive else "0",
+            )
         out = [_fmt(r.freq_ghz), _fmt(r.theta_deg)]
         for value in (r.g_act, r.g_tgt, r.rho_req, r.aux)[: len(names)]:
             out += _pair(value)
         if synthesis:  # _fmt(r.passive), without its slow float conversion
             out.append("" if r.passive is None else ("1" if r.passive else "0"))
         out.append(r.err)
-        return out
+        return ",".join(out)
 
-    return header, map(row_cells, rows)
+    return header, map(row_line, rows)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Every CSV table: the header line, then one line of comma-joined
-    cells per row; every line ends in a newline."""
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Every CSV table: the header line, then the rows' lines of
+    comma-joined cells; every line ends in a newline."""
     # The empty last item ends the last line. The list of lines is freed
     # before the write encodes the text, which keeps a large table's peak
     # memory at two copies of it.
-    _write_text(path, "\n".join([",".join(header), *map(",".join, rows), ""]))
+    _write_text(path, "\n".join([",".join(header), *lines, ""]))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -715,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(table, dict):
             table = table[args.submode]
         header, rows = table(_load_json(args.config), str(args.config))
-        _write_csv(args.out, header, map(_cells, rows))
+        _write_csv(args.out, header, map(",".join, map(_cells, rows)))
         return 0
     except ConfigError as exc:
         print(f"planemirage: config error: {exc}", file=sys.stderr)

@@ -15,8 +15,10 @@ Each step of the reflection recursion in wavecore is a fractional-linear
 (Moebius) map, so both syntheses are exact single-point inversions of it:
 the reflective one runs Gamma_i backward through every layer of the actual
 stack, the transmissive one takes a single inverse step at its front. Both
-work for actual stacks of any depth. The substitution checks evaluate the
-forward recursion with the synthesized value in place.
+work for actual stacks of any depth and take the actual stack's segments,
+its rho_T and Gamma_i, so a sweep can feed them without an IllusionProblem.
+The substitution checks evaluate the forward recursion with the synthesized
+value in place.
 """
 
 from __future__ import annotations
@@ -60,12 +62,12 @@ class Realizability(Enum):
 class IllusionProblem:
     """An actual stack to disguise, a target stack to imitate, one wave.
 
-    Both stacks may have any number of layers and any termination; in
-    reflective mode the actual termination is what the sheet replaces.
-    Each stack is walked at most once: actual_walk and gamma_i are computed
-    on first use and kept, so a sweep that reports both reflections shares
-    them with the synthesis. A walk that raises keeps nothing and raises
-    again on the next use.
+    The one-point front end of the inversions: both stacks may have any
+    number of layers and any termination; in reflective mode the actual
+    termination is what the sheet replaces. Each stack is walked at most
+    once: actual_walk and gamma_i are computed on first use and kept, so the
+    synthesis and the substitution checks share them. A walk that raises
+    keeps nothing and raises again on the next use.
     """
 
     actual: Stack
@@ -132,9 +134,10 @@ def target_reflection(problem: IllusionProblem) -> complex:
     return problem.gamma_i
 
 
-def reflective_synthesis(problem: IllusionProblem) -> complex:
-    """rho_4m, the terminating sheet reflection that makes the actual stack
-    reflect Gamma_i.
+def reflective_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -> complex:
+    """rho_4m, the terminating sheet reflection that makes the actual stack,
+    given by its (rho_n, Z_n^2) segments, reflect Gamma_i. The sheet takes
+    the place of the termination rho_t, which is therefore not read.
 
     Runs Gamma_i backward through the inverse steps of the actual stack,
 
@@ -146,17 +149,41 @@ def reflective_synthesis(problem: IllusionProblem) -> complex:
     is the product of the steps' Z_n^2 (1 - rho_n^2), and q_scale bounds
     the magnitudes that q is summed from.
     """
-    _require_mode(problem, Mode.REFLECTIVE)
-    segments, _ = problem.actual_walk
-    g_i = problem.gamma_i
-    p, q, det = g_i, 1.0 + 0.0j, 1.0 + 0.0j
-    p_scale, q_scale = abs(g_i), 1.0
+    p, q, det = gamma_i, 1.0 + 0.0j, 1.0 + 0.0j
+    p_scale, q_scale = abs(gamma_i), 1.0
     for rho, z2 in segments:
         r, z = abs(rho), abs(z2)
         p, q = p - rho * q, z2 * (q - rho * p)
         p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
         det *= z2 * (1.0 - rho * rho)
     return _solve(p, q, q_scale, det, "terminating sheet")
+
+
+def transmissive_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -> complex:
+    """rho_1m, the front-sheet reflection that makes the actual stack, given
+    by its (rho_n, Z_n^2) segments and termination rho_t, reflect Gamma_i.
+
+    rho_1m replaces the actual first interface's reflection coefficient.
+    With X = Z_1^2 Gamma_2, the forward recursion over layers 2..N brought
+    to the front of layer 1, the total reflection is (r + X)/(1 + r X) for a
+    first interface reflecting r; one inverse step at the front gives
+    rho_1m = (Gamma_i - X)/(1 - Gamma_i X). rho_1m = 1 admits no finite
+    front sheet and raises.
+    """
+    x = segments[0][1] * fold_reflection(segments[1:], rho_t)
+    rho_1m = _solve(gamma_i - x, 1.0 - gamma_i * x, 1.0 + abs(gamma_i * x), 1.0 - x * x, "front sheet")
+    if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
+        raise DegenerateSynthesisError(
+            "required front reflection is 1: no finite susceptibility realizes it"
+        )
+    return rho_1m
+
+
+def reflective_synthesis(problem: IllusionProblem) -> complex:
+    """rho_4m, the terminating sheet reflection that makes the actual stack
+    reflect Gamma_i (see reflective_inversion)."""
+    _require_mode(problem, Mode.REFLECTIVE)
+    return reflective_inversion(*problem.actual_walk, problem.gamma_i)
 
 
 def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> complex:
@@ -166,29 +193,13 @@ def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> compl
 
 
 def transmissive_synthesis(problem: IllusionProblem) -> tuple[complex, complex]:
-    """(rho_1m, chi_e): the front-sheet reflection and its susceptibility.
-
-    rho_1m replaces the actual first interface's reflection coefficient.
-    With X = Z_1^2 Gamma_2, the forward recursion over layers 2..N brought
-    to the front of layer 1, the total reflection is (r + X)/(1 + r X) for a
-    first interface reflecting r; one inverse step at the front gives
-    rho_1m = (Gamma_i - X)/(1 - Gamma_i X).
-    chi_e is the electric-only sheet (chi_m = 0) whose reflection is rho_1m
-    at the incidence angle. rho_1m = 1 admits no finite chi_e.
-    """
+    """(rho_1m, chi_e): the front-sheet reflection (see
+    transmissive_inversion) and its susceptibility, the electric-only sheet
+    (chi_m = 0) whose reflection is rho_1m at the incidence angle."""
     _require_mode(problem, Mode.TRANSMISSIVE)
-    segments, rho_t = problem.actual_walk
-    x = segments[0][1] * fold_reflection(segments[1:], rho_t)
-    g_i = problem.gamma_i
-    rho_1m = _solve(g_i - x, 1.0 - g_i * x, 1.0 + abs(g_i * x), 1.0 - x * x, "front sheet")
-    if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
-        raise DegenerateSynthesisError(
-            "required front reflection is 1: no finite susceptibility realizes it"
-        )
-    chi = susceptibility_from_reflection(
-        rho_1m, problem.wave.k0, cmath.cos(problem.wave.theta1)
-    )
-    return rho_1m, chi.chi_e
+    rho_1m = transmissive_inversion(*problem.actual_walk, problem.gamma_i)
+    wave = problem.wave
+    return rho_1m, susceptibility_from_reflection(rho_1m, wave.k0, cmath.cos(wave.theta1)).chi_e
 
 
 def front_sheet_reflection(problem: IllusionProblem, rho_1: complex) -> complex:

@@ -1,9 +1,11 @@
 """Plane-wave propagation through a 1D layered stack.
 
-One walk from the incident side (chain_segments) gives each layer's
-interface reflection rho_n and round-trip factor Z_n^2 = e^{-2j k l cos},
-plus the termination reflection; fold_reflection turns them into the total
-reflection with the Airy/Rouard recursion.
+One walk from the incident side per angle (angle_walk) gives each layer's
+interface reflection rho_n and round trip a_n = 2 s l cos, plus the
+termination reflection; the frequency step turns each a_n into the
+round-trip factor Z_n^2 = e^{-j k0 a_n} (chain_segments does both), and
+fold_reflection turns the result into the total reflection with the
+Airy/Rouard recursion.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -146,40 +148,41 @@ class PlaneWave:
 
 @dataclass(frozen=True)
 class LayerWaveState:
-    """Wave descriptors inside one region n: wavenumber k_n, transverse
-    wavenumber k_t = k_n*sin(angle), impedance eta_n and the cosine of the
-    angle. k_t is the same in every region of a stack, so refraction never
-    needs the angle itself.
+    """Wave descriptors inside one region n, with no frequency in them:
+    s_n = sqrt(eps*mu), the wavenumber in units of the vacuum wavenumber k0;
+    s_t = s_n*sin(angle), its transverse part; the impedance eta_n; and the
+    cosine of the angle. s_t is the same in every region of a stack, so
+    refraction never needs the angle itself.
     """
 
-    k_n: complex            # rad/m
-    k_t: complex            # rad/m
+    s_n: complex
+    s_t: complex
     eta_n: complex          # ohms
     cos_n: complex
 
 
-def incident_wave_state(medium: Medium, wave: PlaneWave) -> LayerWaveState:
-    """State of the incoming wave in the incident half-space."""
-    k = wave.k0 * cmath.sqrt(medium.eps_r * medium.mu_r)
+def incident_wave_state(medium: Medium, theta1: float) -> LayerWaveState:
+    """State of the wave incident at angle theta1 (radians) in the incident half-space."""
+    s = cmath.sqrt(medium.eps_r * medium.mu_r)
     eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
-    theta = complex(wave.theta1)
-    return LayerWaveState(k_n=k, k_t=k * cmath.sin(theta), eta_n=eta, cos_n=cmath.cos(theta))
+    theta = complex(theta1)
+    return LayerWaveState(s_n=s, s_t=s * cmath.sin(theta), eta_n=eta, cos_n=cmath.cos(theta))
 
 
-def layer_wave_state(medium: Medium, wave: PlaneWave, incident_state: LayerWaveState) -> LayerWaveState:
+def layer_wave_state(medium: Medium, incident_state: LayerWaveState) -> LayerWaveState:
     """Refract the wave from incident_state's region into medium.
 
-    The transverse wavenumber k*sin(theta) is conserved across the interface.
+    The transverse part s*sin(theta) is conserved across the interface.
     """
-    k = wave.k0 * cmath.sqrt(medium.eps_r * medium.mu_r)
+    s = cmath.sqrt(medium.eps_r * medium.mu_r)
     eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
-    sin_t = incident_state.k_t / k
+    sin_t = incident_state.s_t / s
     cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
     # Principal branch keeps Re(cos) >= 0 except across the evanescent cut;
     # on the Re = 0 branch pick the solution decaying toward the termination.
-    if cos_t.real < 0.0 or (cos_t.real == 0.0 and (k * cos_t).imag > 0.0):
+    if cos_t.real < 0.0 or (cos_t.real == 0.0 and (s * cos_t).imag > 0.0):
         cos_t = -cos_t
-    return LayerWaveState(k_n=k, k_t=incident_state.k_t, eta_n=eta, cos_n=cos_t)
+    return LayerWaveState(s_n=s, s_t=incident_state.s_t, eta_n=eta, cos_n=cos_t)
 
 
 def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -> tuple[complex, complex]:
@@ -196,36 +199,43 @@ def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -
     return (n2 - n1) / den, 2.0 * n2 / den
 
 
-def propagation_phase(state_n: LayerWaveState, thickness: float) -> complex:
-    """One-way phase/decay factor Z = e^{-j k l cos(theta)} across a layer;
-    DomainError where it overflows, as across a thick gain layer."""
+_OVERFLOW = "the propagation factor across a gain layer overflows"
+
+
+def propagation_phase(state_n: LayerWaveState, thickness: float, k0: float) -> complex:
+    """One-way phase/decay factor Z = e^{-j k0 s l cos(theta)} across a layer
+    at vacuum wavenumber k0; DomainError where it overflows, as across a
+    thick gain layer."""
     if not (math.isfinite(thickness) and thickness >= 0.0):
         raise ValidationError(f"thickness must be finite and >= 0, got {thickness!r}")
     try:
-        return cmath.exp(-1j * state_n.k_n * thickness * state_n.cos_n)
+        return cmath.exp(-1j * k0 * (state_n.s_n * thickness * state_n.cos_n))
     except OverflowError:
-        raise DomainError("the propagation factor across a gain layer overflows") from None
+        raise DomainError(_OVERFLOW) from None
 
 
 Segments = tuple[tuple[complex, complex], ...]
+Walk = tuple[tuple[tuple[complex, complex], ...], complex]  # ((rho_n, a_n), ...), rho_T
 
 
-def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[Segments, complex]:
-    """Walk the stack once from the incident side.
+def angle_walk(stack: Stack, theta1: float) -> Walk:
+    """Walk the stack once from the incident side at angle theta1 (radians).
 
-    Returns the per-layer pairs (rho_n, Z_n^2), where rho_n reflects at the
-    interface in front of layer n and Z_n^2 is the round trip across it, and
-    the termination reflection rho_T seen from inside the last layer. A PEC
-    wall forces the total transverse E field to zero, so rho_T = -1; an open
-    half-space reflects with the local interface coefficient (zero when it
-    matches the last layer); a sheet carries its own value.
+    Every medium is non-dispersive, so nothing here depends on frequency.
+    Returns the per-layer pairs (rho_n, a_n), where rho_n reflects at the
+    interface in front of layer n and a_n = 2 s_n l_n cos_n is the round
+    trip across it in units of 1/k0, and the termination reflection rho_T
+    seen from inside the last layer. A PEC wall forces the total transverse
+    E field to zero, so rho_T = -1; an open half-space reflects with the
+    local interface coefficient (zero when it matches the last layer); a
+    sheet carries its own value.
     """
-    segments = []
-    state = incident_wave_state(stack.incident_medium, wave)
+    steps = []
+    state = incident_wave_state(stack.incident_medium, theta1)
     for layer in stack.layers:
-        nxt = layer_wave_state(layer.medium, wave, state)
+        nxt = layer_wave_state(layer.medium, state)
         rho, _ = interface_coefficients(state, nxt)
-        segments.append((rho, propagation_phase(nxt, 2.0 * layer.thickness)))
+        steps.append((rho, nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n))
         state = nxt
     term = stack.termination
     if isinstance(term, Pec):
@@ -233,13 +243,31 @@ def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[Segments, complex]:
     elif isinstance(term, Sheet):
         rho_t = term.rho
     else:
-        rho_t, _ = interface_coefficients(state, layer_wave_state(term.half_space, wave, state))
-    return tuple(segments), rho_t
+        rho_t, _ = interface_coefficients(state, layer_wave_state(term.half_space, state))
+    return tuple(steps), rho_t
+
+
+def frequency_step(walk: Walk, k0: float) -> tuple[Segments, complex]:
+    """An angle walk at vacuum wavenumber k0: each layer's (rho_n, Z_n^2)
+    with the round trip Z_n^2 = e^{-j k0 a_n}, and rho_T. DomainError where
+    a round trip overflows, as across a thick gain layer."""
+    steps, rho_t = walk
+    jk0 = -1j * k0
+    try:
+        return tuple([(rho, cmath.exp(jk0 * a)) for rho, a in steps]), rho_t
+    except OverflowError:
+        raise DomainError(_OVERFLOW) from None
+
+
+def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[Segments, complex]:
+    """The stack's per-layer pairs (rho_n, Z_n^2) and rho_T at one wave:
+    its angle walk at wave's frequency."""
+    return frequency_step(angle_walk(stack, wave.theta1), wave.k0)
 
 
 def termination_reflection(stack: Stack, wave: PlaneWave) -> complex:
     """Reflection of the termination as seen from inside the last layer."""
-    return chain_segments(stack, wave)[1]
+    return angle_walk(stack, wave.theta1)[1]
 
 
 def fold_reflection(segments: Segments, rho_t: complex) -> complex:

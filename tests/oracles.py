@@ -163,11 +163,11 @@ def determinant(m) -> complex:
 def segment_triples(stack: Stack, wave: PlaneWave) -> list[tuple[complex, complex, complex]]:
     """Per-layer (rho_n, tau_n, Z_n) with Z_n the one-way phase factor."""
     out = []
-    state = incident_wave_state(stack.incident_medium, wave)
+    state = incident_wave_state(stack.incident_medium, wave.theta1)
     for layer in stack.layers:
-        nxt = layer_wave_state(layer.medium, wave, state)
+        nxt = layer_wave_state(layer.medium, state)
         rho, tau = interface_coefficients(state, nxt)
-        out.append((rho, tau, propagation_phase(nxt, layer.thickness)))
+        out.append((rho, tau, propagation_phase(nxt, layer.thickness, wave.k0)))
         state = nxt
     return out
 

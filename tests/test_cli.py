@@ -9,6 +9,7 @@ from planemirage.cli import (
     ScenarioConfig,
     SweepAxis,
     SweepRow,
+    _cells,
     _error_tag,
     builtin_scenario,
     emit,
@@ -19,16 +20,20 @@ from planemirage.cli import (
 )
 from planemirage.errors import (
     ConfigError,
+    DegenerateInterfaceError,
     DegenerateSynthesisError,
     EvanescentOrderError,
+    PlanemirageError,
     ResonantSingularityError,
 )
-from planemirage import wavecore
+from planemirage import cli, wavecore
 from planemirage.gstc import impedance_from_reflection
 from planemirage.synthesis import (
     IllusionProblem,
     Mode,
+    Realizability,
     reflective_synthesis,
+    synthesize,
     transmissive_synthesis,
 )
 from planemirage.wavecore import (
@@ -42,6 +47,7 @@ from planemirage.wavecore import (
     Stack,
     chain_reflection,
     chain_segments,
+    fold_reflection,
 )
 
 from oracles import chain_matrix, segment_triples
@@ -137,6 +143,13 @@ def test_parse_scenario_round_trip(tmp_path):
     assert len(config.theta_deg.values()) == 3
 
 
+def test_open_termination_honours_mu(tmp_path):
+    doc = _scenario_doc()
+    doc["target"]["termination"] = {"kind": "open", "mu": 4.0}
+    config = parse_scenario(_write_config(tmp_path, doc))
+    assert config.target.termination.half_space == Medium(1.0, 4.0)
+
+
 def test_parse_scenario_rejections(tmp_path):
     cases = [
         _scenario_doc(mode="sideways"),
@@ -226,9 +239,9 @@ def test_run_simulate_grid_order():
 @pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_run_synthesize_matches_direct_calls(mode):
     config = builtin_scenario()
-    small = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.0, 0.1))
+    small = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
     rows = run_synthesize(small)
-    assert len(rows) == 3
+    assert len(rows) == 6
     for r in rows:
         wave = PlaneWave(r.freq_ghz * 1e9, math.radians(r.theta_deg))
         assert r.g_act == chain_reflection(config.actual, wave)
@@ -254,8 +267,9 @@ def _deep_stack(n_layers):
 
 @pytest.mark.parametrize("stacks", ["builtin", "deep"])
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
-def test_sweeps_walk_each_stack_once_per_point(monkeypatch, stacks, mode):
-    # one wave state per layer, plus the half-space behind an Open termination
+def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
+    # one wave state per layer, plus the half-space behind an Open
+    # termination, at each angle and not again at each frequency
     actual, target = (_deep_stack(9), _deep_stack(12))
     if stacks == "builtin":
         actual, target = builtin_scenario().actual, builtin_scenario().target
@@ -270,8 +284,76 @@ def test_sweeps_walk_each_stack_once_per_point(monkeypatch, stacks, mode):
     monkeypatch.setattr(wavecore, "layer_wave_state", counted)
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
-    per_point = sum(len(s.layers) + isinstance(s.termination, Open) for s in (actual, target))
-    assert len(calls) == len(rows) * per_point
+    per_angle = sum(len(s.layers) + isinstance(s.termination, Open) for s in (actual, target))
+    assert len(calls) == len(config.theta_deg.values()) * per_angle
+
+
+def _per_point_row(actual, target, mode, f_ghz, theta_deg):
+    """The row a sweep owes one grid point, from the per-point API alone:
+    the actual stack's chain_segments and fold, the target's Gamma_i, then
+    synthesize unless one of those two raised."""
+    wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
+    problem = IllusionProblem(actual, target, wave, mode or Mode.REFLECTIVE)
+    errs = []
+    walk = g_act = g_tgt = rho = aux = passive = None
+    try:
+        walk = problem.actual_walk
+        g_act = fold_reflection(*walk)
+    except PlanemirageError as exc:
+        errs.append(_error_tag(exc))
+    try:
+        g_tgt = problem.gamma_i
+    except PlanemirageError as exc:
+        errs.append(_error_tag(exc))
+    if mode and walk is not None and g_tgt is not None:
+        try:
+            outcome = synthesize(problem)
+            rho = outcome.rho_required
+            if mode is Mode.REFLECTIVE:
+                aux = outcome.eta_required.eta_normalized
+            else:
+                aux = outcome.chi_e_required
+            passive = outcome.realizability is Realizability.PASSIVE
+        except PlanemirageError as exc:
+            errs.append(_error_tag(exc))
+    return SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho, aux, passive, ";".join(errs))
+
+
+def _sweep_matches_per_point_api(actual, target, mode, freq_axis):
+    config = ScenarioConfig(actual, target, mode, _small_axis(), freq_axis)
+    rows = run_simulate(config) if mode is None else run_synthesize(config)
+    assert rows == [_per_point_row(actual, target, mode, r.freq_ghz, r.theta_deg) for r in rows]
+    return rows
+
+
+@pytest.mark.parametrize("role", ["actual", "target"])
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_round_trip_that_overflows_at_one_frequency_is_tagged_there(role, mode):
+    # 3 m of eps = 4 + 4j: the round trip overflows at 20 GHz, not at 0.1 GHz,
+    # so the same angle walk fails at one frequency and serves the other
+    gain = Stack(AIR, (Layer(AIR, 0.1), Layer(Medium(4 + 4j), 3.0)), Pec())
+    config = builtin_scenario()
+    stacks = {"actual": config.actual, "target": config.target, role: gain}
+    rows = _sweep_matches_per_point_api(stacks["actual"], stacks["target"], mode, SweepAxis(0.1, 20.0, 19.9))
+    assert [r.err for r in rows] == [""] * 3 + ["domain"] * 3
+
+
+@pytest.mark.parametrize("role", ["actual", "target"])
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_walk_that_fails_at_one_angle_is_tagged_at_every_frequency(monkeypatch, role, mode):
+    config = builtin_scenario()
+    failing = getattr(config, role)
+    real = wavecore.angle_walk
+
+    def angle_walk(stack, theta1):
+        if stack is failing and theta1 == math.radians(0.5):
+            raise DegenerateInterfaceError("interface denominator vanished")
+        return real(stack, theta1)
+
+    monkeypatch.setattr(wavecore, "angle_walk", angle_walk)
+    monkeypatch.setattr(cli, "angle_walk", angle_walk)
+    rows = _sweep_matches_per_point_api(config.actual, config.target, mode, SweepAxis(10.0, 10.1, 0.1))
+    assert [r.err for r in rows] == ["", "degenerate-interface", ""] * 2
 
 
 def test_run_synthesize_requires_mode():
@@ -307,6 +389,30 @@ def test_csv_emission_bytes(tmp_path):
     assert text.endswith("\n")
     emit(rows, "simulate", "csv", tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_sweep_lines_follow_the_cell_rule(tmp_path, mode):
+    # rows with no err take one format string; they must read as the one
+    # cell rule writes them, and so must the rows with an err
+    config = builtin_scenario()
+    gain = Stack(AIR, (Layer(AIR, 0.1), Layer(Medium(4 + 4j), 3.0)), Pec())
+    rows = []
+    for actual in (config.actual, gain):
+        grid = ScenarioConfig(actual, config.target, mode, config.theta_deg, SweepAxis(10.0, 20.0, 5.0))
+        rows += run_simulate(grid) if mode is None else run_synthesize(grid)
+    assert {bool(r.err) for r in rows} == {False, True}
+    kind = "simulate" if mode is None else f"synthesize-{mode.value}"
+    out = tmp_path / "table.csv"
+    emit(rows, kind, "csv", out)
+
+    def line(r):
+        values = [r.freq_ghz, r.theta_deg]
+        for value in (r.g_act, r.g_tgt) + (() if mode is None else (r.rho_req, r.aux)):
+            values += [None, None] if value is None else [value]  # a missing complex: two cells
+        return ",".join(_cells(values + ([] if mode is None else [r.passive]) + [r.err]))
+
+    assert out.read_text().split("\n")[1:] == [line(r) for r in rows] + [""]
 
 
 def test_csv_empty_table_is_header_only(tmp_path):

@@ -186,8 +186,8 @@ def test_self_illusion_transmissive_returns_the_first_interface():
     )
     problem = IllusionProblem(stack, stack, wave, Mode.TRANSMISSIVE)
     rho_1m, _ = transmissive_synthesis(problem)
-    inc = incident_wave_state(AIR, wave)
-    first = layer_wave_state(stack.layers[0].medium, wave, inc)
+    inc = incident_wave_state(AIR, wave.theta1)
+    first = layer_wave_state(stack.layers[0].medium, inc)
     rho_1, _ = interface_coefficients(inc, first)
     assert abs(rho_1m - rho_1) < 1e-12
     # air-fronted actual: the natural first interface is transparent
