@@ -6,9 +6,9 @@ The public API re-exports the core types and operations; the submodules
 group them by concern:
 
   wavecore    media, stacks, wave states, the reflection recursion
-  gstc        zero-thickness sheet models (susceptibility, impedance, IBC)
+  gstc        sheet descriptions of a reflection (impedance, susceptibility)
   synthesis   illusion synthesis (reflective and transmissive), by
-              inverting the reflection recursion
+              inverting the reflection recursion, and the sheet step
   unitcell    tunable-cell reflection maps, state selection, coding sets
   companions  radial transform, strip profile, geometric phase, grating
   cli         command-line front end
@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     DegenerateInterfaceError,
     DegenerateSynthesisError,
-    DivisionDomainError,
     DomainError,
     DuplicateStateError,
     EmptyMapError,
@@ -43,31 +42,16 @@ from .errors import (
     ValidationError,
     WriteError,
 )
-from .gstc import (
-    FieldJump,
-    SheetImpedance,
-    Susceptibilities,
-    ibc_residual,
-    impedance_from_reflection,
-    reflection_from_impedance,
-    sheet_coefficients,
-    surface_currents,
-    susceptibility_from_reflection,
-)
+from .gstc import impedance_from_reflection, susceptibility_from_reflection
 from .synthesis import (
     IllusionProblem,
     Mode,
-    Realizability,
-    SynthesisOutcome,
-    classify_realizability,
     front_sheet_reflection,
     reflective_inversion,
-    reflective_synthesis,
+    sheet_state,
     sheet_terminated_reflection,
     synthesize,
-    target_reflection,
     transmissive_inversion,
-    transmissive_synthesis,
 )
 from .unitcell import (
     CodingSet,
@@ -96,10 +80,8 @@ from .wavecore import (
     fold_reflection,
     frequency_step,
     incident_wave_state,
-    interface_coefficients,
+    interface_reflection,
     layer_wave_state,
-    propagation_phase,
-    termination_reflection,
 )
 
 __version__ = "0.1.0"
@@ -112,12 +94,10 @@ __all__ = [
     "ConfigError",
     "DegenerateInterfaceError",
     "DegenerateSynthesisError",
-    "DivisionDomainError",
     "DomainError",
     "DuplicateStateError",
     "EmptyMapError",
     "EvanescentOrderError",
-    "FieldJump",
     "IllusionProblem",
     "InfeasibleCodingSetError",
     "InvalidMediumError",
@@ -133,16 +113,12 @@ __all__ = [
     "PlaneWave",
     "PlanemirageError",
     "RadialTransform",
-    "Realizability",
     "ReflectionMap",
     "ResonantSingularityError",
     "Sheet",
-    "SheetImpedance",
     "SheetResonanceError",
     "Stack",
     "StripProfile",
-    "Susceptibilities",
-    "SynthesisOutcome",
     "UnitCellRecord",
     "ValidationError",
     "WriteError",
@@ -150,34 +126,25 @@ __all__ = [
     "build_coding_set",
     "chain_reflection",
     "chain_segments",
-    "classify_realizability",
     "fold_reflection",
     "frequency_step",
     "front_sheet_reflection",
     "grating_angle",
-    "ibc_residual",
     "impedance_from_reflection",
     "incident_wave_state",
-    "interface_coefficients",
+    "interface_reflection",
     "layer_wave_state",
     "load_reflection_map",
     "load_sample_map",
     "pb_phase",
-    "propagation_phase",
     "radial_forward",
     "radial_inverse",
-    "reflection_from_impedance",
     "reflective_inversion",
-    "reflective_synthesis",
     "select_state",
-    "sheet_coefficients",
+    "sheet_state",
     "sheet_terminated_reflection",
     "strip_height",
-    "surface_currents",
     "susceptibility_from_reflection",
     "synthesize",
-    "target_reflection",
-    "termination_reflection",
     "transmissive_inversion",
-    "transmissive_synthesis",
 ]

@@ -46,14 +46,7 @@ from .errors import (
     PlanemirageError,
     WriteError,
 )
-from .gstc import impedance_from_reflection, susceptibility_from_reflection
-from .synthesis import (
-    Mode,
-    Realizability,
-    classify_realizability,
-    reflective_inversion,
-    transmissive_inversion,
-)
+from .synthesis import Mode, sheet_state
 from .unitcell import (
     MAP_HEADER,
     build_coding_set,
@@ -333,20 +326,18 @@ def _reflect(walk, k0: float, errs: list[str]):
 
 def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
     """Both stacks' total reflection at every grid point, (freq, theta)
-    order, plus the synthesized sheet state when mode is given.
+    order, plus the point's sheet_state when mode is given.
 
     Every medium is non-dispersive, so each stack is walked once per angle
     and each point only takes the frequency step and the fold; a point
-    gets the same bits as chain_reflection and the IllusionProblem
-    functions. A failed walk is tagged at every frequency of its angle. A
-    point whose actual segments or Gamma_i failed is not synthesized: one
-    tag per failure."""
+    gets the same bits as chain_reflection and synthesize. A failed walk is
+    tagged at every frequency of its angle. A point whose actual segments
+    or Gamma_i failed is not synthesized: one tag per failure."""
     angles = []
     for theta_deg in config.theta_deg.values():
         theta = math.radians(theta_deg)
         walks = (_angle_walk(config.actual, theta), _angle_walk(config.target, theta))
         angles.append((theta_deg, cmath.cos(theta), *walks))
-    invert = reflective_inversion if mode is Mode.REFLECTIVE else transmissive_inversion
     rows = []
     for f_ghz in config.freq_ghz.values():
         k0 = PlaneWave(f_ghz * 1e9).k0
@@ -357,14 +348,7 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
             rho_req = aux = passive = None
             if mode and segments is not None and g_tgt is not None:
                 try:
-                    rho = invert(segments, rho_t, g_tgt)
-                    if mode is Mode.REFLECTIVE:
-                        sheet = impedance_from_reflection(rho).eta_normalized
-                    else:
-                        sheet = susceptibility_from_reflection(rho, k0, cos_theta).chi_e
-                    rho_req, aux, passive = (
-                        rho, sheet, classify_realizability(rho) is Realizability.PASSIVE
-                    )
+                    rho_req, aux, passive = sheet_state(mode, segments, rho_t, g_tgt, k0, cos_theta)
                 except PlanemirageError as exc:
                     errs.append(_error_tag(exc))
             rows.append(

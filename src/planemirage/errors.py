@@ -35,10 +35,6 @@ class OpenCircuitError(PlanemirageError):
     """rho = 1 maps to infinite sheet impedance."""
 
 
-class DivisionDomainError(PlanemirageError):
-    """Impedance-boundary residual undefined (Z_e = 0 with nonzero average)."""
-
-
 class DegenerateSynthesisError(PlanemirageError):
     """No termination/front-sheet value can produce the requested reflection."""
 

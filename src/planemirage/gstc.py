@@ -1,125 +1,26 @@
-"""Zero-thickness sheet models.
+"""Zero-thickness sheet descriptions of a synthesized reflection.
 
-A metasurface is reduced to a sheet at a single plane, described either by
-surface susceptibilities (chi_e, chi_m, both in meters), by an equivalent
-sheet impedance, or by the tangential field jumps it supports. Scalar 1D
-reduction throughout: one tangential E and one tangential H component,
-e^{+j omega t} convention as in wavecore.
+A metasurface is reduced to a sheet at a single plane. Its reflection
+coefficient rho is described either by the normalized sheet impedance
+eta/eta0 or, for an electric-only sheet in free space, by its surface
+susceptibility chi_e (meters). Scalar 1D reduction throughout, e^{+j omega t}
+convention as in wavecore.
 
 Oblique incidence enters through the replacement k0 -> k0/cos(theta) in the
-susceptibility relations, which reduces to the normal-incidence form at
+susceptibility relation, which reduces to the normal-incidence form at
 theta = 0 and keeps the reflection/susceptibility pair mutually inverse at
 every angle.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-
-from .errors import (
-    DivisionDomainError,
-    OpenCircuitError,
-    SheetResonanceError,
-    ValidationError,
-)
-from .wavecore import ETA0, _DENOM_FLOOR, _require_finite
+from .errors import OpenCircuitError, SheetResonanceError, ValidationError
+from .wavecore import _DENOM_FLOOR, _require_finite
 
 
-@dataclass(frozen=True)
-class Susceptibilities:
-    """Surface electric and magnetic susceptibilities of a sheet, in meters."""
-
-    chi_e: complex
-    chi_m: complex = 0j
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chi_e", complex(self.chi_e))
-        object.__setattr__(self, "chi_m", complex(self.chi_m))
-        _require_finite("chi_e", self.chi_e)
-        _require_finite("chi_m", self.chi_m)
-
-
-@dataclass(frozen=True)
-class SheetImpedance:
-    """Equivalent sheet impedance, stored both absolute (ohms) and normalized."""
-
-    eta: complex
-    eta_normalized: complex
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", complex(self.eta))
-        object.__setattr__(self, "eta_normalized", complex(self.eta_normalized))
-        _require_finite("eta", self.eta)
-        _require_finite("eta_normalized", self.eta_normalized)
-        # the two representations must agree: eta = eta_normalized * ETA0
-        if abs(self.eta_normalized * ETA0 - self.eta) > 1e-12 * max(1.0, abs(self.eta)):
-            raise ValidationError(
-                "inconsistent SheetImpedance: eta_normalized * eta0 != eta"
-            )
-
-
-@dataclass(frozen=True)
-class FieldJump:
-    """Tangential fields on the two sides of a sheet (1: front, 2: back)."""
-
-    e1: complex
-    e2: complex
-    h1: complex
-    h2: complex
-
-    def __post_init__(self) -> None:
-        for name in ("e1", "e2", "h1", "h2"):
-            value = complex(getattr(self, name))
-            object.__setattr__(self, name, value)
-            _require_finite(name, value)
-
-    @property
-    def e_av(self) -> complex:
-        return (self.e1 + self.e2) / 2.0
-
-    @property
-    def h_av(self) -> complex:
-        return (self.h1 + self.h2) / 2.0
-
-
-def sheet_coefficients(
-    chi: Susceptibilities, k0: float, cos_theta: complex
-) -> tuple[complex, complex]:
-    """Transmission and reflection of a susceptibility sheet in free space.
-
-    With kh = k0 / (2 cos(theta)):
-
-        tau = (1 - kh^2 chi_e chi_m) / (1 + kh^2 chi_e chi_m - j kh (chi_m - chi_e))
-        rho = (j kh (chi_m + chi_e))  / (same denominator)
-
-    A transparent sheet (chi_e = chi_m = 0) gives (1, 0). A vanishing
-    denominator is a sheet resonance and raises.
-    """
-    if not k0 > 0.0:
-        raise ValidationError(f"k0 must be positive, got {k0!r}")
-    cos_theta = complex(cos_theta)
-    _require_finite("cos_theta", cos_theta)
-    if abs(cos_theta) < _DENOM_FLOOR:
-        raise ValidationError("cos_theta = 0: grazing incidence has no sheet model")
-    kh = (k0 / 2.0) / cos_theta
-    cross = kh * kh * chi.chi_e * chi.chi_m
-    den = 1.0 + cross - 1j * kh * (chi.chi_m - chi.chi_e)
-    if abs(den) < _DENOM_FLOOR:
-        raise SheetResonanceError(
-            "sheet resonance: susceptibility denominator vanished"
-        )
-    tau = (1.0 - cross) / den
-    rho = 1j * kh * (chi.chi_m + chi.chi_e) / den
-    return tau, rho
-
-
-def susceptibility_from_reflection(
-    rho: complex, k0: float, cos_theta: complex
-) -> Susceptibilities:
-    """Electric-only sheet (chi_m = 0) that reflects with coefficient rho.
-
-    Inverse of sheet_coefficients restricted to chi_m = 0:
+def susceptibility_from_reflection(rho: complex, k0: float, cos_theta: complex) -> complex:
+    """chi_e of the electric-only sheet (chi_m = 0) that reflects with
+    coefficient rho at vacuum wavenumber k0 and incidence cosine cos_theta:
 
         chi_e = rho / (j (k0 / (2 cos(theta))) (1 - rho))
 
@@ -137,67 +38,19 @@ def susceptibility_from_reflection(
     den = 1j * kh * (1.0 - rho)
     if abs(den) < _DENOM_FLOOR:
         raise SheetResonanceError("rho = 1 admits no finite electric susceptibility")
-    return Susceptibilities(chi_e=rho / den, chi_m=0j)
+    chi_e = rho / den
+    _require_finite("chi_e", chi_e)
+    return chi_e
 
 
-def impedance_from_reflection(rho: complex) -> SheetImpedance:
-    """Sheet impedance equivalent to reflection coefficient rho.
-
-    eta = eta0 (1 + rho)/(1 - rho). rho = 1 is an open circuit (infinite
-    impedance) and raises. rho = -1 gives eta = 0, the PEC limit.
+def impedance_from_reflection(rho: complex) -> complex:
+    """Normalized sheet impedance eta/eta0 = (1 + rho)/(1 - rho) of reflection
+    coefficient rho; times wavecore.ETA0 it is in ohms. rho = 1 is an open
+    circuit (infinite impedance) and raises. rho = -1 gives 0, the PEC limit.
     """
     rho = complex(rho)
     _require_finite("rho", rho)
     den = 1.0 - rho
     if abs(den) < _DENOM_FLOOR:
         raise OpenCircuitError("rho = 1: open circuit, impedance unbounded")
-    eta_normalized = (1.0 + rho) / den
-    return SheetImpedance(eta=eta_normalized * ETA0, eta_normalized=eta_normalized)
-
-
-def reflection_from_impedance(eta: complex | SheetImpedance) -> complex:
-    """Reflection coefficient of a sheet impedance: (eta - eta0)/(eta + eta0)."""
-    if isinstance(eta, SheetImpedance):
-        eta = eta.eta
-    eta = complex(eta)
-    _require_finite("eta", eta)
-    den = eta + ETA0
-    if abs(den) < _DENOM_FLOOR:
-        raise DivisionDomainError("eta = -eta0: reflection coefficient unbounded")
-    return (eta - ETA0) / den
-
-
-def surface_currents(jump: FieldJump) -> tuple[complex, complex]:
-    """Equivalent surface currents sustaining a field jump.
-
-    Scalar reduction: J_e = H2 - H1 (electric), J_m = E2 - E1 (magnetic).
-    Continuous fields carry no current.
-    """
-    return jump.h2 - jump.h1, jump.e2 - jump.e1
-
-
-def ibc_residual(jump: FieldJump, z_e: complex, z_m: complex) -> tuple[complex, complex]:
-    """Residuals of the impedance boundary conditions for a field jump.
-
-        r_e = (H2 - H1) - E_av / Z_e
-        r_m = (E2 - E1) - H_av * Z_m
-
-    Both vanish exactly when the jump satisfies the IBC pair; this is a
-    verification predicate, not a solver. Orientation fixes the PEC limit:
-    Z_e -> 0 forces E_av -> 0. Z_e = 0 with E_av = 0 contributes no
-    electric term; Z_e = 0 with E_av != 0 is outside the model.
-    """
-    z_e = complex(z_e)
-    z_m = complex(z_m)
-    _require_finite("z_e", z_e)
-    _require_finite("z_m", z_m)
-    j_e, j_m = surface_currents(jump)
-    e_av = jump.e_av
-    if abs(z_e) < _DENOM_FLOOR:
-        if abs(e_av) != 0.0:
-            raise DivisionDomainError("Z_e = 0 with nonzero E_av: PEC limit violated")
-        r_e = j_e
-    else:
-        r_e = j_e - e_av / z_e
-    r_m = j_m - jump.h_av * z_m
-    return r_e, r_m
+    return (1.0 + rho) / den

@@ -5,20 +5,21 @@ state for which an observer measuring the actual environment's total
 reflection sees exactly the target's. Two placements:
 
   * Reflective: the sheet replaces the actual stack's termination; the
-    unknown is the terminating reflection coefficient rho_4m, reported with
-    its equivalent sheet impedance.
+    unknown is the terminating reflection coefficient rho_4m, described by
+    its normalized sheet impedance eta/eta0.
   * Transmissive: the sheet sits at z = 0 ahead of the actual stack; the
-    unknown is the front reflection coefficient rho_1m, reported with the
+    unknown is the front reflection coefficient rho_1m, described by the
     electric surface susceptibility chi_e that realizes it.
 
 Each step of the reflection recursion in wavecore is a fractional-linear
 (Moebius) map, so both syntheses are exact single-point inversions of it:
 the reflective one runs Gamma_i backward through every layer of the actual
 stack, the transmissive one takes a single inverse step at its front. Both
-work for actual stacks of any depth and take the actual stack's segments,
-its rho_T and Gamma_i, so a sweep can feed them without an IllusionProblem.
-The substitution checks evaluate the forward recursion with the synthesized
-value in place.
+work for actual stacks of any depth. sheet_state is the one per-point step
+(inversion, sheet description, passivity); a sweep feeds it the actual
+stack's segments, its rho_T and Gamma_i, and synthesize feeds it an
+IllusionProblem. The substitution checks evaluate the forward recursion
+with the synthesized value in place.
 """
 
 from __future__ import annotations
@@ -30,11 +31,7 @@ from enum import Enum
 from functools import cached_property
 
 from .errors import DegenerateSynthesisError, ValidationError
-from .gstc import (
-    SheetImpedance,
-    impedance_from_reflection,
-    susceptibility_from_reflection,
-)
+from .gstc import impedance_from_reflection, susceptibility_from_reflection
 from .wavecore import (
     PlaneWave,
     Segments,
@@ -51,11 +48,6 @@ _DEGENERACY_RTOL = 1e-12
 class Mode(Enum):
     REFLECTIVE = "reflective"
     TRANSMISSIVE = "transmissive"
-
-
-class Realizability(Enum):
-    PASSIVE = "passive"
-    ACTIVE_REQUIRED = "active-required"
 
 
 @dataclass(frozen=True)
@@ -90,23 +82,6 @@ class IllusionProblem:
         return chain_reflection(self.target, self.wave)
 
 
-@dataclass(frozen=True)
-class SynthesisOutcome:
-    """Synthesized sheet state at one (frequency, angle) point."""
-
-    rho_required: complex
-    realizability: Realizability
-    theta: float
-    frequency: float
-    eta_required: SheetImpedance | None = None  # reflective mode
-    chi_e_required: complex | None = None       # transmissive mode
-
-
-def _require_mode(problem: IllusionProblem, mode: Mode) -> None:
-    if problem.mode is not mode:
-        raise ValidationError(f"problem mode is {problem.mode}, expected {mode}")
-
-
 def _solve(p: complex, q: complex, q_scale: float, det: complex, sheet: str) -> complex:
     """The sheet reflection p/q that an inverse map sends Gamma_i to.
 
@@ -127,11 +102,6 @@ def _solve(p: complex, q: complex, q_scale: float, det: complex, sheet: str) -> 
     if not (math.isfinite(rho.real) and math.isfinite(rho.imag)):
         raise DegenerateSynthesisError(f"the required {sheet} reflection overflows at this point")
     return rho
-
-
-def target_reflection(problem: IllusionProblem) -> complex:
-    """Gamma_i, the total reflection the observer should see."""
-    return problem.gamma_i
 
 
 def reflective_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -> complex:
@@ -179,27 +149,10 @@ def transmissive_inversion(segments: Segments, rho_t: complex, gamma_i: complex)
     return rho_1m
 
 
-def reflective_synthesis(problem: IllusionProblem) -> complex:
-    """rho_4m, the terminating sheet reflection that makes the actual stack
-    reflect Gamma_i (see reflective_inversion)."""
-    _require_mode(problem, Mode.REFLECTIVE)
-    return reflective_inversion(*problem.actual_walk, problem.gamma_i)
-
-
 def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> complex:
     """Total reflection of the actual stack with its termination replaced by Sheet(rho)."""
     segments, _ = problem.actual_walk
     return fold_reflection(segments, Sheet(rho).rho)
-
-
-def transmissive_synthesis(problem: IllusionProblem) -> tuple[complex, complex]:
-    """(rho_1m, chi_e): the front-sheet reflection (see
-    transmissive_inversion) and its susceptibility, the electric-only sheet
-    (chi_m = 0) whose reflection is rho_1m at the incidence angle."""
-    _require_mode(problem, Mode.TRANSMISSIVE)
-    rho_1m = transmissive_inversion(*problem.actual_walk, problem.gamma_i)
-    wave = problem.wave
-    return rho_1m, susceptibility_from_reflection(rho_1m, wave.k0, cmath.cos(wave.theta1)).chi_e
 
 
 def front_sheet_reflection(problem: IllusionProblem, rho_1: complex) -> complex:
@@ -209,39 +162,33 @@ def front_sheet_reflection(problem: IllusionProblem, rho_1: complex) -> complex:
     return fold_reflection(((complex(rho_1), segments[0][1]),) + segments[1:], rho_t)
 
 
-def classify_realizability(rho: complex) -> Realizability:
-    """Passive iff |rho| <= 1 and Re(eta) >= 0; otherwise gain is needed.
+def sheet_state(
+    mode: Mode, segments: Segments, rho_t: complex, gamma_i: complex, k0: float, cos_theta: complex
+) -> tuple[complex, complex, bool]:
+    """(rho, sheet, passive): the sheet reflection that makes the actual
+    stack, given by its (rho_n, Z_n^2) segments and termination rho_t,
+    reflect Gamma_i at vacuum wavenumber k0 and incidence cosine cos_theta.
 
-    The two conditions agree analytically (the unit disk maps onto the
-    right impedance half-plane); checking both keeps the classification
-    conservative under rounding. The |rho| = 1 boundary is passive.
+    The mode picks the inversion and the sheet description: the normalized
+    impedance eta/eta0 of rho_4m (reflective) or the susceptibility chi_e of
+    rho_1m (transmissive). passive is |rho| <= 1 and Re(eta) >= 0. The two
+    conditions agree analytically (the unit disk maps onto the right
+    impedance half-plane); checking both keeps the verdict conservative
+    under rounding. The |rho| = 1 boundary is passive.
     """
-    rho = complex(rho)
-    if abs(rho) > 1.0:
-        return Realizability.ACTIVE_REQUIRED
-    eta = impedance_from_reflection(rho)
-    if eta.eta.real >= 0.0:
-        return Realizability.PASSIVE
-    return Realizability.ACTIVE_REQUIRED
+    if mode is Mode.REFLECTIVE:
+        rho = reflective_inversion(segments, rho_t, gamma_i)
+        sheet = eta_n = impedance_from_reflection(rho)
+    else:
+        rho = transmissive_inversion(segments, rho_t, gamma_i)
+        sheet = susceptibility_from_reflection(rho, k0, cos_theta)
+        eta_n = impedance_from_reflection(rho)
+    return rho, sheet, abs(rho) <= 1.0 and eta_n.real >= 0.0
 
 
-def synthesize(problem: IllusionProblem) -> SynthesisOutcome:
-    """Solve one illusion problem; dispatches on the problem's mode."""
+def synthesize(problem: IllusionProblem) -> tuple[complex, complex, bool]:
+    """sheet_state of one illusion problem, in the problem's mode."""
     wave = problem.wave
-    if problem.mode is Mode.REFLECTIVE:
-        rho = reflective_synthesis(problem)
-        return SynthesisOutcome(
-            rho_required=rho,
-            realizability=classify_realizability(rho),
-            theta=wave.theta1,
-            frequency=wave.frequency,
-            eta_required=impedance_from_reflection(rho),
-        )
-    rho, chi_e = transmissive_synthesis(problem)
-    return SynthesisOutcome(
-        rho_required=rho,
-        realizability=classify_realizability(rho),
-        theta=wave.theta1,
-        frequency=wave.frequency,
-        chi_e_required=chi_e,
+    return sheet_state(
+        problem.mode, *problem.actual_walk, problem.gamma_i, wave.k0, cmath.cos(wave.theta1)
     )

@@ -56,8 +56,11 @@ class Medium:
         mu = complex(self.mu_r)
         if not (_finite(eps) and _finite(mu)):
             raise InvalidMediumError(f"non-finite medium parameters: eps_r={eps!r} mu_r={mu!r}")
-        if eps == 0 or mu == 0:
-            raise InvalidMediumError(f"eps_r and mu_r must be nonzero: eps_r={eps!r} mu_r={mu!r}")
+        # refraction divides by s = sqrt(eps*mu), so the product must not underflow either
+        if eps * mu == 0 or not _finite(eps * mu):
+            raise InvalidMediumError(
+                f"eps_r*mu_r must be nonzero and finite: eps_r={eps!r} mu_r={mu!r}"
+            )
         object.__setattr__(self, "eps_r", eps)
         object.__setattr__(self, "mu_r", mu)
 
@@ -185,33 +188,15 @@ def layer_wave_state(medium: Medium, incident_state: LayerWaveState) -> LayerWav
     return LayerWaveState(s_n=s, s_t=incident_state.s_t, eta_n=eta, cos_n=cos_t)
 
 
-def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -> tuple[complex, complex]:
-    """Local reflection and transmission coefficients at one interface.
-
-    rho = (n2 - n1)/(n2 + n1) and tau = 2*n2/(n2 + n1) with n_i = eta_i*cos(theta_i),
-    so 1 + rho = tau holds identically.
-    """
+def interface_reflection(state_n: LayerWaveState, state_np1: LayerWaveState) -> complex:
+    """Reflection coefficient rho = (n2 - n1)/(n2 + n1) at one interface,
+    with n_i = eta_i*cos(theta_i)."""
     n1 = state_n.eta_n * state_n.cos_n
     n2 = state_np1.eta_n * state_np1.cos_n
     den = n2 + n1
     if abs(den) < _DENOM_FLOOR:
         raise DegenerateInterfaceError(f"interface denominator vanished: {den!r}")
-    return (n2 - n1) / den, 2.0 * n2 / den
-
-
-_OVERFLOW = "the propagation factor across a gain layer overflows"
-
-
-def propagation_phase(state_n: LayerWaveState, thickness: float, k0: float) -> complex:
-    """One-way phase/decay factor Z = e^{-j k0 s l cos(theta)} across a layer
-    at vacuum wavenumber k0; DomainError where it overflows, as across a
-    thick gain layer."""
-    if not (math.isfinite(thickness) and thickness >= 0.0):
-        raise ValidationError(f"thickness must be finite and >= 0, got {thickness!r}")
-    try:
-        return cmath.exp(-1j * k0 * (state_n.s_n * thickness * state_n.cos_n))
-    except OverflowError:
-        raise DomainError(_OVERFLOW) from None
+    return (n2 - n1) / den
 
 
 Segments = tuple[tuple[complex, complex], ...]
@@ -234,7 +219,7 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     state = incident_wave_state(stack.incident_medium, theta1)
     for layer in stack.layers:
         nxt = layer_wave_state(layer.medium, state)
-        rho, _ = interface_coefficients(state, nxt)
+        rho = interface_reflection(state, nxt)
         steps.append((rho, nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n))
         state = nxt
     term = stack.termination
@@ -243,7 +228,7 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     elif isinstance(term, Sheet):
         rho_t = term.rho
     else:
-        rho_t, _ = interface_coefficients(state, layer_wave_state(term.half_space, state))
+        rho_t = interface_reflection(state, layer_wave_state(term.half_space, state))
     return tuple(steps), rho_t
 
 
@@ -256,18 +241,13 @@ def frequency_step(walk: Walk, k0: float) -> tuple[Segments, complex]:
     try:
         return tuple([(rho, cmath.exp(jk0 * a)) for rho, a in steps]), rho_t
     except OverflowError:
-        raise DomainError(_OVERFLOW) from None
+        raise DomainError("the propagation factor across a gain layer overflows") from None
 
 
 def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[Segments, complex]:
     """The stack's per-layer pairs (rho_n, Z_n^2) and rho_T at one wave:
     its angle walk at wave's frequency."""
     return frequency_step(angle_walk(stack, wave.theta1), wave.k0)
-
-
-def termination_reflection(stack: Stack, wave: PlaneWave) -> complex:
-    """Reflection of the termination as seen from inside the last layer."""
-    return angle_walk(stack, wave.theta1)[1]
 
 
 def fold_reflection(segments: Segments, rho_t: complex) -> complex:

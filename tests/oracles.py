@@ -7,10 +7,16 @@ numpy. It shares no propagation, branch, or matrix code with the package;
 agreement is therefore meaningful evidence.
 
 The transfer-matrix section keeps the references the package's reflection
-recursion replaced: the 2x2 segment-matrix chain, the synthesis oracles that
-invert its fractional-linear map, and the paper's expanded four-product
-closed forms for three-layer actual stacks. They share the package's wave
-states and interface coefficients but none of its recursion.
+recursion replaced: the 2x2 segment-matrix chain with its own interface
+transmission and one-way phase, the synthesis oracles that invert its
+fractional-linear map, and the paper's expanded four-product closed forms
+for three-layer actual stacks. They share the package's wave states and
+interface reflection but none of its recursion.
+
+The sheet-model section keeps what only verifies the package's sheet
+descriptions: the forward susceptibility map whose electric-only inverse
+the package uses, the inverse of its impedance map, and the tangential
+field jumps a sheet supports with their impedance-boundary residuals.
 
 Conventions mirror the library's: e^{+j omega t} time dependence, fields
 written as F e^{-j kz z} + B e^{+j kz z}, reflection referenced at the
@@ -19,28 +25,39 @@ first interface z = 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from planemirage.errors import DegenerateSynthesisError
+from planemirage.errors import (
+    DegenerateSynthesisError,
+    DomainError,
+    PlanemirageError,
+    SheetResonanceError,
+    ValidationError,
+)
 from planemirage.synthesis import IllusionProblem
 from planemirage.wavecore import (
     AIR,
+    ETA0,
     Layer,
+    LayerWaveState,
     Medium,
     Open,
     Pec,
     PlaneWave,
     Sheet,
     Stack,
+    _DENOM_FLOOR,
+    _require_finite,
+    angle_walk,
     incident_wave_state,
-    interface_coefficients,
+    interface_reflection,
     layer_wave_state,
-    propagation_phase,
-    termination_reflection,
 )
 
 C0 = 299792458.0
@@ -158,6 +175,32 @@ def matmul(a, b):
 
 def determinant(m) -> complex:
     return m[0] * m[3] - m[1] * m[2]
+
+
+def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -> tuple[complex, complex]:
+    """Local reflection and transmission coefficients at one interface.
+
+    rho = (n2 - n1)/(n2 + n1) and tau = 2*n2/(n2 + n1) with n_i = eta_i*cos(theta_i),
+    so 1 + rho = tau holds identically.
+    """
+    n1 = state_n.eta_n * state_n.cos_n
+    n2 = state_np1.eta_n * state_np1.cos_n
+    return interface_reflection(state_n, state_np1), 2.0 * n2 / (n2 + n1)
+
+
+def propagation_phase(state_n: LayerWaveState, thickness: float, k0: float) -> complex:
+    """One-way phase/decay factor Z = e^{-j k0 s l cos(theta)} across a layer
+    at vacuum wavenumber k0; DomainError where it overflows, as across a
+    thick gain layer."""
+    try:
+        return cmath.exp(-1j * k0 * (state_n.s_n * thickness * state_n.cos_n))
+    except OverflowError:
+        raise DomainError("the propagation factor across a gain layer overflows") from None
+
+
+def termination_reflection(stack: Stack, wave: PlaneWave) -> complex:
+    """Reflection of the termination as seen from inside the last layer."""
+    return angle_walk(stack, wave.theta1)[1]
 
 
 def segment_triples(stack: Stack, wave: PlaneWave) -> list[tuple[complex, complex, complex]]:
@@ -315,6 +358,129 @@ def transmissive_closed_form(problem: IllusionProblem) -> complex:
     p = transmissive_products(problem)
     _degenerate_if(p.a - p.b, p.a, p.b)
     return (p.c - p.d) / (p.a - p.b)
+
+
+# ---------------------------------------------------------- sheet models
+
+
+class DivisionDomainError(PlanemirageError):
+    """A sheet map's denominator vanished (eta = -eta0, or Z_e = 0 with nonzero E_av)."""
+
+
+@dataclass(frozen=True)
+class Susceptibilities:
+    """Surface electric and magnetic susceptibilities of a sheet, in meters."""
+
+    chi_e: complex
+    chi_m: complex = 0j
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "chi_e", complex(self.chi_e))
+        object.__setattr__(self, "chi_m", complex(self.chi_m))
+        _require_finite("chi_e", self.chi_e)
+        _require_finite("chi_m", self.chi_m)
+
+
+@dataclass(frozen=True)
+class FieldJump:
+    """Tangential fields on the two sides of a sheet (1: front, 2: back)."""
+
+    e1: complex
+    e2: complex
+    h1: complex
+    h2: complex
+
+    def __post_init__(self) -> None:
+        for name in ("e1", "e2", "h1", "h2"):
+            value = complex(getattr(self, name))
+            object.__setattr__(self, name, value)
+            _require_finite(name, value)
+
+    @property
+    def e_av(self) -> complex:
+        return (self.e1 + self.e2) / 2.0
+
+    @property
+    def h_av(self) -> complex:
+        return (self.h1 + self.h2) / 2.0
+
+
+def sheet_coefficients(
+    chi: Susceptibilities, k0: float, cos_theta: complex
+) -> tuple[complex, complex]:
+    """Transmission and reflection of a susceptibility sheet in free space.
+
+    With kh = k0 / (2 cos(theta)):
+
+        tau = (1 - kh^2 chi_e chi_m) / (1 + kh^2 chi_e chi_m - j kh (chi_m - chi_e))
+        rho = (j kh (chi_m + chi_e))  / (same denominator)
+
+    A transparent sheet (chi_e = chi_m = 0) gives (1, 0). A vanishing
+    denominator is a sheet resonance and raises. With chi_m = 0 this is the
+    forward map that gstc.susceptibility_from_reflection inverts.
+    """
+    if not k0 > 0.0:
+        raise ValidationError(f"k0 must be positive, got {k0!r}")
+    cos_theta = complex(cos_theta)
+    _require_finite("cos_theta", cos_theta)
+    if abs(cos_theta) < _DENOM_FLOOR:
+        raise ValidationError("cos_theta = 0: grazing incidence has no sheet model")
+    kh = (k0 / 2.0) / cos_theta
+    cross = kh * kh * chi.chi_e * chi.chi_m
+    den = 1.0 + cross - 1j * kh * (chi.chi_m - chi.chi_e)
+    if abs(den) < _DENOM_FLOOR:
+        raise SheetResonanceError(
+            "sheet resonance: susceptibility denominator vanished"
+        )
+    tau = (1.0 - cross) / den
+    rho = 1j * kh * (chi.chi_m + chi.chi_e) / den
+    return tau, rho
+
+
+def reflection_from_impedance(eta: complex) -> complex:
+    """Reflection coefficient of a sheet impedance in ohms: (eta - eta0)/(eta + eta0)."""
+    eta = complex(eta)
+    _require_finite("eta", eta)
+    den = eta + ETA0
+    if abs(den) < _DENOM_FLOOR:
+        raise DivisionDomainError("eta = -eta0: reflection coefficient unbounded")
+    return (eta - ETA0) / den
+
+
+def surface_currents(jump: FieldJump) -> tuple[complex, complex]:
+    """Equivalent surface currents sustaining a field jump.
+
+    Scalar reduction: J_e = H2 - H1 (electric), J_m = E2 - E1 (magnetic).
+    Continuous fields carry no current.
+    """
+    return jump.h2 - jump.h1, jump.e2 - jump.e1
+
+
+def ibc_residual(jump: FieldJump, z_e: complex, z_m: complex) -> tuple[complex, complex]:
+    """Residuals of the impedance boundary conditions for a field jump.
+
+        r_e = (H2 - H1) - E_av / Z_e
+        r_m = (E2 - E1) - H_av * Z_m
+
+    Both vanish exactly when the jump satisfies the IBC pair; this is a
+    verification predicate, not a solver. Orientation fixes the PEC limit:
+    Z_e -> 0 forces E_av -> 0. Z_e = 0 with E_av = 0 contributes no
+    electric term; Z_e = 0 with E_av != 0 is outside the model.
+    """
+    z_e = complex(z_e)
+    z_m = complex(z_m)
+    _require_finite("z_e", z_e)
+    _require_finite("z_m", z_m)
+    j_e, j_m = surface_currents(jump)
+    e_av = jump.e_av
+    if abs(z_e) < _DENOM_FLOOR:
+        if abs(e_av) != 0.0:
+            raise DivisionDomainError("Z_e = 0 with nonzero E_av: PEC limit violated")
+        r_e = j_e
+    else:
+        r_e = j_e - e_av / z_e
+    r_m = j_m - jump.h_av * z_m
+    return r_e, r_m
 
 
 # ------------------------------------------------------- randomized cases

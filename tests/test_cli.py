@@ -1,5 +1,6 @@
 """CLI: config parsing, sweep tables, emission determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -26,16 +27,8 @@ from planemirage.errors import (
     PlanemirageError,
     ResonantSingularityError,
 )
-from planemirage import cli, wavecore
-from planemirage.gstc import impedance_from_reflection
-from planemirage.synthesis import (
-    IllusionProblem,
-    Mode,
-    Realizability,
-    reflective_synthesis,
-    synthesize,
-    transmissive_synthesis,
-)
+from planemirage import cli, gstc, synthesis, wavecore
+from planemirage.synthesis import IllusionProblem, Mode, synthesize
 from planemirage.wavecore import (
     AIR,
     Layer,
@@ -246,12 +239,7 @@ def test_run_synthesize_matches_direct_calls(mode):
         wave = PlaneWave(r.freq_ghz * 1e9, math.radians(r.theta_deg))
         assert r.g_act == chain_reflection(config.actual, wave)
         assert r.g_tgt == chain_reflection(config.target, wave)
-        problem = IllusionProblem(config.actual, config.target, wave, mode)
-        if mode is Mode.REFLECTIVE:
-            rho = reflective_synthesis(problem)
-            aux = impedance_from_reflection(rho).eta_normalized
-        else:
-            rho, aux = transmissive_synthesis(problem)
+        rho, aux, _ = synthesize(IllusionProblem(config.actual, config.target, wave, mode))
         assert r.rho_req == rho
         assert r.aux == aux
         assert r.passive is True
@@ -288,6 +276,26 @@ def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
     assert len(calls) == len(config.theta_deg.values()) * per_angle
 
 
+@pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode):
+    # the sheet impedance serves both the reflective eta_n and the passivity verdict
+    config = builtin_scenario()
+    config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
+    calls = []
+    real = gstc.impedance_from_reflection
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    for module in (cli, synthesis):
+        if hasattr(module, "impedance_from_reflection"):
+            monkeypatch.setattr(module, "impedance_from_reflection", counted)
+    rows = run_synthesize(config)
+    assert [r.err for r in rows] == [""] * 6
+    assert 0 < len(calls) <= len(rows)
+
+
 def _per_point_row(actual, target, mode, f_ghz, theta_deg):
     """The row a sweep owes one grid point, from the per-point API alone:
     the actual stack's chain_segments and fold, the target's Gamma_i, then
@@ -307,13 +315,7 @@ def _per_point_row(actual, target, mode, f_ghz, theta_deg):
         errs.append(_error_tag(exc))
     if mode and walk is not None and g_tgt is not None:
         try:
-            outcome = synthesize(problem)
-            rho = outcome.rho_required
-            if mode is Mode.REFLECTIVE:
-                aux = outcome.eta_required.eta_normalized
-            else:
-                aux = outcome.chi_e_required
-            passive = outcome.realizability is Realizability.PASSIVE
+            rho, aux, passive = synthesize(problem)
         except PlanemirageError as exc:
             errs.append(_error_tag(exc))
     return SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho, aux, passive, ";".join(errs))
@@ -476,6 +478,17 @@ def test_main_rejects_zero_permeability(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["synthesize"]])
+def test_main_rejects_a_medium_whose_wavenumber_underflows(tmp_path, capsys, command):
+    # eps*mu = 1e-400 is 0 in floating point, so refraction would divide by zero
+    doc = _scenario_doc()
+    doc["actual"]["layers"][1].update(eps=1e-200, mu=1e-200)
+    config_path = _write_config(tmp_path, doc)
+    assert main(command + ["--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_main_config_conflicts(tmp_path):
     config_path = _write_config(tmp_path, _scenario_doc())
     out = tmp_path / "x.csv"
@@ -633,6 +646,22 @@ def test_table_commands_write_golden_bytes(tmp_path, case):
     out = tmp_path / "table.csv"
     assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 0
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+# sha256 of each builtin sweep table (3,381 rows), as written by the sweep
+# whose sheet step was still inlined in cli; libm rounding of x86-64 Linux.
+_SWEEP_GOLDEN_SHA256 = {
+    "simulate": "892a75f831e197122b8e0a1d02f49c890fb796f978c7ba66e9a7a8c5793e581c",
+    "synthesize --mode reflective": "04b8f506ab816f669b0096f656d9c94a4457d53c9b1c78eb474fa383650d3df7",
+    "synthesize --mode transmissive": "2498ac9fc5688fb10a647f584afedc672104e1e47a98ee01edf7240f32c78ef2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEP_GOLDEN_SHA256))
+def test_builtin_sweeps_write_golden_bytes(tmp_path, command):
+    out = tmp_path / "sweep.csv"
+    assert main(command.split() + ["--scenario", "builtin", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SWEEP_GOLDEN_SHA256[command]
 
 
 def test_main_companion_bad_samples(tmp_path):

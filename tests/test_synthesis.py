@@ -1,5 +1,5 @@
 """Illusion synthesis: the inverse recursion against the paper's closed
-forms and the transfer-matrix oracles, substitution, realizability."""
+forms and the transfer-matrix oracles, substitution, passivity."""
 
 import cmath
 import dataclasses
@@ -14,14 +14,10 @@ from planemirage.errors import DegenerateSynthesisError, OpenCircuitError, Valid
 from planemirage.synthesis import (
     IllusionProblem,
     Mode,
-    Realizability,
-    classify_realizability,
     front_sheet_reflection,
-    reflective_synthesis,
+    sheet_state,
     sheet_terminated_reflection,
     synthesize,
-    target_reflection,
-    transmissive_synthesis,
 )
 from planemirage.wavecore import (
     AIR,
@@ -31,12 +27,12 @@ from planemirage.wavecore import (
     PlaneWave,
     Sheet,
     Stack,
+    angle_walk,
     chain_reflection,
     chain_segments,
     incident_wave_state,
-    interface_coefficients,
+    interface_reflection,
     layer_wave_state,
-    termination_reflection,
 )
 
 from oracles import (
@@ -74,28 +70,20 @@ def _builtin_problem(mode, frequency=10e9, theta=0.0):
 def test_frozen_reflective_point():
     problem = _builtin_problem(Mode.REFLECTIVE)
     assert abs(chain_reflection(problem.actual, problem.wave) - GAMMA_ACTUAL_10GHZ_NORMAL) < 1e-13
-    assert abs(target_reflection(problem) - GAMMA_TARGET_10GHZ_NORMAL) < 1e-13
-    rho = reflective_synthesis(problem)
+    assert abs(problem.gamma_i - GAMMA_TARGET_10GHZ_NORMAL) < 1e-13
+    rho, eta_n, passive = synthesize(problem)
     assert abs(rho - RHO_4M_10GHZ_NORMAL) < 1e-13
     assert abs(reflective_closed_form(problem) - RHO_4M_10GHZ_NORMAL) < 1e-13
-    outcome = synthesize(problem)
-    assert abs(outcome.rho_required - rho) == 0.0
-    assert abs(outcome.eta_required.eta_normalized - ETA_M_NORM_10GHZ_NORMAL) < 1e-13
-    assert outcome.realizability is Realizability.PASSIVE
-    assert outcome.chi_e_required is None
-    assert outcome.frequency == 10e9
-    assert outcome.theta == 0.0
+    assert abs(eta_n - ETA_M_NORM_10GHZ_NORMAL) < 1e-13
+    assert passive is True
 
 
 def test_frozen_transmissive_point():
     problem = _builtin_problem(Mode.TRANSMISSIVE)
-    rho_1m, chi_e = transmissive_synthesis(problem)
+    rho_1m, chi_e, _ = synthesize(problem)
     assert abs(rho_1m - RHO_1M_10GHZ_NORMAL) < 1e-13
     assert abs(transmissive_closed_form(problem) - RHO_1M_10GHZ_NORMAL) < 1e-13
     assert abs(chi_e - CHI_E_10GHZ_NORMAL) < 1e-14
-    outcome = synthesize(problem)
-    assert outcome.eta_required is None
-    assert abs(outcome.chi_e_required - chi_e) == 0.0
 
 
 def test_closed_form_matches_oracle_reflective():
@@ -104,7 +92,7 @@ def test_closed_form_matches_oracle_reflective():
         problem = IllusionProblem(
             random_three_layer_stack(rng), random_lossy_stack(rng), random_wave(rng), Mode.REFLECTIVE
         )
-        runtime = reflective_synthesis(problem)
+        runtime = synthesize(problem)[0]
         closed = reflective_closed_form(problem)
         oracle = reflective_matrix_oracle(problem)
         assert abs(closed - oracle) < 1e-9 * max(1.0, abs(oracle))
@@ -117,7 +105,7 @@ def test_closed_form_matches_oracle_transmissive():
         problem = IllusionProblem(
             random_three_layer_stack(rng), random_lossy_stack(rng), random_wave(rng), Mode.TRANSMISSIVE
         )
-        runtime, _ = transmissive_synthesis(problem)
+        runtime = synthesize(problem)[0]
         closed = transmissive_closed_form(problem)
         oracle = transmissive_matrix_oracle(problem)
         assert abs(closed - oracle) < 1e-9 * max(1.0, abs(oracle))
@@ -127,15 +115,15 @@ def test_closed_form_matches_oracle_transmissive():
 def test_substitution_reproduces_target_reflective():
     for theta_deg in (0.0, 22.5, 60.0):
         problem = _builtin_problem(Mode.REFLECTIVE, frequency=11e9, theta=math.radians(theta_deg))
-        rho = reflective_synthesis(problem)
-        assert abs(sheet_terminated_reflection(problem, rho) - target_reflection(problem)) < 1e-12
+        rho = synthesize(problem)[0]
+        assert abs(sheet_terminated_reflection(problem, rho) - problem.gamma_i) < 1e-12
 
 
 def test_substitution_reproduces_target_transmissive():
     for theta_deg in (0.0, 22.5, 60.0):
         problem = _builtin_problem(Mode.TRANSMISSIVE, frequency=11e9, theta=math.radians(theta_deg))
-        rho, _ = transmissive_synthesis(problem)
-        assert abs(front_sheet_reflection(problem, rho) - target_reflection(problem)) < 1e-12
+        rho = synthesize(problem)[0]
+        assert abs(front_sheet_reflection(problem, rho) - problem.gamma_i) < 1e-12
 
 
 @pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
@@ -147,7 +135,7 @@ def test_substitution_checks_reuse_the_points_walk(monkeypatch, mode):
     while len(cases) < 20:
         problem = IllusionProblem(random_lossy_stack(rng), random_lossy_stack(rng), random_wave(rng), mode)
         try:
-            rho = synthesize(problem).rho_required
+            rho = synthesize(problem)[0]
         except DegenerateSynthesisError:
             continue
         substituted = dataclasses.replace(problem.actual, termination=Sheet(rho))
@@ -171,10 +159,10 @@ def test_self_illusion_reflective_returns_the_actual_termination():
     wave = PlaneWave(10.7e9, math.radians(33.5))
     # disguising a stack as itself asks for its own termination back
     problem = IllusionProblem(scenario.actual, scenario.actual, wave, Mode.REFLECTIVE)
-    assert abs(reflective_synthesis(problem) - (-1.0)) < 1e-12
+    assert abs(synthesize(problem)[0] - (-1.0)) < 1e-12
     sheet_stack = Stack(AIR, scenario.actual.layers, Sheet(0.3 - 0.2j))
     problem = IllusionProblem(sheet_stack, sheet_stack, wave, Mode.REFLECTIVE)
-    assert abs(reflective_synthesis(problem) - (0.3 - 0.2j)) < 1e-12
+    assert abs(synthesize(problem)[0] - (0.3 - 0.2j)) < 1e-12
 
 
 def test_self_illusion_transmissive_returns_the_first_interface():
@@ -185,15 +173,15 @@ def test_self_illusion_transmissive_returns_the_first_interface():
         Pec(),
     )
     problem = IllusionProblem(stack, stack, wave, Mode.TRANSMISSIVE)
-    rho_1m, _ = transmissive_synthesis(problem)
+    rho_1m = synthesize(problem)[0]
     inc = incident_wave_state(AIR, wave.theta1)
     first = layer_wave_state(stack.layers[0].medium, inc)
-    rho_1, _ = interface_coefficients(inc, first)
+    rho_1 = interface_reflection(inc, first)
     assert abs(rho_1m - rho_1) < 1e-12
     # air-fronted actual: the natural first interface is transparent
     scenario = builtin_scenario()
     problem = IllusionProblem(scenario.actual, scenario.actual, wave, Mode.TRANSMISSIVE)
-    rho_1m, chi_e = transmissive_synthesis(problem)
+    rho_1m, chi_e, _ = synthesize(problem)
     assert abs(rho_1m) < 1e-12
     assert abs(chi_e) < 1e-12
 
@@ -202,7 +190,7 @@ def test_the_tempting_grouping_is_the_reciprocal():
     # (rho_t*(A0 - B0))/(C - D) evaluates to rho_t/rho_4m, not rho_4m
     problem = _builtin_problem(Mode.REFLECTIVE, frequency=11.3e9, theta=math.radians(41.0))
     p = reflective_products(problem)
-    rho_4m = reflective_synthesis(problem)
+    rho_4m = synthesize(problem)[0]
     tempting = p.rho_t * (p.a0 - p.b0) / (p.c - p.d)
     assert abs(tempting - p.rho_t / rho_4m) < 1e-12 * abs(tempting)
     assert abs(tempting - rho_4m) > 1e-2  # visibly not the answer here
@@ -215,7 +203,7 @@ def test_the_tempting_grouping_is_the_reciprocal():
 
     t_problem = _builtin_problem(Mode.TRANSMISSIVE, frequency=11.3e9, theta=math.radians(41.0))
     tp = transmissive_products(t_problem)
-    rho_1m, _ = transmissive_synthesis(t_problem)
+    rho_1m = synthesize(t_problem)[0]
     t_tempting = (tp.a - tp.b) / (tp.c - tp.d)
     assert abs(t_tempting - 1.0 / rho_1m) < 1e-12 * abs(t_tempting)
 
@@ -226,8 +214,8 @@ def test_identity_chain_synthesis_is_the_target_reflection():
     target = Stack(AIR, (Layer(Medium(3.9 - 0.08j), 0.060),), Pec())
     wave = PlaneWave(10e9, math.radians(12.0))
     problem = IllusionProblem(actual, target, wave, Mode.REFLECTIVE)
-    g_i = target_reflection(problem)
-    assert abs(reflective_synthesis(problem) - g_i) < 1e-14
+    g_i = problem.gamma_i
+    assert abs(synthesize(problem)[0] - g_i) < 1e-14
     assert abs(reflective_closed_form(problem) - g_i) < 1e-14
     assert abs(reflective_matrix_oracle(problem) - g_i) < 1e-14
 
@@ -251,7 +239,7 @@ def test_degenerate_reflective_target_raises():
     target = _unreachable_target(scenario.actual, wave, lambda m: m[3] / m[1])
     problem = IllusionProblem(scenario.actual, target, wave, Mode.REFLECTIVE)
     with pytest.raises(DegenerateSynthesisError):
-        reflective_synthesis(problem)
+        synthesize(problem)
     with pytest.raises(DegenerateSynthesisError):
         reflective_closed_form(problem)
     with pytest.raises(DegenerateSynthesisError):
@@ -267,13 +255,13 @@ def test_degeneracy_is_judged_on_the_composed_map():
     (_, z2_1), (rho_2, _), _ = chain_segments(scenario.actual, wave)[0]
     target = _air_over_sheet(wave, z2_1 / rho_2, thickness=0.030)
     problem = IllusionProblem(scenario.actual, target, wave, Mode.REFLECTIVE)
-    gamma_2 = target_reflection(problem) / z2_1  # rho_1 = 0: air onto air
+    gamma_2 = problem.gamma_i / z2_1  # rho_1 = 0: air onto air
     assert abs(1.0 - rho_2 * gamma_2) < 1e-12  # a per-step test would raise here
-    rho_4m = reflective_synthesis(problem)
+    rho_4m = synthesize(problem)[0]
     closed = reflective_closed_form(problem)
     assert abs(closed - (-3.0472 - 0.1487j)) < 1e-4
     assert abs(rho_4m - closed) < 1e-9 * abs(closed)
-    assert synthesize(problem).realizability is Realizability.ACTIVE_REQUIRED
+    assert synthesize(problem)[2] is False
 
 
 def test_thick_lossy_layer_makes_reflective_synthesis_degenerate():
@@ -282,11 +270,11 @@ def test_thick_lossy_layer_makes_reflective_synthesis_degenerate():
     target = builtin_scenario().target
     wave = PlaneWave(20e9)
     with pytest.raises(DegenerateSynthesisError):
-        reflective_synthesis(IllusionProblem(actual, target, wave, Mode.REFLECTIVE))
+        synthesize(IllusionProblem(actual, target, wave, Mode.REFLECTIVE))
     # the front sheet still works: the stack behind it reflects like a half-space
-    rho_1m, _ = transmissive_synthesis(IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE))
+    rho_1m = synthesize(IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE))[0]
     problem = IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE)
-    assert abs(front_sheet_reflection(problem, rho_1m) - target_reflection(problem)) < 1e-12
+    assert abs(front_sheet_reflection(problem, rho_1m) - problem.gamma_i) < 1e-12
 
 
 @pytest.mark.parametrize("n_layers", [1, 2, 5, 40])
@@ -302,13 +290,13 @@ def test_synthesis_on_any_number_of_layers(n_layers):
         target = random_lossy_stack(rng)
         wave = random_wave(rng)
         reflective = IllusionProblem(actual, target, wave, Mode.REFLECTIVE)
-        g_i = target_reflection(reflective)
-        rho_4m = reflective_synthesis(reflective)
+        g_i = reflective.gamma_i
+        rho_4m = synthesize(reflective)[0]
         oracle = reflective_matrix_oracle(reflective)
         assert abs(sheet_terminated_reflection(reflective, rho_4m) - g_i) < 1e-9
         assert abs(rho_4m - oracle) < 1e-9 * max(1.0, abs(oracle))
         transmissive = IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE)
-        rho_1m, _ = transmissive_synthesis(transmissive)
+        rho_1m = synthesize(transmissive)[0]
         oracle = transmissive_matrix_oracle(transmissive)
         assert abs(front_sheet_reflection(transmissive, rho_1m) - g_i) < 1e-9
         assert abs(rho_1m - oracle) < 1e-9 * max(1.0, abs(oracle))
@@ -321,33 +309,32 @@ def test_transmissive_unit_front_reflection_raises():
     target = _air_over_sheet(wave, front_sheet_reflection(base, 1.0))
     problem = IllusionProblem(scenario.actual, target, wave, Mode.TRANSMISSIVE)
     with pytest.raises(DegenerateSynthesisError, match="no finite susceptibility"):
-        transmissive_synthesis(problem)
+        synthesize(problem)
 
 
-def test_classify_realizability():
-    assert classify_realizability(0.5) is Realizability.PASSIVE
-    assert classify_realizability(-1.0) is Realizability.PASSIVE
-    assert classify_realizability(1j) is Realizability.PASSIVE
-    assert classify_realizability(1.2) is Realizability.ACTIVE_REQUIRED
-    assert classify_realizability(1.05 * cmath.exp(2.1j)) is Realizability.ACTIVE_REQUIRED
+def _passive(rho):
+    # no segments: the reflective inversion asks for Gamma_i itself
+    return sheet_state(Mode.REFLECTIVE, (), -1.0, rho, 200.0, 1.0)[2]
+
+
+def test_passivity_verdict():
+    assert _passive(0.5) is True
+    assert _passive(-1.0) is True
+    assert _passive(1j) is True
+    assert _passive(1.2) is False
+    assert _passive(1.05 * cmath.exp(2.1j)) is False
     with pytest.raises(OpenCircuitError):
-        classify_realizability(1.0)  # open-circuit boundary point has no impedance
+        _passive(1.0)  # open-circuit boundary point has no impedance
 
 
 def test_mode_and_problem_validation():
     scenario = builtin_scenario()
     wave = PlaneWave(10e9, 0.0)
-    transmissive = IllusionProblem(scenario.actual, scenario.target, wave, Mode.TRANSMISSIVE)
-    with pytest.raises(ValidationError):
-        reflective_synthesis(transmissive)
-    reflective = IllusionProblem(scenario.actual, scenario.target, wave, Mode.REFLECTIVE)
-    with pytest.raises(ValidationError):
-        transmissive_synthesis(reflective)
     # any depth of actual stack is a valid problem
     two_layer = Stack(AIR, scenario.actual.layers[:2], Pec())
     problem = IllusionProblem(two_layer, scenario.target, wave, Mode.REFLECTIVE)
-    rho = reflective_synthesis(problem)
-    assert abs(sheet_terminated_reflection(problem, rho) - target_reflection(problem)) < 1e-12
+    rho = synthesize(problem)[0]
+    assert abs(sheet_terminated_reflection(problem, rho) - problem.gamma_i) < 1e-12
     with pytest.raises(ValidationError):
         IllusionProblem(scenario.actual, scenario.target, wave, "reflective")
 
@@ -364,9 +351,8 @@ def test_termination_independence_of_transmissive_front():
 
 def test_termination_reflection_passthrough():
     scenario = builtin_scenario()
-    wave = PlaneWave(10e9, 0.0)
-    assert termination_reflection(scenario.actual, wave) == -1.0
-    assert termination_reflection(scenario.target, wave) == 0.0
+    assert angle_walk(scenario.actual, 0.0)[1] == -1.0
+    assert angle_walk(scenario.target, 0.0)[1] == 0.0
 
 
 def test_deep_lossy_wall_hides_its_termination():
@@ -381,4 +367,4 @@ def test_deep_lossy_wall_hides_its_termination():
     assert attenuation < 1e-30
     problem = IllusionProblem(actual, builtin_scenario().target, wave, Mode.REFLECTIVE)
     with pytest.raises(DegenerateSynthesisError, match="hides"):
-        reflective_synthesis(problem)
+        synthesize(problem)

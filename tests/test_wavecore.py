@@ -26,22 +26,23 @@ from planemirage.wavecore import (
     chain_segments,
     fold_reflection,
     incident_wave_state,
-    interface_coefficients,
+    interface_reflection,
     layer_wave_state,
-    propagation_phase,
-    termination_reflection,
 )
 
 from oracles import (
     IDENTITY,
     determinant,
+    interface_coefficients,
     linear_system_reflection,
     matmul,
     matrix_reflection,
+    propagation_phase,
     random_lossless_pec_stack,
     random_lossy_stack,
     random_wave,
     segment_matrix,
+    termination_reflection,
 )
 
 # frozen at 50 digits by tools/freeze_reference_values.py
@@ -256,7 +257,7 @@ def test_chain_segments_shape():
     state = incident_wave_state(AIR, wave.theta1)
     for layer, (rho, z2) in zip(stack.layers, segments):
         nxt = layer_wave_state(layer.medium, state)
-        assert rho == interface_coefficients(state, nxt)[0]
+        assert rho == interface_reflection(state, nxt)
         assert abs(z2 - propagation_phase(nxt, layer.thickness, wave.k0) ** 2) <= 1e-15 * abs(z2)
         state = nxt
 
@@ -280,6 +281,15 @@ def test_validation_rejects_bad_inputs():
         PlaneWave(1e9, 0.0, polarization="TE")
     with pytest.raises(ValidationError):
         Sheet(complex(float("inf"), 0.0))
+
+
+@pytest.mark.parametrize(
+    "eps,mu", [(1e-200, 1e-200), (1e-300, 1e-30), (1e200, 1e200), (1e-200j, 1e-200 + 0j)]
+)
+def test_medium_rejects_a_product_that_is_zero_or_infinite(eps, mu):
+    # s = sqrt(eps*mu) scales every wavenumber and refraction divides by it
+    with pytest.raises(InvalidMediumError):
+        Medium(eps, mu)
 
 
 def test_eta0_constant():
