@@ -82,6 +82,7 @@ from .wavecore import (
     incident_wave_state,
     interface_reflection,
     layer_wave_state,
+    walk_reflection,
 )
 
 __version__ = "0.1.0"
@@ -147,4 +148,5 @@ __all__ = [
     "susceptibility_from_reflection",
     "synthesize",
     "transmissive_inversion",
+    "walk_reflection",
 ]

@@ -30,6 +30,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .companions import (
     RadialTransform,
@@ -66,6 +67,7 @@ from .wavecore import (
     angle_walk,
     fold_reflection,
     frequency_step,
+    walk_reflection,
 )
 
 _GRID_NUDGE = 1e-9  # absorbs float noise in (stop - start)/step
@@ -116,8 +118,7 @@ class ScenarioConfig:
             raise ConfigError(f"output format must be csv or svg, got {self.output_format!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point; None fields were not computed (see err)."""
 
     freq_ghz: float
@@ -308,10 +309,24 @@ def _angle_walk(stack: Stack, theta: float):
         return _error_tag(exc)
 
 
+def _gamma(walk, k0: float, errs: list[str]) -> complex | None:
+    """Gamma of one stack at k0 from its angle walk, or None with the
+    failure's tag, the walk's own included, in errs."""
+    if isinstance(walk, str):
+        errs.append(walk)
+        return None
+    try:
+        return walk_reflection(walk, k0)
+    except PlanemirageError as exc:
+        errs.append(_error_tag(exc))
+        return None
+
+
 def _reflect(walk, k0: float, errs: list[str]):
-    """(segments, rho_T, Gamma) of one stack at k0 from its angle walk. A
-    failure, the walk's own tag included, goes to errs and leaves None for
-    what it kept from being computed."""
+    """(segments, rho_T, Gamma) of one stack at k0 from its angle walk, for
+    an inversion that needs the segments. A failure, the walk's own tag
+    included, goes to errs and leaves None for what it kept from being
+    computed."""
     segments = rho_t = gamma = None
     if isinstance(walk, str):
         errs.append(walk)
@@ -329,8 +344,9 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
     order, plus the point's sheet_state when mode is given.
 
     Every medium is non-dispersive, so each stack is walked once per angle
-    and each point only takes the frequency step and the fold; a point
-    gets the same bits as chain_reflection and synthesize. A failed walk is
+    and each point only folds the walk at its k0, taking the frequency step
+    as segments only for the actual stack of a synthesis; a point gets the
+    same bits as chain_reflection and synthesize. A failed walk is
     tagged at every frequency of its angle. A point whose actual segments
     or Gamma_i failed is not synthesized: one tag per failure."""
     angles = []
@@ -343,10 +359,14 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
         k0 = PlaneWave(f_ghz * 1e9).k0
         for theta_deg, cos_theta, actual, target in angles:
             errs = []
-            segments, rho_t, g_act = _reflect(actual, k0, errs)
-            g_tgt = _reflect(target, k0, errs)[2]
+            if mode is None:
+                segments = None
+                g_act = _gamma(actual, k0, errs)
+            else:
+                segments, rho_t, g_act = _reflect(actual, k0, errs)
+            g_tgt = _gamma(target, k0, errs)
             rho_req = aux = passive = None
-            if mode and segments is not None and g_tgt is not None:
+            if segments is not None and g_tgt is not None:
                 try:
                     rho_req, aux, passive = sheet_state(mode, segments, rho_t, g_tgt, k0, cos_theta)
                 except PlanemirageError as exc:

@@ -14,6 +14,8 @@ every angle.
 
 from __future__ import annotations
 
+import math
+
 from .errors import OpenCircuitError, SheetResonanceError, ValidationError
 from .wavecore import _DENOM_FLOOR, _require_finite
 
@@ -32,11 +34,12 @@ def susceptibility_from_reflection(rho: complex, k0: float, cos_theta: complex) 
     cos_theta = complex(cos_theta)
     _require_finite("rho", rho)
     _require_finite("cos_theta", cos_theta)
-    if abs(cos_theta) < _DENOM_FLOOR:
+    # hypot, unlike abs, gives inf instead of raising for a finite value past the float range
+    if math.hypot(cos_theta.real, cos_theta.imag) < _DENOM_FLOOR:
         raise ValidationError("cos_theta = 0: grazing incidence has no sheet model")
     kh = (k0 / 2.0) / cos_theta
     den = 1j * kh * (1.0 - rho)
-    if abs(den) < _DENOM_FLOOR:
+    if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
         raise SheetResonanceError("rho = 1 admits no finite electric susceptibility")
     chi_e = rho / den
     _require_finite("chi_e", chi_e)
@@ -47,10 +50,14 @@ def impedance_from_reflection(rho: complex) -> complex:
     """Normalized sheet impedance eta/eta0 = (1 + rho)/(1 - rho) of reflection
     coefficient rho; times wavecore.ETA0 it is in ohms. rho = 1 is an open
     circuit (infinite impedance) and raises. rho = -1 gives 0, the PEC limit.
+    A rho whose parts are near the float limit can overflow the quotient,
+    which raises ValidationError like a non-finite chi_e.
     """
     rho = complex(rho)
     _require_finite("rho", rho)
     den = 1.0 - rho
-    if abs(den) < _DENOM_FLOOR:
+    if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
         raise OpenCircuitError("rho = 1: open circuit, impedance unbounded")
-    return (1.0 + rho) / den
+    eta_n = (1.0 + rho) / den
+    _require_finite("eta_n", eta_n)
+    return eta_n

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import DegenerateSynthesisError, ValidationError
+from .errors import DegenerateSynthesisError, DomainError, ValidationError
 from .gstc import impedance_from_reflection, susceptibility_from_reflection
 from .wavecore import (
     PlaneWave,
@@ -43,6 +43,8 @@ from .wavecore import (
 )
 
 _DEGENERACY_RTOL = 1e-12
+# abs() raises OverflowError for a finite complex whose magnitude is past the float range
+_OVERFLOW = "the {} inversion overflows at this point"
 
 
 class Mode(Enum):
@@ -119,14 +121,17 @@ def reflective_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -
     is the product of the steps' Z_n^2 (1 - rho_n^2), and q_scale bounds
     the magnitudes that q is summed from.
     """
-    p, q, det = gamma_i, 1.0 + 0.0j, 1.0 + 0.0j
-    p_scale, q_scale = abs(gamma_i), 1.0
-    for rho, z2 in segments:
-        r, z = abs(rho), abs(z2)
-        p, q = p - rho * q, z2 * (q - rho * p)
-        p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
-        det *= z2 * (1.0 - rho * rho)
-    return _solve(p, q, q_scale, det, "terminating sheet")
+    try:
+        p, q, det = gamma_i, 1.0 + 0.0j, 1.0 + 0.0j
+        p_scale, q_scale = abs(gamma_i), 1.0
+        for rho, z2 in segments:
+            r, z = abs(rho), abs(z2)
+            p, q = p - rho * q, z2 * (q - rho * p)
+            p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
+            det *= z2 * (1.0 - rho * rho)
+        return _solve(p, q, q_scale, det, "terminating sheet")
+    except OverflowError:
+        raise DomainError(_OVERFLOW.format("terminating sheet")) from None
 
 
 def transmissive_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -> complex:
@@ -141,11 +146,14 @@ def transmissive_inversion(segments: Segments, rho_t: complex, gamma_i: complex)
     front sheet and raises.
     """
     x = segments[0][1] * fold_reflection(segments[1:], rho_t)
-    rho_1m = _solve(gamma_i - x, 1.0 - gamma_i * x, 1.0 + abs(gamma_i * x), 1.0 - x * x, "front sheet")
-    if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
-        raise DegenerateSynthesisError(
-            "required front reflection is 1: no finite susceptibility realizes it"
-        )
+    try:
+        rho_1m = _solve(gamma_i - x, 1.0 - gamma_i * x, 1.0 + abs(gamma_i * x), 1.0 - x * x, "front sheet")
+        if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
+            raise DegenerateSynthesisError(
+                "required front reflection is 1: no finite susceptibility realizes it"
+            )
+    except OverflowError:
+        raise DomainError(_OVERFLOW.format("front sheet")) from None
     return rho_1m
 
 

@@ -2,10 +2,12 @@
 
 One walk from the incident side per angle (angle_walk) gives each layer's
 interface reflection rho_n and round trip a_n = 2 s l cos, plus the
-termination reflection; the frequency step turns each a_n into the
-round-trip factor Z_n^2 = e^{-j k0 a_n} (chain_segments does both), and
-fold_reflection turns the result into the total reflection with the
-Airy/Rouard recursion.
+termination reflection. walk_reflection folds that walk into the total
+reflection at one vacuum wavenumber k0 with the Airy/Rouard recursion,
+taking each round-trip factor Z_n^2 = e^{-j k0 a_n} as the fold reaches
+layer n. Where an inversion needs the factors themselves, frequency_step
+returns them as segments (chain_segments is both steps at one plane wave)
+and fold_reflection folds the segments; both routes give the same bits.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -33,6 +35,7 @@ C0 = 299792458.0            # vacuum speed of light, m/s
 ETA0 = 376.730313668        # vacuum wave impedance, ohms
 
 _DENOM_FLOOR = 1e-300
+_GAIN_OVERFLOW = "the propagation factor across a gain layer overflows"
 
 
 def _finite(z: complex) -> bool:
@@ -60,6 +63,11 @@ class Medium:
         if eps * mu == 0 or not _finite(eps * mu):
             raise InvalidMediumError(
                 f"eps_r*mu_r must be nonzero and finite: eps_r={eps!r} mu_r={mu!r}"
+            )
+        # and the wave impedance is ETA0*sqrt(mu/eps), so neither may the ratio
+        if mu / eps == 0 or not _finite(mu / eps):
+            raise InvalidMediumError(
+                f"mu_r/eps_r must be nonzero and finite: eps_r={eps!r} mu_r={mu!r}"
             )
         object.__setattr__(self, "eps_r", eps)
         object.__setattr__(self, "mu_r", mu)
@@ -241,7 +249,7 @@ def frequency_step(walk: Walk, k0: float) -> tuple[Segments, complex]:
     try:
         return tuple([(rho, cmath.exp(jk0 * a)) for rho, a in steps]), rho_t
     except OverflowError:
-        raise DomainError("the propagation factor across a gain layer overflows") from None
+        raise DomainError(_GAIN_OVERFLOW) from None
 
 
 def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[Segments, complex]:
@@ -267,15 +275,48 @@ def fold_reflection(segments: Segments, rho_t: complex) -> complex:
     for rho, z2 in reversed(segments):
         w = z2 * p
         p, q = rho * q + w, q + rho * w
+    return _close_fold(p, q)
+
+
+def walk_reflection(walk: Walk, k0: float) -> complex:
+    """Total reflection of an angle walk at vacuum wavenumber k0.
+
+    The same fold as fold_reflection(*frequency_step(walk, k0)), in one
+    pass: each Z_n^2 is taken when the fold reaches layer n and none is
+    kept. The expressions and their order are the same, so are the bits
+    and the errors.
+    """
+    steps, p = walk
+    q = 1.0
+    jk0 = -1j * k0
+    try:
+        for rho, a in reversed(steps):
+            w = cmath.exp(jk0 * a) * p
+            p, q = rho * q + w, q + rho * w
+    except OverflowError:
+        raise DomainError(_GAIN_OVERFLOW) from None
+    return _close_fold(p, q)
+
+
+def _close_fold(p: complex, q: complex) -> complex:
+    """Gamma = p/q, the end of a fold."""
     # hypot, unlike abs, gives inf instead of raising when gain layers push |q| past the float range
     if math.hypot(q.real, q.imag) < _DENOM_FLOOR:
         raise ResonantSingularityError("total-reflection denominator vanished")
     gamma = p / q
     if not cmath.isfinite(gamma):
-        raise DomainError("the total reflection overflows at this point")
+        # Parts of p and q near the float limit can overflow the division
+        # although their ratio is finite. Scaling both by one power of two
+        # is exact and leaves the ratio alone.
+        if cmath.isfinite(p) and cmath.isfinite(q):
+            m = max(abs(p.real), abs(p.imag), abs(q.real), abs(q.imag))
+            scale = math.ldexp(1.0, -math.frexp(m)[1])
+            gamma = (p * scale) / (q * scale)
+        if not cmath.isfinite(gamma):
+            raise DomainError("the total reflection overflows at this point")
     return gamma
 
 
 def chain_reflection(stack: Stack, wave: PlaneWave) -> complex:
     """Total reflection Gamma of the stack at z = 0."""
-    return fold_reflection(*chain_segments(stack, wave))
+    return walk_reflection(angle_walk(stack, wave.theta1), wave.k0)

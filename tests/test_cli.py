@@ -296,6 +296,35 @@ def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode
     assert 0 < len(calls) <= len(rows)
 
 
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_only_a_synthesis_takes_the_frequency_step_as_segments(monkeypatch, mode):
+    # every Gamma folds its angle walk in one pass; an inversion needs the
+    # actual stack's Z_n^2, so synthesis takes them once per point
+    config = builtin_scenario()
+    config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
+    calls = []
+    real = cli.frequency_step
+
+    def counted(walk, k0):
+        calls.append(walk)
+        return real(walk, k0)
+
+    monkeypatch.setattr(cli, "frequency_step", counted)
+    rows = run_simulate(config) if mode is None else run_synthesize(config)
+    assert [r.err for r in rows] == [""] * 6
+    actual_walks = {cli.angle_walk(config.actual, math.radians(t)) for t in config.theta_deg.values()}
+    assert len(calls) == (0 if mode is None else len(rows))
+    assert all(walk in actual_walks for walk in calls)
+
+
+def test_sweep_rows_are_tuples():
+    row = SweepRow(10.0, 0.5, 0.5 - 0.25j, -1.0 + 0j)
+    assert row == (10.0, 0.5, 0.5 - 0.25j, -1.0 + 0j, None, None, None, "")
+    assert row._replace(err="domain").err == "domain"
+    with pytest.raises(AttributeError):
+        row.err = "domain"
+
+
 def _per_point_row(actual, target, mode, f_ghz, theta_deg):
     """The row a sweep owes one grid point, from the per-point API alone:
     the actual stack's chain_segments and fold, the target's Gamma_i, then
@@ -487,6 +516,17 @@ def test_main_rejects_a_medium_whose_wavenumber_underflows(tmp_path, capsys, com
     assert main(command + ["--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps,mu", [(1e-200, 1e200), (1e200, 1e-200)])
+def test_main_rejects_a_medium_whose_impedance_leaves_the_float_range(tmp_path, capsys, eps, mu):
+    # mu/eps is 1e400 (inf) or 1e-400 (0), although eps*mu = 1
+    doc = _scenario_doc()
+    doc["actual"]["layers"][1].update(eps=eps, mu=mu)
+    config_path = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "mu_r/eps_r" in err
 
 
 def test_main_config_conflicts(tmp_path):

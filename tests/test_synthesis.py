@@ -10,7 +10,8 @@ import pytest
 
 from planemirage.cli import builtin_scenario
 from planemirage import wavecore
-from planemirage.errors import DegenerateSynthesisError, OpenCircuitError, ValidationError
+from planemirage.errors import DegenerateSynthesisError, DomainError, OpenCircuitError, ValidationError
+from planemirage.gstc import impedance_from_reflection, susceptibility_from_reflection
 from planemirage.synthesis import (
     IllusionProblem,
     Mode,
@@ -325,6 +326,19 @@ def test_passivity_verdict():
     assert _passive(1.05 * cmath.exp(2.1j)) is False
     with pytest.raises(OpenCircuitError):
         _passive(1.0)  # open-circuit boundary point has no impedance
+
+
+def test_a_reflection_whose_magnitude_overflows_is_a_typed_error():
+    # finite parts, but abs() of it overflows: |huge| is past the float range
+    huge = complex(1.5e308, 1.5e308)
+    with pytest.raises(ValidationError):
+        impedance_from_reflection(huge)
+    with pytest.raises(ValidationError):
+        susceptibility_from_reflection(huge, 200.0, 1.0)
+    with pytest.raises(DomainError):
+        _passive(huge)
+    with pytest.raises(DomainError):
+        sheet_state(Mode.TRANSMISSIVE, ((0.0, 1.0 + 0j),), -1.0, huge, 200.0, 1.0)
 
 
 def test_mode_and_problem_validation():

@@ -6,10 +6,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planemirage.errors import DomainError
+from planemirage.errors import DegenerateInterfaceError, DomainError
 from planemirage.wavecore import (
     AIR,
     ETA0,
@@ -22,12 +22,15 @@ from planemirage.wavecore import (
     Sheet,
     Stack,
     ValidationError,
+    angle_walk,
     chain_reflection,
     chain_segments,
     fold_reflection,
+    frequency_step,
     incident_wave_state,
     interface_reflection,
     layer_wave_state,
+    walk_reflection,
 )
 
 from oracles import (
@@ -201,9 +204,50 @@ def test_gain_layers_that_overflow_the_fold_are_a_domain_error():
     assert all(math.isfinite(abs(z2)) for _, z2 in segments)
     with pytest.raises(DomainError):
         fold_reflection(segments, rho_t)
-    # both parts of the denominator are finite, its magnitude is not
-    with pytest.raises(DomainError):
-        fold_reflection(((0.99, complex(1.5e308, 1.5e308)),), 0.99)
+    # both parts of the denominator are finite, its magnitude is not: the
+    # plain quotient is nan, the rescaled pair gives Gamma = 1/0.99
+    assert fold_reflection(((0.99, complex(1.5e308, 1.5e308)),), 0.99) == pytest.approx(1.0 / 0.99)
+
+
+def _outcome(fold, *args):
+    """A fold's result as exact hex parts, or its exception's type and message."""
+    try:
+        gamma = complex(fold(*args))
+    except Exception as exc:  # the property compares failures too
+        return type(exc), str(exc)
+    return gamma.real.hex(), gamma.imag.hex()
+
+
+_media = st.builds(
+    Medium,
+    st.builds(complex, st.floats(0.05, 12.0), st.floats(-6.0, 6.0)),  # lossy, lossless and gain
+    st.one_of(st.just(1.0), st.builds(complex, st.floats(0.2, 4.0), st.floats(-1.0, 0.5))),
+)
+_terminations = st.one_of(
+    st.builds(Pec),
+    st.builds(Open, _media),
+    st.builds(Sheet, st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.just(AIR), _media),  # a dense incident medium makes gaps evanescent
+    st.lists(st.tuples(_media, st.floats(0.0, 3.0)), min_size=1, max_size=6),
+    _terminations,
+    st.floats(0.0, 89.9),
+    st.floats(0.1, 40.0),
+)
+def test_walk_reflection_is_the_fold_of_the_frequency_step(incident, layers, termination, theta_deg, f_ghz):
+    stack = Stack(incident, tuple(Layer(m, t) for m, t in layers), termination)
+    wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
+    try:
+        walk = angle_walk(stack, wave.theta1)
+    except DegenerateInterfaceError:
+        return
+    want = _outcome(lambda: fold_reflection(*frequency_step(walk, wave.k0)))
+    assert _outcome(walk_reflection, walk, wave.k0) == want
+    assert _outcome(chain_reflection, stack, wave) == want
 
 
 def test_termination_reflections():
@@ -288,6 +332,14 @@ def test_validation_rejects_bad_inputs():
 )
 def test_medium_rejects_a_product_that_is_zero_or_infinite(eps, mu):
     # s = sqrt(eps*mu) scales every wavenumber and refraction divides by it
+    with pytest.raises(InvalidMediumError):
+        Medium(eps, mu)
+
+
+@pytest.mark.parametrize("eps,mu", [(1e-200, 1e200), (1e200, 1e-200)])
+def test_medium_rejects_a_ratio_that_is_zero_or_infinite(eps, mu):
+    # the wave impedance is ETA0*sqrt(mu/eps): 1e400 is inf and 1e-400 is 0,
+    # which would reflect like a conductor
     with pytest.raises(InvalidMediumError):
         Medium(eps, mu)
 
