@@ -12,17 +12,10 @@ group them by concern:
   unitcell    tunable-cell reflection maps, state selection, coding sets
   companions  radial transform, strip profile, geometric phase, grating
   cli         command-line front end
+
+unitcell and companions are imported on first use of one of their names.
 """
 
-from .companions import (
-    RadialTransform,
-    StripProfile,
-    grating_angle,
-    pb_phase,
-    radial_forward,
-    radial_inverse,
-    strip_height,
-)
 from .errors import (
     ConfigError,
     DegenerateInterfaceError,
@@ -52,15 +45,6 @@ from .synthesis import (
     sheet_terminated_reflection,
     synthesize,
     transmissive_inversion,
-)
-from .unitcell import (
-    CodingSet,
-    ReflectionMap,
-    UnitCellRecord,
-    build_coding_set,
-    load_reflection_map,
-    load_sample_map,
-    select_state,
 )
 from .wavecore import (
     AIR,
@@ -150,3 +134,38 @@ __all__ = [
     "transmissive_inversion",
     "walk_reflection",
 ]
+
+
+# No sweep needs these two modules, so the package imports them on first use
+# of one of their names (PEP 562).
+_LAZY = {
+    "CodingSet": "unitcell",
+    "ReflectionMap": "unitcell",
+    "UnitCellRecord": "unitcell",
+    "build_coding_set": "unitcell",
+    "load_reflection_map": "unitcell",
+    "load_sample_map": "unitcell",
+    "select_state": "unitcell",
+    "RadialTransform": "companions",
+    "StripProfile": "companions",
+    "grating_angle": "companions",
+    "pb_phase": "companions",
+    "radial_forward": "companions",
+    "radial_inverse": "companions",
+    "strip_height": "companions",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

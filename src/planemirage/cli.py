@@ -16,31 +16,26 @@ byte-identical files.
 
 Exit codes: 0 success; 1 configuration, data, or I/O error; 2 when every
 grid point of a sweep failed (per-point failures otherwise land in the
-`err` column and the run continues).
+`err` column and the run continues); 3 when a grid point raised an
+exception that is not a PlanemirageError, a fault of the program rather
+than of its input: one stderr line names the point (f, theta) and the
+exception, and no output file is written.
+
+A command imports only what it runs: the sweep commands never load
+unitcell or companions, and json is loaded only where a config is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
-import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .companions import (
-    RadialTransform,
-    StripProfile,
-    grating_angle,
-    pb_phase,
-    radial_forward,
-    radial_inverse,
-    strip_height,
-)
+from ._value import Value
 from .errors import (
     ConfigError,
     EvanescentOrderError,
@@ -48,13 +43,6 @@ from .errors import (
     WriteError,
 )
 from .synthesis import Mode, sheet_state
-from .unitcell import (
-    MAP_HEADER,
-    build_coding_set,
-    load_reflection_map,
-    load_sample_map,
-    select_state,
-)
 from .wavecore import (
     AIR,
     Layer,
@@ -73,15 +61,12 @@ from .wavecore import (
 _GRID_NUDGE = 1e-9  # absorbs float noise in (stop - start)/step
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    start: float
-    stop: float
-    step: float
+class SweepAxis(Value):
+    __slots__ = ("start", "stop", "step")
 
-    def __post_init__(self) -> None:
-        for name in ("start", "stop", "step"):
-            v = float(getattr(self, name))
+    def __init__(self, start: float, stop: float, step: float) -> None:
+        for name, v in (("start", start), ("stop", stop), ("step", step)):
+            v = float(v)
             if not math.isfinite(v):
                 raise ConfigError(f"sweep {name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
@@ -95,27 +80,36 @@ class SweepAxis:
         return [self.start + i * self.step for i in range(n)]
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    actual: Stack
-    target: Stack
-    mode: Mode | None
-    theta_deg: SweepAxis
-    freq_ghz: SweepAxis
-    output_format: str = "csv"
-    output_path: str | None = None
+class ScenarioConfig(Value):
+    __slots__ = (
+        "actual", "target", "mode", "theta_deg", "freq_ghz", "output_format", "output_path"
+    )
 
-    def __post_init__(self) -> None:
-        if self.theta_deg.stop > 80.0:
-            raise ConfigError(
-                f"theta sweep must stop at 80 degrees or below, got {self.theta_deg.stop}"
-            )
-        if self.theta_deg.start < 0.0:
-            raise ConfigError(f"theta sweep must start at 0 or above, got {self.theta_deg.start}")
-        if self.freq_ghz.start <= 0.0:
-            raise ConfigError(f"frequencies must be positive, got {self.freq_ghz.start}")
-        if self.output_format not in ("csv", "svg"):
-            raise ConfigError(f"output format must be csv or svg, got {self.output_format!r}")
+    def __init__(
+        self,
+        actual: Stack,
+        target: Stack,
+        mode: Mode | None,
+        theta_deg: SweepAxis,
+        freq_ghz: SweepAxis,
+        output_format: str = "csv",
+        output_path: str | None = None,
+    ) -> None:
+        if theta_deg.stop > 80.0:
+            raise ConfigError(f"theta sweep must stop at 80 degrees or below, got {theta_deg.stop}")
+        if theta_deg.start < 0.0:
+            raise ConfigError(f"theta sweep must start at 0 or above, got {theta_deg.start}")
+        if freq_ghz.start <= 0.0:
+            raise ConfigError(f"frequencies must be positive, got {freq_ghz.start}")
+        if output_format not in ("csv", "svg"):
+            raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "theta_deg", theta_deg)
+        object.__setattr__(self, "freq_ghz", freq_ghz)
+        object.__setattr__(self, "output_format", output_format)
+        object.__setattr__(self, "output_path", output_path)
 
 
 class SweepRow(NamedTuple):
@@ -165,6 +159,8 @@ def builtin_scenario() -> ScenarioConfig:
 
 
 def _load_json(path: Path):
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -339,6 +335,18 @@ def _reflect(walk, k0: float, errs: list[str]):
     return segments, rho_t, gamma
 
 
+class GridPointFault(Exception):
+    """A sweep point raised an exception that is not a PlanemirageError: a
+    fault of the program, not of the point's input, so the sweep stops
+    instead of tagging the point. f_ghz is None when the angle walk raised."""
+
+    def __init__(self, f_ghz: float | None, theta_deg: float, exc: Exception) -> None:
+        where = f"theta = {theta_deg!r} deg"
+        if f_ghz is not None:
+            where = f"f = {f_ghz!r} GHz, " + where
+        super().__init__(f"{where}: {type(exc).__name__}: {exc}")
+
+
 def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
     """Both stacks' total reflection at every grid point, (freq, theta)
     order, plus the point's sheet_state when mode is given.
@@ -348,32 +356,40 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
     as segments only for the actual stack of a synthesis; a point gets the
     same bits as chain_reflection and synthesize. A failed walk is
     tagged at every frequency of its angle. A point whose actual segments
-    or Gamma_i failed is not synthesized: one tag per failure."""
+    or Gamma_i failed is not synthesized: one tag per failure. Any other
+    exception at a point raises GridPointFault."""
     angles = []
-    for theta_deg in config.theta_deg.values():
-        theta = math.radians(theta_deg)
-        walks = (_angle_walk(config.actual, theta), _angle_walk(config.target, theta))
-        angles.append((theta_deg, cmath.cos(theta), *walks))
     rows = []
-    for f_ghz in config.freq_ghz.values():
-        k0 = PlaneWave(f_ghz * 1e9).k0
-        for theta_deg, cos_theta, actual, target in angles:
-            errs = []
-            if mode is None:
-                segments = None
-                g_act = _gamma(actual, k0, errs)
-            else:
-                segments, rho_t, g_act = _reflect(actual, k0, errs)
-            g_tgt = _gamma(target, k0, errs)
-            rho_req = aux = passive = None
-            if segments is not None and g_tgt is not None:
-                try:
-                    rho_req, aux, passive = sheet_state(mode, segments, rho_t, g_tgt, k0, cos_theta)
-                except PlanemirageError as exc:
-                    errs.append(_error_tag(exc))
-            rows.append(
-                SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs))
-            )
+    f_ghz = theta_deg = None
+    # One guard around both loops: the loop variables name the point that raised.
+    try:
+        for theta_deg in config.theta_deg.values():
+            theta = math.radians(theta_deg)
+            walks = (_angle_walk(config.actual, theta), _angle_walk(config.target, theta))
+            angles.append((theta_deg, cmath.cos(theta), *walks))
+        for f_ghz in config.freq_ghz.values():
+            k0 = PlaneWave(f_ghz * 1e9).k0
+            for theta_deg, cos_theta, actual, target in angles:
+                errs = []
+                if mode is None:
+                    segments = None
+                    g_act = _gamma(actual, k0, errs)
+                else:
+                    segments, rho_t, g_act = _reflect(actual, k0, errs)
+                g_tgt = _gamma(target, k0, errs)
+                rho_req = aux = passive = None
+                if segments is not None and g_tgt is not None:
+                    try:
+                        rho_req, aux, passive = sheet_state(mode, segments, rho_t, g_tgt, k0, cos_theta)
+                    except PlanemirageError as exc:
+                        errs.append(_error_tag(exc))
+                rows.append(
+                    SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs))
+                )
+    except PlanemirageError:
+        raise
+    except Exception as exc:
+        raise GridPointFault(f_ghz, theta_deg, exc) from exc
     return rows
 
 
@@ -580,6 +596,8 @@ def emit(rows: list[SweepRow], kind: str, output_format: str, path: Path) -> Non
 
 
 def _load_map_from_config(doc: dict, where: str):
+    from .unitcell import load_reflection_map, load_sample_map
+
     source = doc["map"]
     if source == "sample":
         return load_sample_map()
@@ -605,6 +623,8 @@ def _parse_samples(doc: dict) -> int:
 
 
 def _select_cell(doc: dict, where: str):
+    from .unitcell import MAP_HEADER, select_state
+
     _require_keys(doc, where, ("map", "frequency_ghz", "rho_target"), ("phase_only",))
     reflection_map = _load_map_from_config(doc, where)
     frequency = _parse_number(doc["frequency_ghz"], "frequency_ghz")
@@ -617,6 +637,8 @@ def _select_cell(doc: dict, where: str):
 
 
 def _coding_set(doc: dict, where: str):
+    from .unitcell import MAP_HEADER, build_coding_set
+
     _require_keys(doc, where, ("map", "frequency_ghz", "n_bit"), ("min_amplitude",))
     reflection_map = _load_map_from_config(doc, where)
     frequency = _parse_number(doc["frequency_ghz"], "frequency_ghz")
@@ -632,6 +654,8 @@ def _coding_set(doc: dict, where: str):
 
 
 def _to_map(doc: dict, where: str):
+    from .companions import RadialTransform, radial_forward, radial_inverse
+
     _require_keys(doc, where, ("r1_mm", "r2_mm", "q"), ("samples",))
     transform = RadialTransform(
         _parse_number(doc["r1_mm"], "r1_mm") * 1e-3,
@@ -648,6 +672,8 @@ def _to_map(doc: dict, where: str):
 
 
 def _pb_phase(doc: dict, where: str):
+    from .companions import StripProfile, pb_phase, strip_height
+
     _require_keys(doc, where, ("amplitude", "period_mm"), ("sigma", "samples"))
     sigma = doc.get("sigma", 1)
     if sigma not in (1, -1):
@@ -664,6 +690,8 @@ def _pb_phase(doc: dict, where: str):
 
 
 def _grating(doc: dict, where: str):
+    from .companions import grating_angle
+
     _require_keys(doc, where, ("wavelength_mm", "period_mm"), ("max_order",))
     wavelength = _parse_number(doc["wavelength_mm"], "wavelength_mm") * 1e-3
     period = _parse_number(doc["period_mm"], "period_mm") * 1e-3
@@ -710,7 +738,15 @@ def _cmd_sweep(args) -> int:
         rows, kind = run_simulate(config), "simulate"
     else:
         if args.mode is not None:
-            config = dataclasses.replace(config, mode=Mode(args.mode))
+            config = ScenarioConfig(
+                config.actual,
+                config.target,
+                Mode(args.mode),
+                config.theta_deg,
+                config.freq_ghz,
+                config.output_format,
+                config.output_path,
+            )
         rows = run_synthesize(config)
         kind = f"synthesize-{config.mode.value}"
     emit(rows, kind, config.output_format, Path(out))
@@ -761,6 +797,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"planemirage: config error: {exc}", file=sys.stderr)
         return 1
+    except GridPointFault as exc:
+        print(f"planemirage: internal error at {exc}", file=sys.stderr)
+        return 3
     except (PlanemirageError, OSError) as exc:
         print(f"planemirage: error: {exc}", file=sys.stderr)
         return 1

@@ -7,27 +7,24 @@ All pure real-valued functions; angles in radians, lengths in meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import DomainError, EvanescentOrderError, ValidationError
 
 
-@dataclass(frozen=True)
-class RadialTransform:
+class RadialTransform(Value):
     """Piecewise-linear radial map compressing [0, R1*q] onto [0, R1].
 
     The inner region shrinks by 1/q; the annulus [R1*q, R2] stretches to
     [R1, R2] so the outer boundary stays fixed. Needs q > 1 and R1*q < R2.
     """
 
-    r1: float
-    r2: float
-    q: float
+    __slots__ = ("r1", "r2", "q")
 
-    def __post_init__(self) -> None:
-        r1 = float(self.r1)
-        r2 = float(self.r2)
-        q = float(self.q)
+    def __init__(self, r1: float, r2: float, q: float) -> None:
+        r1 = float(r1)
+        r2 = float(r2)
+        q = float(q)
         for name, value in (("r1", r1), ("r2", r2), ("q", q)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be positive, got {value!r}")
@@ -52,30 +49,27 @@ class RadialTransform:
         return (1.0 - self.q) * self.r2 * self.r1 / (self.r2 - self.r1 * self.q)
 
 
-@dataclass(frozen=True)
-class StripProfile:
+class StripProfile(Value):
     """Sinusoidal strip of amplitude coefficient A and period P.
 
     sigma is the circular-polarization handedness (+1 or -1) that sets the
     sign of the geometric phase.
     """
 
-    amplitude: float
-    period: float
-    sigma: int = 1
+    __slots__ = ("amplitude", "period", "sigma")
 
-    def __post_init__(self) -> None:
-        amplitude = float(self.amplitude)
-        period = float(self.period)
+    def __init__(self, amplitude: float, period: float, sigma: int = 1) -> None:
+        amplitude = float(amplitude)
+        period = float(period)
         if not (math.isfinite(amplitude) and amplitude > 0.0):
             raise ValidationError(f"amplitude must be positive, got {amplitude!r}")
         if not (math.isfinite(period) and period > 0.0):
             raise ValidationError(f"period must be positive, got {period!r}")
-        if self.sigma not in (1, -1):
-            raise ValidationError(f"sigma must be +1 or -1, got {self.sigma!r}")
+        if sigma not in (1, -1):
+            raise ValidationError(f"sigma must be +1 or -1, got {sigma!r}")
         object.__setattr__(self, "amplitude", amplitude)
         object.__setattr__(self, "period", period)
-        object.__setattr__(self, "sigma", int(self.sigma))
+        object.__setattr__(self, "sigma", int(sigma))
 
 
 def _check_radius(t: RadialTransform, name: str, r: float) -> float:

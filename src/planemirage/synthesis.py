@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+from ._value import Value
 from .errors import DegenerateSynthesisError, DomainError, ValidationError
 from .gstc import impedance_from_reflection, susceptibility_from_reflection
 from .wavecore import (
@@ -52,8 +52,7 @@ class Mode(Enum):
     TRANSMISSIVE = "transmissive"
 
 
-@dataclass(frozen=True)
-class IllusionProblem:
+class IllusionProblem(Value):
     """An actual stack to disguise, a target stack to imitate, one wave.
 
     The one-point front end of the inversions: both stacks may have any
@@ -64,14 +63,15 @@ class IllusionProblem:
     keeps nothing and raises again on the next use.
     """
 
-    actual: Stack
-    target: Stack
-    wave: PlaneWave
-    mode: Mode
+    __slots__ = ("actual", "target", "wave", "mode", "__dict__")  # __dict__ keeps the cached walks
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.mode, Mode):
-            raise ValidationError(f"mode must be a Mode, got {self.mode!r}")
+    def __init__(self, actual: Stack, target: Stack, wave: PlaneWave, mode: Mode) -> None:
+        if not isinstance(mode, Mode):
+            raise ValidationError(f"mode must be a Mode, got {mode!r}")
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "wave", wave)
+        object.__setattr__(self, "mode", mode)
 
     @cached_property
     def actual_walk(self) -> tuple[Segments, complex]:
@@ -143,8 +143,10 @@ def transmissive_inversion(segments: Segments, rho_t: complex, gamma_i: complex)
     to the front of layer 1, the total reflection is (r + X)/(1 + r X) for a
     first interface reflecting r; one inverse step at the front gives
     rho_1m = (Gamma_i - X)/(1 - Gamma_i X). rho_1m = 1 admits no finite
-    front sheet and raises.
+    front sheet and raises, and so do segments with no layer.
     """
+    if not segments:
+        raise ValidationError("the front-sheet inversion needs at least one layer")
     x = segments[0][1] * fold_reflection(segments[1:], rho_t)
     try:
         rho_1m = _solve(gamma_i - x, 1.0 - gamma_i * x, 1.0 + abs(gamma_i * x), 1.0 - x * x, "front sheet")

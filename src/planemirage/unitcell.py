@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from importlib.resources import files
 
+from ._value import Value
 from .errors import (
     DuplicateStateError,
     EmptyMapError,
@@ -32,20 +32,16 @@ MAP_HEADER = "f_ghz,r_ohm,c_pf,rho_re,rho_im"
 SAMPLE_MAP_RESOURCE = "sample_reflection_map.csv"
 
 
-@dataclass(frozen=True)
-class UnitCellRecord:
+class UnitCellRecord(Value):
     """One tuning state of one cell: bias point and its reflection."""
 
-    f_ghz: float
-    r_ohm: float
-    c_pf: float
-    rho: complex
+    __slots__ = ("f_ghz", "r_ohm", "c_pf", "rho")
 
-    def __post_init__(self) -> None:
-        f = float(self.f_ghz)
-        r = float(self.r_ohm)
-        c = float(self.c_pf)
-        rho = complex(self.rho)
+    def __init__(self, f_ghz: float, r_ohm: float, c_pf: float, rho: complex) -> None:
+        f = float(f_ghz)
+        r = float(r_ohm)
+        c = float(c_pf)
+        rho = complex(rho)
         if not (math.isfinite(f) and f > 0.0):
             raise ValidationError(f"frequency must be positive, got {f!r}")
         if not (math.isfinite(r) and r > 0.0):
@@ -64,15 +60,13 @@ class UnitCellRecord:
         return (self.f_ghz, self.r_ohm, self.c_pf)
 
 
-@dataclass(frozen=True)
-class ReflectionMap:
+class ReflectionMap(Value):
     """All ingested records, with the distinct frequencies they cover."""
 
-    records: tuple[UnitCellRecord, ...]
-    frequencies: tuple[float, ...] = field(init=False)
+    __slots__ = ("records", "frequencies")
 
-    def __post_init__(self) -> None:
-        records = tuple(self.records)
+    def __init__(self, records: tuple[UnitCellRecord, ...]) -> None:
+        records = tuple(records)
         if not records:
             raise EmptyMapError("reflection map holds no records")
         seen: set[tuple[float, float, float]] = set()
@@ -98,20 +92,19 @@ class ReflectionMap:
         return out
 
 
-@dataclass(frozen=True)
-class CodingSet:
+class CodingSet(Value):
     """2^n_bit states whose target phases step uniformly by 2*pi/2^n_bit."""
 
-    n_bit: int
-    states: tuple[UnitCellRecord, ...]
-    target_phases: tuple[float, ...]
+    __slots__ = ("n_bit", "states", "target_phases")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n_bit, int) and self.n_bit >= 1):
-            raise ValidationError(f"n_bit must be an integer >= 1, got {self.n_bit!r}")
-        states = tuple(self.states)
-        phases = tuple(float(p) for p in self.target_phases)
-        count = 2**self.n_bit
+    def __init__(
+        self, n_bit: int, states: tuple[UnitCellRecord, ...], target_phases: tuple[float, ...]
+    ) -> None:
+        if not (isinstance(n_bit, int) and n_bit >= 1):
+            raise ValidationError(f"n_bit must be an integer >= 1, got {n_bit!r}")
+        states = tuple(states)
+        phases = tuple(float(p) for p in target_phases)
+        count = 2**n_bit
         if len(states) != count or len(phases) != count:
             raise ValidationError(
                 f"coding set needs exactly {count} states and phases, got {len(states)}/{len(phases)}"
@@ -122,6 +115,7 @@ class CodingSet:
         for a, b in zip(phases, phases[1:]):
             if abs((b - a) - step) > 1e-12:
                 raise ValidationError("target phases must step uniformly by 2*pi/2^n_bit")
+        object.__setattr__(self, "n_bit", n_bit)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "target_phases", phases)
 

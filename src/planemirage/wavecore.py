@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import (
     DegenerateInterfaceError,
     DomainError,
@@ -47,16 +47,14 @@ def _require_finite(name: str, z: complex) -> None:
         raise ValidationError(f"{name} must be finite, got {z!r}")
 
 
-@dataclass(frozen=True)
-class Medium:
+class Medium(Value):
     """Homogeneous medium given by relative permittivity and permeability."""
 
-    eps_r: complex
-    mu_r: complex = 1.0 + 0.0j
+    __slots__ = ("eps_r", "mu_r")
 
-    def __post_init__(self) -> None:
-        eps = complex(self.eps_r)
-        mu = complex(self.mu_r)
+    def __init__(self, eps_r: complex, mu_r: complex = 1.0 + 0.0j) -> None:
+        eps = complex(eps_r)
+        mu = complex(mu_r)
         if not (_finite(eps) and _finite(mu)):
             raise InvalidMediumError(f"non-finite medium parameters: eps_r={eps!r} mu_r={mu!r}")
         # refraction divides by s = sqrt(eps*mu), so the product must not underflow either
@@ -76,38 +74,41 @@ class Medium:
 AIR = Medium(1.0 + 0.0j)
 
 
-@dataclass(frozen=True)
-class Layer:
-    medium: Medium
-    thickness: float  # meters
+class Layer(Value):
+    """A slab of medium; thickness in meters."""
 
-    def __post_init__(self) -> None:
-        t = float(self.thickness)
+    __slots__ = ("medium", "thickness")
+
+    def __init__(self, medium: Medium, thickness: float) -> None:
+        t = float(thickness)
         if not (math.isfinite(t) and t >= 0.0):
             raise ValidationError(f"layer thickness must be finite and >= 0, got {t!r}")
+        object.__setattr__(self, "medium", medium)
         object.__setattr__(self, "thickness", t)
 
 
-@dataclass(frozen=True)
-class Pec:
+class Pec(Value):
     """Perfectly conducting wall."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Open:
+
+class Open(Value):
     """Semi-infinite half-space behind the last layer."""
 
-    half_space: Medium = AIR
+    __slots__ = ("half_space",)
+
+    def __init__(self, half_space: Medium = AIR) -> None:
+        object.__setattr__(self, "half_space", half_space)
 
 
-@dataclass(frozen=True)
-class Sheet:
+class Sheet(Value):
     """Engineered boundary with a prescribed reflection coefficient."""
 
-    rho: complex
+    __slots__ = ("rho",)
 
-    def __post_init__(self) -> None:
-        r = complex(self.rho)
+    def __init__(self, rho: complex) -> None:
+        r = complex(rho)
         if not _finite(r):
             raise ValidationError(f"sheet reflection must be finite, got {r!r}")
         object.__setattr__(self, "rho", r)
@@ -116,40 +117,41 @@ class Sheet:
 Termination = Pec | Open | Sheet
 
 
-@dataclass(frozen=True)
-class Stack:
+class Stack(Value):
     """Ordered slabs in front of a termination, met from incident_medium."""
 
-    incident_medium: Medium
-    layers: tuple[Layer, ...]
-    termination: Termination
+    __slots__ = ("incident_medium", "layers", "termination")
 
-    def __post_init__(self) -> None:
-        layers = tuple(self.layers)
+    def __init__(
+        self, incident_medium: Medium, layers: tuple[Layer, ...], termination: Termination
+    ) -> None:
+        layers = tuple(layers)
         if not layers:
             raise ValidationError("a stack needs at least one layer")
-        if not isinstance(self.termination, (Pec, Open, Sheet)):
-            raise ValidationError(f"unknown termination: {self.termination!r}")
+        if not isinstance(termination, (Pec, Open, Sheet)):
+            raise ValidationError(f"unknown termination: {termination!r}")
+        object.__setattr__(self, "incident_medium", incident_medium)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "termination", termination)
 
 
-@dataclass(frozen=True)
-class PlaneWave:
-    frequency: float          # Hz
-    theta1: float = 0.0       # incidence angle, radians
-    polarization: str = "TM"
+class PlaneWave(Value):
+    """A TM plane wave of frequency (Hz) incident at theta1 (radians)."""
 
-    def __post_init__(self) -> None:
-        f = float(self.frequency)
-        th = float(self.theta1)
+    __slots__ = ("frequency", "theta1", "polarization")
+
+    def __init__(self, frequency: float, theta1: float = 0.0, polarization: str = "TM") -> None:
+        f = float(frequency)
+        th = float(theta1)
         if not (math.isfinite(f) and f > 0.0):
             raise ValidationError(f"frequency must be positive, got {f!r}")
         if not (0.0 <= th < math.pi / 2.0):
             raise ValidationError(f"incidence angle must satisfy 0 <= theta < pi/2, got {th!r}")
-        if self.polarization != "TM":
-            raise ValidationError(f"only TM polarization is supported, got {self.polarization!r}")
+        if polarization != "TM":
+            raise ValidationError(f"only TM polarization is supported, got {polarization!r}")
         object.__setattr__(self, "frequency", f)
         object.__setattr__(self, "theta1", th)
+        object.__setattr__(self, "polarization", polarization)
 
     @property
     def k0(self) -> float:
@@ -157,19 +159,21 @@ class PlaneWave:
         return 2.0 * math.pi * self.frequency / C0
 
 
-@dataclass(frozen=True)
-class LayerWaveState:
+class LayerWaveState(Value):
     """Wave descriptors inside one region n, with no frequency in them:
     s_n = sqrt(eps*mu), the wavenumber in units of the vacuum wavenumber k0;
-    s_t = s_n*sin(angle), its transverse part; the impedance eta_n; and the
-    cosine of the angle. s_t is the same in every region of a stack, so
-    refraction never needs the angle itself.
+    s_t = s_n*sin(angle), its transverse part; the impedance eta_n (ohms);
+    and the cosine cos_n of the angle. s_t is the same in every region of a
+    stack, so refraction never needs the angle itself.
     """
 
-    s_n: complex
-    s_t: complex
-    eta_n: complex          # ohms
-    cos_n: complex
+    __slots__ = ("s_n", "s_t", "eta_n", "cos_n")
+
+    def __init__(self, s_n: complex, s_t: complex, eta_n: complex, cos_n: complex) -> None:
+        object.__setattr__(self, "s_n", s_n)
+        object.__setattr__(self, "s_t", s_t)
+        object.__setattr__(self, "eta_n", eta_n)
+        object.__setattr__(self, "cos_n", cos_n)
 
 
 def incident_wave_state(medium: Medium, theta1: float) -> LayerWaveState:

@@ -1,0 +1,273 @@
+"""Package surface: what each command imports, the lazily resolved names,
+and the value semantics shared by every immutable type."""
+
+import ast
+import cmath
+import copy
+import importlib
+import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import planemirage
+from planemirage._value import Value
+from planemirage.cli import ScenarioConfig, SweepAxis
+from planemirage.companions import RadialTransform, StripProfile
+from planemirage.errors import (
+    ConfigError,
+    DuplicateStateError,
+    EmptyMapError,
+    InvalidMediumError,
+    ValidationError,
+)
+from planemirage.synthesis import IllusionProblem, Mode
+from planemirage.unitcell import CodingSet, ReflectionMap, UnitCellRecord
+from planemirage.wavecore import (
+    AIR,
+    Layer,
+    LayerWaveState,
+    Medium,
+    Open,
+    Pec,
+    PlaneWave,
+    Sheet,
+    Stack,
+)
+
+SRC = Path(planemirage.__file__).resolve().parents[1]
+
+# Modules a sweep never needs. inspect comes with dataclasses and ast.
+UNNEEDED = {"dataclasses", "inspect", "json", "planemirage.unitcell", "planemirage.companions"}
+
+_FOOTPRINT = """\
+import sys
+bare = set(sys.modules)
+
+def added():
+    return sorted(set(sys.modules) - bare)
+
+steps = {}
+import planemirage.cli as cli
+steps["import"] = added()
+cli.builtin_scenario()
+steps["builtin"] = added()
+steps["simulate"] = (cli.main(["simulate", "--scenario", "builtin", "--out", "sim.csv"]), added())
+steps["grating"] = (
+    cli.main(["companion", "grating", "--config", "grating.json", "--out", "grating.csv"]),
+    added(),
+)
+import planemirage
+listed = "CodingSet" in dir(planemirage)
+unloaded = "planemirage.unitcell" not in sys.modules
+steps["lazy"] = (listed, unloaded, planemirage.CodingSet.__module__, "planemirage.unitcell" in sys.modules)
+print(repr(steps))
+"""
+
+
+def _footprint(tmp_path):
+    """The modules each step added to a fresh interpreter, in order."""
+    (tmp_path / "grating.json").write_text('{"wavelength_mm": 30.0, "period_mm": 60.0}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+def test_a_sweep_imports_only_what_it_runs(tmp_path):
+    steps = _footprint(tmp_path)
+    assert "planemirage.cli" in steps["import"]
+    assert UNNEEDED.isdisjoint(steps["import"])
+    assert UNNEEDED.isdisjoint(steps["builtin"])
+    rc, after_simulate = steps["simulate"]
+    assert rc == 0 and UNNEEDED.isdisjoint(after_simulate)
+    rc, after_grating = steps["grating"]
+    assert rc == 0
+    assert {"planemirage.companions", "json"} <= set(after_grating)
+    assert "planemirage.unitcell" not in after_grating
+    # dir() lists a lazy name before its module loads; first use loads it
+    assert steps["lazy"] == (True, True, "planemirage.unitcell", True)
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    modules = [
+        importlib.import_module(f"planemirage.{m}")
+        for m in ("errors", "wavecore", "gstc", "synthesis", "unitcell", "companions")
+    ]
+    listed = dir(planemirage)
+    for name in planemirage.__all__:
+        value = getattr(planemirage, name)
+        assert any(vars(m).get(name) is value for m in modules), name
+        assert name in listed, name
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        planemirage.no_such_name  # noqa: B018
+    assert not hasattr(planemirage, "no_such_name")
+    with pytest.raises(ImportError):
+        from planemirage import no_such_name  # noqa: F401
+
+
+def _stack(eps=3.9 - 0.08j, termination=None):
+    return Stack(AIR, (Layer(Medium(eps), 0.06),), termination or Pec())
+
+
+def _record(r=27.0, phase=0.0):
+    return UnitCellRecord(4.5, r, 0.35, 0.5 * cmath.exp(1j * phase))
+
+
+# type: (make one value, make a value with other fields, a call its
+# constructor rejects, the typed error it raises). Pec has no fields and
+# nothing to reject.
+VALUES = {
+    Medium: (lambda: Medium(2.1 - 0.1j, 1.5), lambda: Medium(2.1), lambda: Medium(math.nan), InvalidMediumError),
+    Layer: (lambda: Layer(AIR, 0.1), lambda: Layer(AIR, 0.2), lambda: Layer(AIR, -1.0), ValidationError),
+    Pec: (Pec, None, None, None),
+    Open: (lambda: Open(Medium(2.0)), lambda: Open(), None, None),
+    Sheet: (lambda: Sheet(0.5j), lambda: Sheet(-0.5j), lambda: Sheet(complex(math.inf, 0.0)), ValidationError),
+    Stack: (_stack, lambda: _stack(termination=Open()), lambda: Stack(AIR, (), Pec()), ValidationError),
+    PlaneWave: (
+        lambda: PlaneWave(10e9, 0.3),
+        lambda: PlaneWave(10e9, 0.4),
+        lambda: PlaneWave(10e9, math.pi / 2),
+        ValidationError,
+    ),
+    LayerWaveState: (
+        lambda: LayerWaveState(1 + 0j, 0.5 + 0j, 376.7 + 0j, 0.8 + 0j),
+        lambda: LayerWaveState(1 + 0j, 0.5 + 0j, 376.7 + 0j, 0.9 + 0j),
+        None,
+        None,
+    ),
+    IllusionProblem: (
+        lambda: IllusionProblem(_stack(), _stack(2.1), PlaneWave(10e9), Mode.REFLECTIVE),
+        lambda: IllusionProblem(_stack(), _stack(2.1), PlaneWave(10e9), Mode.TRANSMISSIVE),
+        lambda: IllusionProblem(_stack(), _stack(2.1), PlaneWave(10e9), "reflective"),
+        ValidationError,
+    ),
+    SweepAxis: (
+        lambda: SweepAxis(0.0, 1.0, 0.5),
+        lambda: SweepAxis(0.0, 2.0, 0.5),
+        lambda: SweepAxis(0.0, 1.0, 0.0),
+        ConfigError,
+    ),
+    ScenarioConfig: (
+        lambda: ScenarioConfig(_stack(), _stack(2.1), None, SweepAxis(0, 80, 1), SweepAxis(10, 12, 1)),
+        lambda: ScenarioConfig(_stack(), _stack(2.1), Mode.REFLECTIVE, SweepAxis(0, 80, 1), SweepAxis(10, 12, 1)),
+        lambda: ScenarioConfig(_stack(), _stack(2.1), None, SweepAxis(0, 85, 1), SweepAxis(10, 12, 1)),
+        ConfigError,
+    ),
+    UnitCellRecord: (_record, lambda: _record(r=30.0), lambda: _record(r=-1.0), ValidationError),
+    ReflectionMap: (
+        lambda: ReflectionMap((_record(),)),
+        lambda: ReflectionMap((_record(), _record(r=30.0))),
+        lambda: ReflectionMap(()),
+        EmptyMapError,
+    ),
+    CodingSet: (
+        lambda: CodingSet(1, (_record(), _record(r=30.0, phase=math.pi)), (0.0, math.pi)),
+        lambda: CodingSet(1, (_record(), _record(r=33.0, phase=math.pi)), (0.0, math.pi)),
+        lambda: CodingSet(0, (), ()),
+        ValidationError,
+    ),
+    RadialTransform: (
+        lambda: RadialTransform(0.05, 0.3, 3.0),
+        lambda: RadialTransform(0.05, 0.3, 2.0),
+        lambda: RadialTransform(0.05, 0.3, 0.5),
+        ValidationError,
+    ),
+    StripProfile: (
+        lambda: StripProfile(0.8, 0.012),
+        lambda: StripProfile(0.8, 0.012, -1),
+        lambda: StripProfile(0.8, 0.012, 2),
+        ValidationError,
+    ),
+}
+
+TYPES = list(VALUES)
+
+
+def test_the_table_covers_every_value_type():
+    assert len(TYPES) == 16 and set(TYPES) == set(Value.__subclasses__())
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)
+def test_equal_fields_give_equal_values_and_hashes(kind):
+    make, make_other, _, _ = VALUES[kind]
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    if make_other is not None:
+        assert make_other() != a and hash(make_other()) != hash(a)
+
+
+def test_values_of_different_types_are_never_equal():
+    values = [VALUES[kind][0]() for kind in TYPES]
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b) is (i == j)
+    # nor equal to the plain tuple of their fields
+    assert Sheet(0.5) != (0.5 + 0j,) and Pec() != ()
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)
+def test_values_are_immutable(kind):
+    value = VALUES[kind][0]()
+    for name in kind._fields or ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == VALUES[kind][0]()
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)
+def test_repr_names_the_fields(kind):
+    value = VALUES[kind][0]()
+    text = repr(value)
+    assert text.startswith(f"{kind.__name__}(")
+    for name in kind._fields:
+        assert f"{name}={getattr(value, name)!r}" in text
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)
+def test_copy_and_pickle_round_trip(kind):
+    value = VALUES[kind][0]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is kind and twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("kind", [t for t in TYPES if VALUES[t][2] is not None], ids=lambda t: t.__name__)
+def test_constructors_raise_their_typed_errors(kind):
+    _, _, bad, error = VALUES[kind]
+    with pytest.raises(error):
+        bad()
+
+
+def test_constructors_normalize_and_check_every_field():
+    assert Medium(2).eps_r == 2 + 0j and type(Medium(2).mu_r) is complex
+    assert type(Layer(AIR, 1).thickness) is float
+    assert Open().half_space == AIR
+    assert type(Stack(AIR, [Layer(AIR, 0.1)], Pec()).layers) is tuple
+    with pytest.raises(ValidationError):
+        Stack(AIR, (Layer(AIR, 0.1),), "pec")
+    with pytest.raises(ValidationError):
+        PlaneWave(10e9, 0.0, "TE")
+    with pytest.raises(DuplicateStateError):
+        ReflectionMap((_record(), _record()))
+    assert ReflectionMap((_record(),)).frequencies == (4.5,)
+    assert StripProfile(0.8, 0.012, -1.0).sigma == -1
+
+
+def test_an_illusion_problem_keeps_its_cached_walks():
+    problem = VALUES[IllusionProblem][0]()
+    gamma = problem.gamma_i
+    assert problem.gamma_i is gamma and problem.actual_walk is problem.actual_walk
+    # the cache is not a field: the problem still equals a fresh one
+    assert problem == VALUES[IllusionProblem][0]()

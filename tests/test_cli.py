@@ -741,6 +741,45 @@ def test_exit_code_2_when_every_point_fails(tmp_path):
     assert ",,," in lines[1]  # sheet state cells left empty
 
 
+@pytest.mark.parametrize("command", ["simulate", "synthesize"])
+def test_a_fault_at_a_grid_point_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys, command):
+    # an exception that is no PlanemirageError is a fault of the program:
+    # it names the point and stops the run instead of becoming an err tag
+    real = cli.walk_reflection
+    bad_k0 = PlaneWave(11e9).k0
+
+    def walk_reflection(walk, k0):
+        if k0 == bad_k0:
+            raise ZeroDivisionError("complex division by zero")
+        return real(walk, k0)
+
+    monkeypatch.setattr(cli, "walk_reflection", walk_reflection)
+    out = tmp_path / "sweep.csv"
+    assert main([command, "--scenario", "builtin", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "planemirage: internal error at f = 11.0 GHz, theta = 0.0 deg: "
+        "ZeroDivisionError: complex division by zero\n"
+    )
+    assert not out.exists()
+
+
+def test_a_fault_in_an_angle_walk_names_the_angle(monkeypatch, tmp_path, capsys):
+    real = cli.angle_walk
+
+    def angle_walk(stack, theta1):
+        if theta1 == math.radians(40.0):
+            raise OverflowError("math range error")
+        return real(stack, theta1)
+
+    monkeypatch.setattr(cli, "angle_walk", angle_walk)
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--scenario", "builtin", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "planemirage: internal error at theta = 40.0 deg: OverflowError: math range error\n"
+    )
+    assert not out.exists()
+
+
 def test_partial_failure_keeps_exit_zero(tmp_path):
     doc = _scenario_doc(target=_degenerate_target_doc(10.0))
     doc["sweep"] = {

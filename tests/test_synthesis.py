@@ -2,7 +2,6 @@
 forms and the transfer-matrix oracles, substitution, passivity."""
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -19,6 +18,7 @@ from planemirage.synthesis import (
     sheet_state,
     sheet_terminated_reflection,
     synthesize,
+    transmissive_inversion,
 )
 from planemirage.wavecore import (
     AIR,
@@ -139,7 +139,8 @@ def test_substitution_checks_reuse_the_points_walk(monkeypatch, mode):
             rho = synthesize(problem)[0]
         except DegenerateSynthesisError:
             continue
-        substituted = dataclasses.replace(problem.actual, termination=Sheet(rho))
+        actual = problem.actual
+        substituted = Stack(actual.incident_medium, actual.layers, Sheet(rho))
         cases.append((problem, rho, chain_reflection(substituted, problem.wave)))
     calls = []
     real = wavecore.layer_wave_state
@@ -339,6 +340,13 @@ def test_a_reflection_whose_magnitude_overflows_is_a_typed_error():
         _passive(huge)
     with pytest.raises(DomainError):
         sheet_state(Mode.TRANSMISSIVE, ((0.0, 1.0 + 0j),), -1.0, huge, 200.0, 1.0)
+
+
+def test_a_front_sheet_inversion_without_layers_is_a_typed_error():
+    with pytest.raises(ValidationError, match="at least one layer"):
+        transmissive_inversion((), -1.0, 0.5)
+    with pytest.raises(ValidationError, match="at least one layer"):
+        sheet_state(Mode.TRANSMISSIVE, (), -1.0, 0.5, 200.0, 1.0)
 
 
 def test_mode_and_problem_validation():
