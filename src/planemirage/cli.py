@@ -19,7 +19,8 @@ grid point of a sweep failed (per-point failures otherwise land in the
 `err` column and the run continues); 3 when a grid point raised an
 exception that is not a PlanemirageError, a fault of the program rather
 than of its input: one stderr line names the point (f, theta) and the
-exception, and no output file is written.
+exception, and no output file is written. A sweep streams its rows into
+the encoded table and opens the file only after its last point.
 
 A command imports only what it runs: the sweep commands never load
 unitcell or companions, and json is loaded only where a config is read.
@@ -32,8 +33,9 @@ import cmath
 import math
 import re
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from ._value import Value
 from .errors import (
@@ -347,9 +349,10 @@ class GridPointFault(Exception):
         super().__init__(f"{where}: {type(exc).__name__}: {exc}")
 
 
-def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
+def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[SweepRow]:
     """Both stacks' total reflection at every grid point, (freq, theta)
-    order, plus the point's sheet_state when mode is given.
+    order, plus the point's sheet_state when mode is given; each row is
+    yielded as soon as its point is done.
 
     Every medium is non-dispersive, so each stack is walked once per angle
     and each point only folds the walk at its k0, taking the frequency step
@@ -359,7 +362,6 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
     or Gamma_i failed is not synthesized: one tag per failure. Any other
     exception at a point raises GridPointFault."""
     angles = []
-    rows = []
     f_ghz = theta_deg = None
     # One guard around both loops: the loop variables name the point that raised.
     try:
@@ -383,26 +385,26 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> list[SweepRow]:
                         rho_req, aux, passive = sheet_state(mode, segments, rho_t, g_tgt, k0, cos_theta)
                     except PlanemirageError as exc:
                         errs.append(_error_tag(exc))
-                rows.append(
-                    SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs))
-                )
+                yield SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs))
     except PlanemirageError:
         raise
     except Exception as exc:
         raise GridPointFault(f_ghz, theta_deg, exc) from exc
-    return rows
 
 
 def run_simulate(config: ScenarioConfig) -> list[SweepRow]:
     """Total reflection of both stacks at every grid point, (freq, theta) order."""
-    return _sweep(config, None)
+    return list(_sweep(config, None))
+
+
+_NO_MODE = "synthesize needs a mode (reflective or transmissive)"
 
 
 def run_synthesize(config: ScenarioConfig) -> list[SweepRow]:
     """run_simulate plus the synthesized sheet state at every grid point."""
     if config.mode is None:
-        raise ConfigError("synthesize needs a mode (reflective or transmissive)")
-    return _sweep(config, config.mode)
+        raise ConfigError(_NO_MODE)
+    return list(_sweep(config, config.mode))
 
 
 # ----------------------------------------------------------------- emission
@@ -444,8 +446,8 @@ def _cells(values) -> list[str]:
     return cells
 
 
-def _sweep_table(rows: list[SweepRow], kind: str):
-    """Header and lazily formatted lines of a sweep table."""
+def _sweep_table(kind: str):
+    """Header and row formatter of a sweep table."""
     if kind not in _TABLES:
         raise ValueError(f"unknown table kind {kind!r}")
     names = _TABLES[kind]
@@ -476,22 +478,26 @@ def _sweep_table(rows: list[SweepRow], kind: str):
         out.append(r.err)
         return ",".join(out)
 
-    return header, map(row_line, rows)
+    return header, row_line
 
 
-def _write_csv(path: Path, header: list[str], lines) -> None:
-    """Every CSV table: the header line, then the rows' lines of
-    comma-joined cells; every line ends in a newline."""
-    # The empty last item ends the last line. The list of lines is freed
-    # before the write encodes the text, which keeps a large table's peak
-    # memory at two copies of it.
-    _write_text(path, "\n".join([",".join(header), *lines, ""]))
+def _write_csv(path: Path, header: list[str], rows, line) -> None:
+    """Every CSV table: the header line, then line(row), a string of
+    comma-joined cells, for each row; every line ends in a newline."""
+    # Rows are taken 256 at a time, then formatted and encoded together,
+    # so a table is held once, as bytes, and the file is opened only after
+    # its last row is formed: a sweep that stops at a point writes nothing.
+    rows = iter(rows)
+    chunks = [f"{','.join(header)}\n".encode()]
+    while batch := list(islice(rows, 256)):
+        chunks.append("\n".join([*map(line, batch), ""]).encode())
+    _write_bytes(path, chunks)
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_bytes(path: Path, chunks) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from None
 
@@ -503,9 +509,10 @@ _COLORS = {"g_act": "#1f6fb2", "g_tgt": "#c24b3a", "rho_req": "#3a8f5a"}
 _LABELS = {"g_act": "actual", "g_tgt": "target", "rho_req": "required sheet"}
 
 
-def _emit_svg(rows: list[SweepRow], kind: str, path: Path) -> None:
+def _emit_svg(rows: Iterable[SweepRow], kind: str, path: Path) -> None:
     """Amplitude and phase panels versus the sweep variable, one polyline
     per series and per value of the other grid axis. Presentation only."""
+    rows = list(rows)
     freqs = sorted({r.freq_ghz for r in rows})
     thetas = sorted({r.theta_deg for r in rows})
     x_is_theta = len(thetas) > 1 or len(freqs) <= 1
@@ -579,13 +586,15 @@ def _emit_svg(rows: list[SweepRow], kind: str, path: Path) -> None:
                 f'<text x="{lx + 18}" y="{_SVG_H - 14}">{_LABELS[field]}</text>'
             )
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _write_bytes(path, [("\n".join(parts) + "\n").encode()])
 
 
-def emit(rows: list[SweepRow], kind: str, output_format: str, path: Path) -> None:
-    """Write a sweep table to path as CSV (canonical) or SVG (presentation)."""
+def emit(rows: Iterable[SweepRow], kind: str, output_format: str, path: Path) -> None:
+    """Write a sweep table to path as CSV (canonical) or SVG (presentation).
+    rows may be an iterator; the file is written once it is exhausted."""
     if output_format == "csv":
-        _write_csv(path, *_sweep_table(rows, kind))
+        header, line = _sweep_table(kind)
+        _write_csv(path, header, rows, line)
     elif output_format == "svg":
         _emit_svg(rows, kind, path)
     else:
@@ -735,22 +744,22 @@ def _cmd_sweep(args) -> int:
     if out is None:
         raise ConfigError("an output path is required: --out <path>")
     if args.command == "simulate":
-        rows, kind = run_simulate(config), "simulate"
+        mode, kind = None, "simulate"
     else:
-        if args.mode is not None:
-            config = ScenarioConfig(
-                config.actual,
-                config.target,
-                Mode(args.mode),
-                config.theta_deg,
-                config.freq_ghz,
-                config.output_format,
-                config.output_path,
-            )
-        rows = run_synthesize(config)
-        kind = f"synthesize-{config.mode.value}"
-    emit(rows, kind, config.output_format, Path(out))
-    return 2 if rows and all(r.err for r in rows) else 0
+        mode = config.mode if args.mode is None else Mode(args.mode)
+        if mode is None:
+            raise ConfigError(_NO_MODE)
+        kind = f"synthesize-{mode.value}"
+    ok = 0
+
+    def counted(rows):
+        nonlocal ok
+        for row in rows:
+            ok += not row.err
+            yield row
+
+    emit(counted(_sweep(config, mode)), kind, config.output_format, Path(out))
+    return 0 if ok else 2  # every axis has a point, so the grid is never empty
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -792,7 +801,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(table, dict):
             table = table[args.submode]
         header, rows = table(_load_json(args.config), str(args.config))
-        _write_csv(args.out, header, map(",".join, map(_cells, rows)))
+        _write_csv(args.out, header, map(_cells, rows), ",".join)
         return 0
     except ConfigError as exc:
         print(f"planemirage: config error: {exc}", file=sys.stderr)

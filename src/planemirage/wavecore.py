@@ -226,13 +226,24 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     E field to zero, so rho_T = -1; an open half-space reflects with the
     local interface coefficient (zero when it matches the last layer); a
     sheet carries its own value.
+
+    A round trip past the float range has no phase a float can carry. A
+    layer that decays toward the termination keeps its attenuation, as
+    a_n = j Im(a_n), and hides what lies behind it wherever that
+    underflows; a lossless or gain layer raises DomainError.
     """
     steps = []
     state = incident_wave_state(stack.incident_medium, theta1)
     for layer in stack.layers:
         nxt = layer_wave_state(layer.medium, state)
         rho = interface_reflection(state, nxt)
-        steps.append((rho, nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n))
+        a = nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n
+        if not cmath.isfinite(a):
+            decay = (nxt.s_n * nxt.cos_n).imag
+            if not decay < 0.0:
+                raise DomainError("the round trip across a layer leaves the float range")
+            a = complex(0.0, 2.0 * (layer.thickness * decay))
+        steps.append((rho, a))
         state = nxt
     term = stack.termination
     if isinstance(term, Pec):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,7 @@ from planemirage.errors import (
     EvanescentOrderError,
     PlanemirageError,
     ResonantSingularityError,
+    ValidationError,
 )
 from planemirage import cli, gstc, synthesis, wavecore
 from planemirage.synthesis import IllusionProblem, Mode, synthesize
@@ -761,6 +763,73 @@ def test_a_fault_at_a_grid_point_exits_3_and_writes_nothing(monkeypatch, tmp_pat
         "ZeroDivisionError: complex division by zero\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old", [None, b"freq_ghz,theta_deg\n"], ids=["no-file", "old-file"])
+@pytest.mark.parametrize("command", ["simulate", "synthesize"])
+def test_a_fault_at_the_last_grid_point_leaves_the_out_path_as_it_was(
+    monkeypatch, tmp_path, capsys, command, old
+):
+    # every other row is formed by then; none of them may reach the file
+    real_walk, real_reflection = cli.angle_walk, cli.walk_reflection
+    last_walks = []
+    last_k0 = PlaneWave(12e9).k0
+
+    def angle_walk(stack, theta1):
+        walk = real_walk(stack, theta1)
+        if theta1 == math.radians(80.0):
+            last_walks.append(walk)
+        return walk
+
+    def walk_reflection(walk, k0):
+        if k0 == last_k0 and any(walk is w for w in last_walks):
+            raise ZeroDivisionError("complex division by zero")
+        return real_reflection(walk, k0)
+
+    monkeypatch.setattr(cli, "angle_walk", angle_walk)
+    monkeypatch.setattr(cli, "walk_reflection", walk_reflection)
+    out = tmp_path / "sweep.csv"
+    if old is not None:
+        out.write_bytes(old)
+    assert main([command, "--scenario", "builtin", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "planemirage: internal error at f = 12.0 GHz, theta = 80.0 deg: ZeroDivisionError"
+    )
+    assert (out.read_bytes() if out.exists() else None) == old
+
+
+@pytest.mark.parametrize("command", ["simulate", "synthesize"])
+def test_an_error_that_stops_a_sweep_leaves_the_old_file(monkeypatch, tmp_path, capsys, command):
+    # a PlanemirageError outside the per-point guard stops the sweep at its
+    # last frequency, after 20 of its 21 frequencies' rows: exit 1
+    real = cli.PlaneWave
+
+    def plane_wave(frequency, *args):
+        if frequency == 12e9:
+            raise ValidationError("no wave at 12 GHz")
+        return real(frequency, *args)
+
+    monkeypatch.setattr(cli, "PlaneWave", plane_wave)
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"freq_ghz,theta_deg\n")
+    assert main([command, "--scenario", "builtin", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "planemirage: error: no wave at 12 GHz\n"
+    assert out.read_bytes() == b"freq_ghz,theta_deg\n"
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["synthesize", "--mode", "reflective"]])
+def test_a_sweep_holds_one_copy_of_its_output(tmp_path, command):
+    # rows are streamed into one encoded buffer: no row list, no list of
+    # line strings and no joined text beside it
+    argv = command + ["--scenario", "builtin", "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 0  # imports and first-use caches are not the sweep's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (tmp_path / "sweep.csv").stat().st_size
 
 
 def test_a_fault_in_an_angle_walk_names_the_angle(monkeypatch, tmp_path, capsys):

@@ -169,6 +169,32 @@ def test_thick_lossy_layer_hides_what_is_behind_it():
     assert abs(chain_reflection(walled, wave) - chain_reflection(half_space, wave)) < 1e-12
 
 
+def test_a_lossy_layer_past_the_float_range_hides_what_is_behind_it():
+    # a = 2 s l cos overflows across 1e308 m; the layer's attenuation alone
+    # underflows Z^2 to 0 there, as it does across 1e300 m
+    wave = PlaneWave(10e9)
+
+    def gamma(eps, thickness):
+        g = chain_reflection(Stack(AIR, (Layer(Medium(eps), thickness),), Pec()), wave)
+        return g.real.hex(), g.imag.hex()
+
+    assert gamma(4 - 0.1j, 1e308) == gamma(4 - 0.1j, 1e300)
+    assert complex(*map(float.fromhex, gamma(4 - 0.1j, 1e308))) == pytest.approx(-0.33341 + 0.00555j, abs=1e-5)
+    stack = Stack(AIR, (Layer(AIR, 0.1), Layer(Medium(4 - 0.1j), 1e308)), Pec())
+    segments, rho_t = chain_segments(stack, wave)
+    assert segments[1][1] == 0.0
+    assert fold_reflection(segments, rho_t) == chain_reflection(stack, wave)
+
+
+@pytest.mark.parametrize("eps", [4.0, 4.0 + 0.1j], ids=["lossless", "gain"])
+def test_a_layer_past_the_float_range_that_does_not_decay_is_a_domain_error(eps):
+    stack = Stack(AIR, (Layer(Medium(eps), 1e308),), Pec())
+    with pytest.raises(DomainError):
+        angle_walk(stack, 0.0)
+    with pytest.raises(DomainError):
+        chain_reflection(stack, PlaneWave(10e9))
+
+
 def test_evanescent_gap_behind_a_dense_medium():
     # total internal reflection: a 2 m air gap behind eps = 9 at 60 degrees
     stack = Stack(Medium(9.0), (Layer(AIR, 2.0),), Pec())
