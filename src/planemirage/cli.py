@@ -103,6 +103,8 @@ class ScenarioConfig(Value):
             raise ConfigError(f"theta sweep must start at 0 or above, got {theta_deg.start}")
         if freq_ghz.start <= 0.0:
             raise ConfigError(f"frequencies must be positive, got {freq_ghz.start}")
+        if not math.isfinite(freq_ghz.stop * 1e9):
+            raise ConfigError(f"freq_ghz stop {freq_ghz.stop} GHz is not finite in Hz")
         if output_format not in ("csv", "svg"):
             raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
         object.__setattr__(self, "actual", actual)
@@ -115,7 +117,9 @@ class ScenarioConfig(Value):
 
 
 class SweepRow(NamedTuple):
-    """One grid point; None fields were not computed (see err)."""
+    """One grid point; None fields were not computed (see err). The sweep
+    yields plain tuples in this field order, and the functions that return
+    rows wrap them as SweepRow."""
 
     freq_ghz: float
     theta_deg: float
@@ -349,10 +353,11 @@ class GridPointFault(Exception):
         super().__init__(f"{where}: {type(exc).__name__}: {exc}")
 
 
-def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[SweepRow]:
+def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     """Both stacks' total reflection at every grid point, (freq, theta)
     order, plus the point's sheet_state when mode is given; each row is
-    yielded as soon as its point is done.
+    yielded as soon as its point is done, as a plain tuple in SweepRow's
+    field order, and a frequency's rows share one freq_ghz float.
 
     Every medium is non-dispersive, so each stack is walked once per angle
     and each point only folds the walk at its k0, taking the frequency step
@@ -385,7 +390,7 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[SweepRow]:
                         rho_req, aux, passive = sheet_state(mode, segments, rho_t, g_tgt, k0, cos_theta)
                     except PlanemirageError as exc:
                         errs.append(_error_tag(exc))
-                yield SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs))
+                yield f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)
     except PlanemirageError:
         raise
     except Exception as exc:
@@ -394,7 +399,7 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[SweepRow]:
 
 def run_simulate(config: ScenarioConfig) -> list[SweepRow]:
     """Total reflection of both stacks at every grid point, (freq, theta) order."""
-    return list(_sweep(config, None))
+    return list(map(SweepRow._make, _sweep(config, None)))
 
 
 _NO_MODE = "synthesize needs a mode (reflective or transmissive)"
@@ -404,7 +409,7 @@ def run_synthesize(config: ScenarioConfig) -> list[SweepRow]:
     """run_simulate plus the synthesized sheet state at every grid point."""
     if config.mode is None:
         raise ConfigError(_NO_MODE)
-    return list(_sweep(config, config.mode))
+    return list(map(SweepRow._make, _sweep(config, config.mode)))
 
 
 # ----------------------------------------------------------------- emission
@@ -457,25 +462,31 @@ def _sweep_table(kind: str):
         header += [f"{name}_re", f"{name}_im"]
     header += ["passive", "err"] if synthesis else ["err"]
     # A row with no err has every cell, so one format string writes it,
-    # the passive flag as %s and the empty err as the trailing comma.
-    ok = ",".join(["%.17g"] * (2 + 2 * len(names)) + ["%s"] * synthesis) + ","
+    # the passive flag as %s and the empty err as the trailing comma. The
+    # freq_ghz cell is formatted once for each run of rows that share one
+    # float object, as a frequency's rows from _sweep do; holding the last
+    # object keeps its identity from passing to another float.
+    ok = ",".join(["%s"] + ["%.17g"] * (1 + 2 * len(names)) + ["%s"] * synthesis) + ","
+    f_last = f_cell = None
 
-    def row_line(r: SweepRow) -> str:
-        if not r.err:
-            a, t = r.g_act, r.g_tgt
+    def row_line(r) -> str:
+        nonlocal f_last, f_cell
+        f, theta, a, t, rho, aux, passive, err = r
+        if f is not f_last:
+            f_last, f_cell = f, _fmt(f)
+        if not err:
             if not synthesis:
-                return ok % (r.freq_ghz, r.theta_deg, a.real, a.imag, t.real, t.imag)
-            rho, aux = r.rho_req, r.aux
+                return ok % (f_cell, theta, a.real, a.imag, t.real, t.imag)
             return ok % (
-                r.freq_ghz, r.theta_deg, a.real, a.imag, t.real, t.imag,
-                rho.real, rho.imag, aux.real, aux.imag, "1" if r.passive else "0",
+                f_cell, theta, a.real, a.imag, t.real, t.imag,
+                rho.real, rho.imag, aux.real, aux.imag, "1" if passive else "0",
             )
-        out = [_fmt(r.freq_ghz), _fmt(r.theta_deg)]
-        for value in (r.g_act, r.g_tgt, r.rho_req, r.aux)[: len(names)]:
+        out = [f_cell, _fmt(theta)]
+        for value in (a, t, rho, aux)[: len(names)]:
             out += _pair(value)
-        if synthesis:  # _fmt(r.passive), without its slow float conversion
-            out.append("" if r.passive is None else ("1" if r.passive else "0"))
-        out.append(r.err)
+        if synthesis:  # _fmt(passive), without its slow float conversion
+            out.append("" if passive is None else ("1" if passive else "0"))
+        out.append(err)
         return ",".join(out)
 
     return header, row_line
@@ -512,7 +523,7 @@ _LABELS = {"g_act": "actual", "g_tgt": "target", "rho_req": "required sheet"}
 def _emit_svg(rows: Iterable[SweepRow], kind: str, path: Path) -> None:
     """Amplitude and phase panels versus the sweep variable, one polyline
     per series and per value of the other grid axis. Presentation only."""
-    rows = list(rows)
+    rows = list(map(SweepRow._make, rows))
     freqs = sorted({r.freq_ghz for r in rows})
     thetas = sorted({r.theta_deg for r in rows})
     x_is_theta = len(thetas) > 1 or len(freqs) <= 1
@@ -591,7 +602,8 @@ def _emit_svg(rows: Iterable[SweepRow], kind: str, path: Path) -> None:
 
 def emit(rows: Iterable[SweepRow], kind: str, output_format: str, path: Path) -> None:
     """Write a sweep table to path as CSV (canonical) or SVG (presentation).
-    rows may be an iterator; the file is written once it is exhausted."""
+    rows are SweepRows or plain tuples in SweepRow's field order, and may be
+    an iterator; the file is written once it is exhausted."""
     if output_format == "csv":
         header, line = _sweep_table(kind)
         _write_csv(path, header, rows, line)
@@ -755,7 +767,7 @@ def _cmd_sweep(args) -> int:
     def counted(rows):
         nonlocal ok
         for row in rows:
-            ok += not row.err
+            ok += not row[-1]  # err
             yield row
 
     emit(counted(_sweep(config, mode)), kind, config.output_format, Path(out))

@@ -25,7 +25,6 @@ with the synthesized value in place.
 from __future__ import annotations
 
 import cmath
-import math
 from enum import Enum
 from functools import cached_property
 
@@ -101,7 +100,7 @@ def _solve(p: complex, q: complex, q_scale: float, det: complex, sheet: str) -> 
     if abs(det) <= _DEGENERACY_RTOL * abs(p) * abs(q):
         raise DegenerateSynthesisError(f"the actual stack hides the {sheet} at this point")
     rho = p / q
-    if not (math.isfinite(rho.real) and math.isfinite(rho.imag)):
+    if not cmath.isfinite(rho):
         raise DegenerateSynthesisError(f"the required {sheet} reflection overflows at this point")
     return rho
 

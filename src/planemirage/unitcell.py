@@ -25,7 +25,6 @@ from .errors import (
     MissingFrequencyError,
     ValidationError,
 )
-from .wavecore import _finite
 
 MAP_HEADER = "f_ghz,r_ohm,c_pf,rho_re,rho_im"
 
@@ -48,7 +47,7 @@ class UnitCellRecord(Value):
             raise ValidationError(f"resistance must be positive, got {r!r}")
         if not (math.isfinite(c) and c > 0.0):
             raise ValidationError(f"capacitance must be positive, got {c!r}")
-        if not _finite(rho):
+        if not cmath.isfinite(rho):
             raise ValidationError(f"reflection must be finite, got {rho!r}")
         object.__setattr__(self, "f_ghz", f)
         object.__setattr__(self, "r_ohm", r)
@@ -176,7 +175,7 @@ def select_state(
     phase_only is set. Ties break toward smaller R, then smaller C.
     """
     rho_target = complex(rho_target)
-    if not _finite(rho_target):
+    if not cmath.isfinite(rho_target):
         raise ValidationError(f"rho_target must be finite, got {rho_target!r}")
     candidates = reflection_map.records_at(frequency)
     if phase_only:

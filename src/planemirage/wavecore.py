@@ -38,12 +38,8 @@ _DENOM_FLOOR = 1e-300
 _GAIN_OVERFLOW = "the propagation factor across a gain layer overflows"
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 def _require_finite(name: str, z: complex) -> None:
-    if not _finite(z):
+    if not cmath.isfinite(z):
         raise ValidationError(f"{name} must be finite, got {z!r}")
 
 
@@ -55,15 +51,15 @@ class Medium(Value):
     def __init__(self, eps_r: complex, mu_r: complex = 1.0 + 0.0j) -> None:
         eps = complex(eps_r)
         mu = complex(mu_r)
-        if not (_finite(eps) and _finite(mu)):
+        if not (cmath.isfinite(eps) and cmath.isfinite(mu)):
             raise InvalidMediumError(f"non-finite medium parameters: eps_r={eps!r} mu_r={mu!r}")
         # refraction divides by s = sqrt(eps*mu), so the product must not underflow either
-        if eps * mu == 0 or not _finite(eps * mu):
+        if eps * mu == 0 or not cmath.isfinite(eps * mu):
             raise InvalidMediumError(
                 f"eps_r*mu_r must be nonzero and finite: eps_r={eps!r} mu_r={mu!r}"
             )
         # and the wave impedance is ETA0*sqrt(mu/eps), so neither may the ratio
-        if mu / eps == 0 or not _finite(mu / eps):
+        if mu / eps == 0 or not cmath.isfinite(mu / eps):
             raise InvalidMediumError(
                 f"mu_r/eps_r must be nonzero and finite: eps_r={eps!r} mu_r={mu!r}"
             )
@@ -109,7 +105,7 @@ class Sheet(Value):
 
     def __init__(self, rho: complex) -> None:
         r = complex(rho)
-        if not _finite(r):
+        if not cmath.isfinite(r):
             raise ValidationError(f"sheet reflection must be finite, got {r!r}")
         object.__setattr__(self, "rho", r)
 

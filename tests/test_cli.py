@@ -117,10 +117,32 @@ def test_scenario_config_validation():
         ScenarioConfig(config.actual, config.target, None, SweepAxis(-1.0, 10.0, 0.5), config.freq_ghz)
     with pytest.raises(ConfigError):
         ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(0.0, 1.0, 0.5))
+    with pytest.raises(ConfigError, match="freq_ghz"):  # 1e300 GHz is not finite in Hz
+        ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(10.0, 1e300, 1e299))
+    # 1e299 GHz is 1e308 Hz, still a float
+    ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(1e299, 1e299, 1.0))
     with pytest.raises(ConfigError):
         ScenarioConfig(
             config.actual, config.target, None, config.theta_deg, config.freq_ghz, output_format="pdf"
         )
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["synthesize"]])
+def test_a_frequency_past_the_float_range_stops_the_run_before_any_point(
+    monkeypatch, tmp_path, capsys, command
+):
+    def angle_walk(stack, theta1):
+        raise AssertionError("a grid point was reached")
+
+    monkeypatch.setattr(cli, "angle_walk", angle_walk)
+    doc = _scenario_doc()
+    doc["sweep"]["freq_ghz"] = {"start": 10.0, "stop": 1e300, "step": 1e299}
+    out = tmp_path / "sweep.csv"
+    argv = command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("planemirage: config error: ") and "freq_ghz" in err
+    assert not out.exists()
 
 
 def test_parse_scenario_round_trip(tmp_path):
@@ -435,6 +457,14 @@ def test_sweep_lines_follow_the_cell_rule(tmp_path, mode):
         grid = ScenarioConfig(actual, config.target, mode, config.theta_deg, SweepAxis(10.0, 20.0, 5.0))
         rows += run_simulate(grid) if mode is None else run_synthesize(grid)
     assert {bool(r.err) for r in rows} == {False, True}
+    assert all(type(r) is SweepRow for r in rows)
+    # The formatter writes a frequency's cell once for a run of rows that
+    # share one float object, as a sweep's do. The first frequency recurs
+    # here after the others as an equal float that is another object.
+    first = rows[0].freq_ghz
+    again = float(repr(first))
+    assert again == first and again is not first
+    rows += [r._replace(freq_ghz=again) for r in rows if r.freq_ghz == first]
     kind = "simulate" if mode is None else f"synthesize-{mode.value}"
     out = tmp_path / "table.csv"
     emit(rows, kind, "csv", out)
@@ -446,6 +476,13 @@ def test_sweep_lines_follow_the_cell_rule(tmp_path, mode):
         return ",".join(_cells(values + ([] if mode is None else [r.passive]) + [r.err]))
 
     assert out.read_text().split("\n")[1:] == [line(r) for r in rows] + [""]
+    # the sweep streams plain tuples in SweepRow order; emit writes the same bytes from them
+    for output_format in ("csv", "svg"):
+        emit(rows, kind, output_format, tmp_path / f"rows.{output_format}")
+        emit(map(tuple, rows), kind, output_format, tmp_path / f"tuples.{output_format}")
+        assert (tmp_path / f"tuples.{output_format}").read_bytes() == (
+            tmp_path / f"rows.{output_format}"
+        ).read_bytes()
 
 
 def test_csv_empty_table_is_header_only(tmp_path):

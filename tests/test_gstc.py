@@ -75,6 +75,32 @@ def test_sheet_coefficient_domain_checks():
         susceptibility_from_reflection(0.5, -3.0, 1.0)
 
 
+NON_FINITE = [
+    complex(float("inf"), 0.5),
+    complex(0.5, float("inf")),
+    complex(float("nan"), 0.5),
+    complex(0.5, float("nan")),
+]
+NON_FINITE_IDS = ["inf-real", "inf-imag", "nan-real", "nan-imag"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("rho", lambda bad: impedance_from_reflection(bad)),
+        ("rho", lambda bad: susceptibility_from_reflection(bad, 200.0, 1.0)),
+        ("cos_theta", lambda bad: susceptibility_from_reflection(0.5, 200.0, bad)),
+    ],
+    ids=["impedance-rho", "susceptibility-rho", "susceptibility-cos_theta"],
+)
+def test_a_non_finite_argument_is_a_validation_error(bad, name, call):
+    with pytest.raises(ValidationError) as info:
+        call(bad)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{name} must be finite, got {bad!r}"
+
+
 def test_impedance_map_landmarks():
     assert abs(impedance_from_reflection(0.0) * ETA0 - ETA0) < 1e-12
     assert abs(impedance_from_reflection(-1.0) * ETA0) == 0.0

@@ -353,6 +353,32 @@ def test_validation_rejects_bad_inputs():
         Sheet(complex(float("inf"), 0.0))
 
 
+NON_FINITE = [
+    complex(float("inf"), 0.5),
+    complex(0.5, float("inf")),
+    complex(float("nan"), 0.5),
+    complex(0.5, float("nan")),
+]
+NON_FINITE_IDS = ["inf-real", "inf-imag", "nan-real", "nan-imag"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+@pytest.mark.parametrize("where", ["eps_r", "mu_r"])
+def test_medium_rejects_a_non_finite_part(bad, where):
+    eps, mu = (bad, 1 + 0j) if where == "eps_r" else (2 + 0j, bad)
+    with pytest.raises(InvalidMediumError) as info:
+        Medium(eps, mu)
+    assert str(info.value) == f"non-finite medium parameters: eps_r={eps!r} mu_r={mu!r}"
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=NON_FINITE_IDS)
+def test_sheet_rejects_a_non_finite_part(bad):
+    with pytest.raises(ValidationError) as info:
+        Sheet(bad)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"sheet reflection must be finite, got {bad!r}"
+
+
 @pytest.mark.parametrize(
     "eps,mu", [(1e-200, 1e-200), (1e-300, 1e-30), (1e200, 1e200), (1e-200j, 1e-200 + 0j)]
 )
