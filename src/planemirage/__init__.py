@@ -11,7 +11,8 @@ group them by concern:
               inverting the reflection recursion, and the sheet step
   unitcell    tunable-cell reflection maps, state selection, coding sets
   companions  radial transform, strip profile, geometric phase, grating
-  cli         command-line front end
+  sweep       scenario configs, (theta, frequency) sweeps, their CSV/SVG tables
+  cli         the planemirage command line (argparse, table commands, exit codes)
 
 unitcell and companions are imported on first use of one of their names.
 """

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 
-from planemirage.cli import builtin_scenario, main
+from planemirage.cli import main
 from planemirage.companions import (
     RadialTransform,
     StripProfile,
@@ -18,6 +18,7 @@ from planemirage.companions import (
     radial_forward,
     radial_inverse,
 )
+from planemirage.sweep import builtin_scenario
 from planemirage.synthesis import (
     IllusionProblem,
     Mode,

@@ -5,6 +5,7 @@ import ast
 import cmath
 import copy
 import importlib
+import json
 import math
 import os
 import pickle
@@ -16,7 +17,7 @@ import pytest
 
 import planemirage
 from planemirage._value import Value
-from planemirage.cli import ScenarioConfig, SweepAxis
+from planemirage.sweep import ScenarioConfig, SweepAxis
 from planemirage.companions import RadialTransform, StripProfile
 from planemirage.errors import (
     ConfigError,
@@ -52,6 +53,8 @@ def added():
     return sorted(set(sys.modules) - bare)
 
 steps = {}
+import planemirage.sweep
+steps["sweep"] = added()
 import planemirage.cli as cli
 steps["import"] = added()
 cli.builtin_scenario()
@@ -61,6 +64,7 @@ steps["grating"] = (
     cli.main(["companion", "grating", "--config", "grating.json", "--out", "grating.csv"]),
     added(),
 )
+steps["svg"] = (cli.main(["simulate", "--config", "svg.json", "--out", "sim.svg"]), added())
 import planemirage
 listed = "CodingSet" in dir(planemirage)
 unloaded = "planemirage.unitcell" not in sys.modules
@@ -72,6 +76,13 @@ print(repr(steps))
 def _footprint(tmp_path):
     """The modules each step added to a fresh interpreter, in order."""
     (tmp_path / "grating.json").write_text('{"wavelength_mm": 30.0, "period_mm": 60.0}')
+    stack = {"layers": [{"eps": 2.0, "thickness_mm": 10.0}], "termination": {"kind": "pec"}}
+    sweep = {
+        "theta_deg": {"start": 0, "stop": 10, "step": 5},
+        "freq_ghz": {"start": 10, "stop": 10, "step": 1},
+    }
+    doc = {"actual": stack, "target": stack, "sweep": sweep, "output": {"format": "svg"}}
+    (tmp_path / "svg.json").write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT], cwd=tmp_path, env=env, capture_output=True, text=True
@@ -82,6 +93,9 @@ def _footprint(tmp_path):
 
 def test_a_sweep_imports_only_what_it_runs(tmp_path):
     steps = _footprint(tmp_path)
+    # the sweep library is usable without the command line
+    assert "planemirage.sweep" in steps["sweep"]
+    assert {"argparse", "planemirage.cli"}.isdisjoint(steps["sweep"])
     assert "planemirage.cli" in steps["import"]
     assert UNNEEDED.isdisjoint(steps["import"])
     assert UNNEEDED.isdisjoint(steps["builtin"])
@@ -91,6 +105,10 @@ def test_a_sweep_imports_only_what_it_runs(tmp_path):
     assert rc == 0
     assert {"planemirage.companions", "json"} <= set(after_grating)
     assert "planemirage.unitcell" not in after_grating
+    # neither a CSV sweep nor a table command loads the SVG emitter; an SVG sweep does
+    assert "planemirage.svg" not in after_grating
+    rc, after_svg = steps["svg"]
+    assert rc == 0 and "planemirage.svg" in after_svg
     # dir() lists a lazy name before its module loads; first use loads it
     assert steps["lazy"] == (True, True, "planemirage.unitcell", True)
 

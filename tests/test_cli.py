@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from planemirage.cli import (
+from planemirage.cli import main
+from planemirage.sweep import (
     ScenarioConfig,
     SweepAxis,
     SweepRow,
@@ -15,7 +16,6 @@ from planemirage.cli import (
     _error_tag,
     builtin_scenario,
     emit,
-    main,
     parse_scenario,
     run_simulate,
     run_synthesize,
@@ -29,7 +29,7 @@ from planemirage.errors import (
     ResonantSingularityError,
     ValidationError,
 )
-from planemirage import cli, gstc, synthesis, wavecore
+from planemirage import gstc, sweep, synthesis, wavecore
 from planemirage.synthesis import IllusionProblem, Mode, synthesize
 from planemirage.wavecore import (
     AIR,
@@ -95,6 +95,8 @@ def test_sweep_axis_values():
         SweepAxis(0.0, 80.0, -1.0)
     with pytest.raises(ConfigError):
         SweepAxis(10.0, 5.0, 1.0)
+    with pytest.raises(ConfigError, match="point count"):
+        SweepAxis(-1e308, 1e308, 1.0)  # stop - start overflows
 
 
 def test_builtin_scenario_shape():
@@ -119,8 +121,10 @@ def test_scenario_config_validation():
         ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(0.0, 1.0, 0.5))
     with pytest.raises(ConfigError, match="freq_ghz"):  # 1e300 GHz is not finite in Hz
         ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(10.0, 1e300, 1e299))
-    # 1e299 GHz is 1e308 Hz, still a float
-    ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(1e299, 1e299, 1.0))
+    with pytest.raises(ConfigError, match="freq_ghz"):  # 1e299 GHz is 1e308 Hz, but 2*pi*f is not
+        ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(1e299, 1e299, 1.0))
+    # at 2.8e298 GHz, 2*pi*f in Hz is still a float
+    ScenarioConfig(config.actual, config.target, None, config.theta_deg, SweepAxis(2.8e298, 2.8e298, 1.0))
     with pytest.raises(ConfigError):
         ScenarioConfig(
             config.actual, config.target, None, config.theta_deg, config.freq_ghz, output_format="pdf"
@@ -134,7 +138,7 @@ def test_a_frequency_past_the_float_range_stops_the_run_before_any_point(
     def angle_walk(stack, theta1):
         raise AssertionError("a grid point was reached")
 
-    monkeypatch.setattr(cli, "angle_walk", angle_walk)
+    monkeypatch.setattr(sweep, "angle_walk", angle_walk)
     doc = _scenario_doc()
     doc["sweep"]["freq_ghz"] = {"start": 10.0, "stop": 1e300, "step": 1e299}
     out = tmp_path / "sweep.csv"
@@ -142,6 +146,34 @@ def test_a_frequency_past_the_float_range_stops_the_run_before_any_point(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("planemirage: config error: ") and "freq_ghz" in err
+    assert not out.exists()
+
+
+# A step so small that the point count is not finite, and a one-point grid
+# whose 2*pi*f in Hz overflows though f in Hz does not.
+_UNRUNNABLE_GRIDS = {
+    "theta-count": ("theta_deg", {"start": 0.0, "stop": 80.0, "step": 1e-320}, "point count"),
+    "freq-k0": ("freq_ghz", {"start": 1.7e299, "stop": 1.7e299, "step": 0.1}, "freq_ghz"),
+}
+
+
+@pytest.mark.parametrize("grid", list(_UNRUNNABLE_GRIDS))
+@pytest.mark.parametrize("command", ["simulate", "synthesize"])
+def test_a_grid_that_cannot_run_is_a_config_error_before_any_point(
+    monkeypatch, tmp_path, capsys, command, grid
+):
+    def angle_walk(stack, theta1):
+        raise AssertionError("a grid point was reached")
+
+    monkeypatch.setattr(sweep, "angle_walk", angle_walk)
+    axis, spec, named = _UNRUNNABLE_GRIDS[grid]
+    doc = _scenario_doc()
+    doc["sweep"][axis] = spec
+    out = tmp_path / "sweep.csv"
+    argv = [command, "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("planemirage: config error: ") and named in err
     assert not out.exists()
 
 
@@ -312,7 +344,7 @@ def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode
         calls.append(None)
         return real(*args)
 
-    for module in (cli, synthesis):
+    for module in (sweep, synthesis):
         if hasattr(module, "impedance_from_reflection"):
             monkeypatch.setattr(module, "impedance_from_reflection", counted)
     rows = run_synthesize(config)
@@ -327,16 +359,16 @@ def test_only_a_synthesis_takes_the_frequency_step_as_segments(monkeypatch, mode
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
     calls = []
-    real = cli.frequency_step
+    real = sweep.frequency_step
 
     def counted(walk, k0):
         calls.append(walk)
         return real(walk, k0)
 
-    monkeypatch.setattr(cli, "frequency_step", counted)
+    monkeypatch.setattr(sweep, "frequency_step", counted)
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
-    actual_walks = {cli.angle_walk(config.actual, math.radians(t)) for t in config.theta_deg.values()}
+    actual_walks = {sweep.angle_walk(config.actual, math.radians(t)) for t in config.theta_deg.values()}
     assert len(calls) == (0 if mode is None else len(rows))
     assert all(walk in actual_walks for walk in calls)
 
@@ -406,7 +438,7 @@ def test_a_walk_that_fails_at_one_angle_is_tagged_at_every_frequency(monkeypatch
         return real(stack, theta1)
 
     monkeypatch.setattr(wavecore, "angle_walk", angle_walk)
-    monkeypatch.setattr(cli, "angle_walk", angle_walk)
+    monkeypatch.setattr(sweep, "angle_walk", angle_walk)
     rows = _sweep_matches_per_point_api(config.actual, config.target, mode, SweepAxis(10.0, 10.1, 0.1))
     assert [r.err for r in rows] == ["", "degenerate-interface", ""] * 2
 
@@ -784,7 +816,7 @@ def test_exit_code_2_when_every_point_fails(tmp_path):
 def test_a_fault_at_a_grid_point_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys, command):
     # an exception that is no PlanemirageError is a fault of the program:
     # it names the point and stops the run instead of becoming an err tag
-    real = cli.walk_reflection
+    real = sweep.walk_reflection
     bad_k0 = PlaneWave(11e9).k0
 
     def walk_reflection(walk, k0):
@@ -792,7 +824,7 @@ def test_a_fault_at_a_grid_point_exits_3_and_writes_nothing(monkeypatch, tmp_pat
             raise ZeroDivisionError("complex division by zero")
         return real(walk, k0)
 
-    monkeypatch.setattr(cli, "walk_reflection", walk_reflection)
+    monkeypatch.setattr(sweep, "walk_reflection", walk_reflection)
     out = tmp_path / "sweep.csv"
     assert main([command, "--scenario", "builtin", "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
@@ -808,7 +840,7 @@ def test_a_fault_at_the_last_grid_point_leaves_the_out_path_as_it_was(
     monkeypatch, tmp_path, capsys, command, old
 ):
     # every other row is formed by then; none of them may reach the file
-    real_walk, real_reflection = cli.angle_walk, cli.walk_reflection
+    real_walk, real_reflection = sweep.angle_walk, sweep.walk_reflection
     last_walks = []
     last_k0 = PlaneWave(12e9).k0
 
@@ -823,8 +855,8 @@ def test_a_fault_at_the_last_grid_point_leaves_the_out_path_as_it_was(
             raise ZeroDivisionError("complex division by zero")
         return real_reflection(walk, k0)
 
-    monkeypatch.setattr(cli, "angle_walk", angle_walk)
-    monkeypatch.setattr(cli, "walk_reflection", walk_reflection)
+    monkeypatch.setattr(sweep, "angle_walk", angle_walk)
+    monkeypatch.setattr(sweep, "walk_reflection", walk_reflection)
     out = tmp_path / "sweep.csv"
     if old is not None:
         out.write_bytes(old)
@@ -839,14 +871,14 @@ def test_a_fault_at_the_last_grid_point_leaves_the_out_path_as_it_was(
 def test_an_error_that_stops_a_sweep_leaves_the_old_file(monkeypatch, tmp_path, capsys, command):
     # a PlanemirageError outside the per-point guard stops the sweep at its
     # last frequency, after 20 of its 21 frequencies' rows: exit 1
-    real = cli.PlaneWave
+    real = sweep.PlaneWave
 
     def plane_wave(frequency, *args):
         if frequency == 12e9:
             raise ValidationError("no wave at 12 GHz")
         return real(frequency, *args)
 
-    monkeypatch.setattr(cli, "PlaneWave", plane_wave)
+    monkeypatch.setattr(sweep, "PlaneWave", plane_wave)
     out = tmp_path / "sweep.csv"
     out.write_bytes(b"freq_ghz,theta_deg\n")
     assert main([command, "--scenario", "builtin", "--out", str(out)]) == 1
@@ -870,14 +902,14 @@ def test_a_sweep_holds_one_copy_of_its_output(tmp_path, command):
 
 
 def test_a_fault_in_an_angle_walk_names_the_angle(monkeypatch, tmp_path, capsys):
-    real = cli.angle_walk
+    real = sweep.angle_walk
 
     def angle_walk(stack, theta1):
         if theta1 == math.radians(40.0):
             raise OverflowError("math range error")
         return real(stack, theta1)
 
-    monkeypatch.setattr(cli, "angle_walk", angle_walk)
+    monkeypatch.setattr(sweep, "angle_walk", angle_walk)
     out = tmp_path / "sweep.csv"
     assert main(["simulate", "--scenario", "builtin", "--out", str(out)]) == 3
     assert capsys.readouterr().err == (

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from planemirage.cli import builtin_scenario
 from planemirage import wavecore
 from planemirage.errors import DegenerateSynthesisError, DomainError, OpenCircuitError, ValidationError
 from planemirage.gstc import impedance_from_reflection, susceptibility_from_reflection
+from planemirage.sweep import builtin_scenario
 from planemirage.synthesis import (
     IllusionProblem,
     Mode,
