@@ -1,15 +1,38 @@
-"""The base of the package's immutable value types.
+"""The base of the package's immutable value types, and the checks they share.
 
-A value type lists its fields in __slots__ and stores them once, in its own
-__init__, with object.__setattr__. The base compares, hashes and prints
-instances field by field, refuses assignment, and copies and pickles them
-by their fields. The standard library's class decorator for such records
-does the same, but importing it loads inspect and ast, and it compiles code
-for every class it decorates, which was about half of the command line's
-import time.
+A value type lists its fields in __slots__. Its own __init__, if it needs
+one, checks and converts its arguments and passes one value per field, in
+__slots__ order, to Value.__init__, the only code that writes a field. The
+base compares, hashes and prints instances field by field, refuses
+assignment, and copies and pickles them by their fields. The standard
+library's class decorator for such records does the same, but importing it
+loads inspect and ast, and it compiles code for every class it decorates,
+which was about half of the command line's import time. _require_finite and
+_positive are the finite and positive checks the types and their functions
+share, each with its one message.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
+
+from .errors import ValidationError
+
+
+def _require_finite(name: str, z: complex) -> complex:
+    """z, if it is finite; ValidationError otherwise."""
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{name} must be finite, got {z!r}")
+    return z
+
+
+def _positive(name: str, x) -> float:
+    """float(x), if it is finite and > 0; ValidationError otherwise."""
+    x = float(x)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValidationError(f"{name} must be positive, got {x!r}")
+    return x
 
 
 class Value:
@@ -20,10 +43,20 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _writers: tuple = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        # each slot's own descriptor stores its field past the refusing __setattr__
+        cls._writers = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values) -> None:
+        """Store one value per field, in __slots__ order."""
+        if len(values) != len(self._writers):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {len(self._writers)} values")
+        for write, value in zip(self._writers, values):
+            write(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -50,5 +83,4 @@ class Value:
         return self._values()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self._fields, state):
-            object.__setattr__(self, name, value)
+        Value.__init__(self, *state)

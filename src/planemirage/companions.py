@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value
+from ._value import Value, _positive, _require_finite
 from .errors import DomainError, EvanescentOrderError, ValidationError
 
 
@@ -22,21 +22,14 @@ class RadialTransform(Value):
     __slots__ = ("r1", "r2", "q")
 
     def __init__(self, r1: float, r2: float, q: float) -> None:
-        r1 = float(r1)
-        r2 = float(r2)
-        q = float(q)
-        for name, value in (("r1", r1), ("r2", r2), ("q", q)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{name} must be positive, got {value!r}")
+        r1, r2, q = _positive("r1", r1), _positive("r2", r2), _positive("q", q)
         if not r2 > r1:
             raise ValidationError(f"need r2 > r1, got r1={r1} r2={r2}")
         if not q > 1.0:
             raise ValidationError(f"need q > 1, got {q}")
         if not r1 * q < r2:
             raise ValidationError(f"need r1*q < r2, got r1*q={r1 * q} r2={r2}")
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
-        object.__setattr__(self, "q", q)
+        super().__init__(r1, r2, q)
 
     @property
     def a(self) -> float:
@@ -59,17 +52,10 @@ class StripProfile(Value):
     __slots__ = ("amplitude", "period", "sigma")
 
     def __init__(self, amplitude: float, period: float, sigma: int = 1) -> None:
-        amplitude = float(amplitude)
-        period = float(period)
-        if not (math.isfinite(amplitude) and amplitude > 0.0):
-            raise ValidationError(f"amplitude must be positive, got {amplitude!r}")
-        if not (math.isfinite(period) and period > 0.0):
-            raise ValidationError(f"period must be positive, got {period!r}")
+        amplitude, period = _positive("amplitude", amplitude), _positive("period", period)
         if sigma not in (1, -1):
             raise ValidationError(f"sigma must be +1 or -1, got {sigma!r}")
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "sigma", int(sigma))
+        super().__init__(amplitude, period, int(sigma))
 
 
 def _check_radius(t: RadialTransform, name: str, r: float) -> float:
@@ -101,9 +87,7 @@ def radial_inverse(t: RadialTransform, r_prime: float) -> float:
 
 def strip_height(p: StripProfile, x: float) -> float:
     """Height of the strip centerline: y = A*(P/2pi)*sin(2pi x/P)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError(f"x must be finite, got {x!r}")
+    x = _require_finite("x", float(x))
     return p.amplitude * (p.period / (2.0 * math.pi)) * math.sin(2.0 * math.pi * x / p.period)
 
 
@@ -112,9 +96,7 @@ def pb_phase(p: StripProfile, x: float) -> float:
 
     Bounded by 2*arctan(A) in magnitude; flips sign with sigma.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError(f"x must be finite, got {x!r}")
+    x = _require_finite("x", float(x))
     return 2.0 * p.sigma * math.atan(p.amplitude * math.cos(2.0 * math.pi * x / p.period))
 
 
@@ -125,12 +107,7 @@ def grating_angle(m: int, wavelength: float, period: float) -> float:
     """
     if not isinstance(m, int):
         raise ValidationError(f"order must be an integer, got {m!r}")
-    wavelength = float(wavelength)
-    period = float(period)
-    if not (math.isfinite(wavelength) and wavelength > 0.0):
-        raise ValidationError(f"wavelength must be positive, got {wavelength!r}")
-    if not (math.isfinite(period) and period > 0.0):
-        raise ValidationError(f"period must be positive, got {period!r}")
+    wavelength, period = _positive("wavelength", wavelength), _positive("period", period)
     s = m * wavelength / period
     if abs(s) > 1.0:
         raise EvanescentOrderError(f"order {m} is evanescent: |m*lambda/P| = {abs(s)} > 1")

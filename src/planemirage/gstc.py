@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 
+from ._value import _require_finite
 from .errors import OpenCircuitError, SheetResonanceError, ValidationError
-from .wavecore import _DENOM_FLOOR, _require_finite
+from .wavecore import _DENOM_FLOOR
 
 
 def susceptibility_from_reflection(rho: complex, k0: float, cos_theta: complex) -> complex:

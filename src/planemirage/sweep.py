@@ -41,21 +41,25 @@ class SweepAxis(Value):
     __slots__ = ("start", "stop", "step")
 
     def __init__(self, start: float, stop: float, step: float) -> None:
-        for name, v in (("start", start), ("stop", stop), ("step", step)):
-            v = float(v)
+        start, stop, step = values = float(start), float(stop), float(step)
+        for name, v in zip(self._fields, values):
             if not math.isfinite(v):
                 raise ConfigError(f"sweep {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if self.step <= 0.0:
-            raise ConfigError(f"sweep step must be > 0, got {self.step}")
-        if self.start > self.stop:
-            raise ConfigError(f"sweep start {self.start} exceeds stop {self.stop}")
-        if not math.isfinite((self.stop - self.start) / self.step):
-            raise ConfigError(f"sweep step {self.step} gives a point count that is not finite")
+        if step <= 0.0:
+            raise ConfigError(f"sweep step must be > 0, got {step}")
+        if start > stop:
+            raise ConfigError(f"sweep start {start} exceeds stop {stop}")
+        if not math.isfinite((stop - start) / step):
+            raise ConfigError(f"sweep step {step} gives a point count that is not finite")
+        super().__init__(*values)
+
+    @property
+    def count(self) -> int:
+        """The number of grid points, start included, stop where the step meets it."""
+        return math.floor((self.stop - self.start) / self.step + _GRID_NUDGE) + 1
 
     def values(self) -> list[float]:
-        n = int(math.floor((self.stop - self.start) / self.step + _GRID_NUDGE)) + 1
-        return [self.start + i * self.step for i in range(n)]
+        return [self.start + i * self.step for i in range(self.count)]
 
 
 class ScenarioConfig(Value):
@@ -80,19 +84,12 @@ class ScenarioConfig(Value):
         if freq_ghz.start <= 0.0:
             raise ConfigError(f"frequencies must be positive, got {freq_ghz.start}")
         # 2*pi*f in Hz, which PlaneWave.k0 forms first, at the last grid frequency
-        n = math.floor((freq_ghz.stop - freq_ghz.start) / freq_ghz.step + _GRID_NUDGE)
-        f_last = freq_ghz.start + n * freq_ghz.step
+        f_last = freq_ghz.start + (freq_ghz.count - 1) * freq_ghz.step
         if not math.isfinite(2.0 * math.pi * (f_last * 1e9)):
             raise ConfigError(f"freq_ghz grid ends at {f_last} GHz, where 2*pi*f in Hz is not finite")
         if output_format not in ("csv", "svg"):
             raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "theta_deg", theta_deg)
-        object.__setattr__(self, "freq_ghz", freq_ghz)
-        object.__setattr__(self, "output_format", output_format)
-        object.__setattr__(self, "output_path", output_path)
+        super().__init__(actual, target, mode, theta_deg, freq_ghz, output_format, output_path)
 
 
 class SweepRow(NamedTuple):
@@ -184,14 +181,19 @@ def _parse_complex(value, where: str) -> complex:
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
+def _build(where: str, make, *args):
+    """make(*args), whose PlanemirageError becomes a ConfigError naming where."""
+    try:
+        return make(*args)
+    except PlanemirageError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _parse_medium(obj, where: str) -> Medium:
     _require_keys(obj, where, ("eps",), ("mu",))
     eps = _parse_complex(obj["eps"], f"{where}.eps")
     mu = _parse_complex(obj.get("mu", 1.0), f"{where}.mu")
-    try:
-        return Medium(eps, mu)
-    except PlanemirageError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return _build(where, Medium, eps, mu)
 
 
 def _parse_termination(obj, where: str):
@@ -205,7 +207,7 @@ def _parse_termination(obj, where: str):
         return Open(_parse_medium({"eps": 1.0, **{k: v for k, v in obj.items() if k != "kind"}}, where))
     if kind == "sheet":
         _require_keys(obj, where, ("kind", "rho"))
-        return Sheet(_parse_complex(obj["rho"], f"{where}.rho"))
+        return _build(where, Sheet, _parse_complex(obj["rho"], f"{where}.rho"))
     raise ConfigError(f"{where}: kind must be pec, open, or sheet, got {kind!r}")
 
 
@@ -223,21 +225,15 @@ def _parse_stack(obj, where: str) -> Stack:
         thickness_mm = _parse_number(layer_obj["thickness_mm"], f"{lw}.thickness_mm")
         if thickness_mm < 0.0:
             raise ConfigError(f"{lw}.thickness_mm: must be >= 0, got {thickness_mm}")
-        layers.append(Layer(medium, thickness_mm * 1e-3))
+        layers.append(_build(lw, Layer, medium, thickness_mm * 1e-3))
     termination = _parse_termination(obj["termination"], f"{where}.termination")
-    try:
-        return Stack(incident_medium=incident, layers=tuple(layers), termination=termination)
-    except PlanemirageError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return _build(where, Stack, incident, tuple(layers), termination)
 
 
 def _parse_axis(obj, where: str) -> SweepAxis:
     _require_keys(obj, where, ("start", "stop", "step"))
-    return SweepAxis(
-        _parse_number(obj["start"], f"{where}.start"),
-        _parse_number(obj["stop"], f"{where}.stop"),
-        _parse_number(obj["step"], f"{where}.step"),
-    )
+    bounds = [_parse_number(obj[key], f"{where}.{key}") for key in ("start", "stop", "step")]
+    return _build(where, SweepAxis, *bounds)
 
 
 def parse_scenario(path: Path) -> ScenarioConfig:

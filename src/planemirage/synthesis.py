@@ -67,10 +67,7 @@ class IllusionProblem(Value):
     def __init__(self, actual: Stack, target: Stack, wave: PlaneWave, mode: Mode) -> None:
         if not isinstance(mode, Mode):
             raise ValidationError(f"mode must be a Mode, got {mode!r}")
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "wave", wave)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(actual, target, wave, mode)
 
     @cached_property
     def actual_walk(self) -> tuple[Segments, complex]:

@@ -16,7 +16,7 @@ import cmath
 import math
 from importlib.resources import files
 
-from ._value import Value
+from ._value import Value, _positive, _require_finite
 from .errors import (
     DuplicateStateError,
     EmptyMapError,
@@ -37,22 +37,12 @@ class UnitCellRecord(Value):
     __slots__ = ("f_ghz", "r_ohm", "c_pf", "rho")
 
     def __init__(self, f_ghz: float, r_ohm: float, c_pf: float, rho: complex) -> None:
-        f = float(f_ghz)
-        r = float(r_ohm)
-        c = float(c_pf)
-        rho = complex(rho)
-        if not (math.isfinite(f) and f > 0.0):
-            raise ValidationError(f"frequency must be positive, got {f!r}")
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValidationError(f"resistance must be positive, got {r!r}")
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValidationError(f"capacitance must be positive, got {c!r}")
-        if not cmath.isfinite(rho):
-            raise ValidationError(f"reflection must be finite, got {rho!r}")
-        object.__setattr__(self, "f_ghz", f)
-        object.__setattr__(self, "r_ohm", r)
-        object.__setattr__(self, "c_pf", c)
-        object.__setattr__(self, "rho", rho)
+        super().__init__(
+            _positive("frequency", f_ghz),
+            _positive("resistance", r_ohm),
+            _positive("capacitance", c_pf),
+            _require_finite("reflection", complex(rho)),
+        )
 
     @property
     def key(self) -> tuple[float, float, float]:
@@ -75,10 +65,7 @@ class ReflectionMap(Value):
                     f"duplicate state (f={rec.f_ghz}, R={rec.r_ohm}, C={rec.c_pf})"
                 )
             seen.add(rec.key)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(
-            self, "frequencies", tuple(sorted({rec.f_ghz for rec in records}))
-        )
+        super().__init__(records, tuple(sorted({rec.f_ghz for rec in records})))
 
     def records_at(self, frequency: float) -> tuple[UnitCellRecord, ...]:
         """All records at one frequency; the frequency must be present."""
@@ -114,9 +101,7 @@ class CodingSet(Value):
         for a, b in zip(phases, phases[1:]):
             if abs((b - a) - step) > 1e-12:
                 raise ValidationError("target phases must step uniformly by 2*pi/2^n_bit")
-        object.__setattr__(self, "n_bit", n_bit)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "target_phases", phases)
+        super().__init__(n_bit, states, phases)
 
 
 def wrapped_phase_distance(phi_a: float, phi_b: float) -> float:
@@ -174,9 +159,7 @@ def select_state(
     Distance is complex-plane Euclidean, or wrapped phase distance when
     phase_only is set. Ties break toward smaller R, then smaller C.
     """
-    rho_target = complex(rho_target)
-    if not cmath.isfinite(rho_target):
-        raise ValidationError(f"rho_target must be finite, got {rho_target!r}")
+    rho_target = _require_finite("rho_target", complex(rho_target))
     candidates = reflection_map.records_at(frequency)
     if phase_only:
         phi_t = cmath.phase(rho_target)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._value import Value
+from ._value import Value, _positive, _require_finite
 from .errors import (
     DegenerateInterfaceError,
     DomainError,
@@ -36,11 +36,6 @@ ETA0 = 376.730313668        # vacuum wave impedance, ohms
 
 _DENOM_FLOOR = 1e-300
 _GAIN_OVERFLOW = "the propagation factor across a gain layer overflows"
-
-
-def _require_finite(name: str, z: complex) -> None:
-    if not cmath.isfinite(z):
-        raise ValidationError(f"{name} must be finite, got {z!r}")
 
 
 class Medium(Value):
@@ -63,8 +58,7 @@ class Medium(Value):
             raise InvalidMediumError(
                 f"mu_r/eps_r must be nonzero and finite: eps_r={eps!r} mu_r={mu!r}"
             )
-        object.__setattr__(self, "eps_r", eps)
-        object.__setattr__(self, "mu_r", mu)
+        super().__init__(eps, mu)
 
 
 AIR = Medium(1.0 + 0.0j)
@@ -79,8 +73,7 @@ class Layer(Value):
         t = float(thickness)
         if not (math.isfinite(t) and t >= 0.0):
             raise ValidationError(f"layer thickness must be finite and >= 0, got {t!r}")
-        object.__setattr__(self, "medium", medium)
-        object.__setattr__(self, "thickness", t)
+        super().__init__(medium, t)
 
 
 class Pec(Value):
@@ -95,7 +88,7 @@ class Open(Value):
     __slots__ = ("half_space",)
 
     def __init__(self, half_space: Medium = AIR) -> None:
-        object.__setattr__(self, "half_space", half_space)
+        super().__init__(half_space)
 
 
 class Sheet(Value):
@@ -104,10 +97,7 @@ class Sheet(Value):
     __slots__ = ("rho",)
 
     def __init__(self, rho: complex) -> None:
-        r = complex(rho)
-        if not cmath.isfinite(r):
-            raise ValidationError(f"sheet reflection must be finite, got {r!r}")
-        object.__setattr__(self, "rho", r)
+        super().__init__(_require_finite("sheet reflection", complex(rho)))
 
 
 Termination = Pec | Open | Sheet
@@ -126,9 +116,7 @@ class Stack(Value):
             raise ValidationError("a stack needs at least one layer")
         if not isinstance(termination, (Pec, Open, Sheet)):
             raise ValidationError(f"unknown termination: {termination!r}")
-        object.__setattr__(self, "incident_medium", incident_medium)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "termination", termination)
+        super().__init__(incident_medium, layers, termination)
 
 
 class PlaneWave(Value):
@@ -137,17 +125,13 @@ class PlaneWave(Value):
     __slots__ = ("frequency", "theta1", "polarization")
 
     def __init__(self, frequency: float, theta1: float = 0.0, polarization: str = "TM") -> None:
-        f = float(frequency)
+        f = _positive("frequency", frequency)
         th = float(theta1)
-        if not (math.isfinite(f) and f > 0.0):
-            raise ValidationError(f"frequency must be positive, got {f!r}")
         if not (0.0 <= th < math.pi / 2.0):
             raise ValidationError(f"incidence angle must satisfy 0 <= theta < pi/2, got {th!r}")
         if polarization != "TM":
             raise ValidationError(f"only TM polarization is supported, got {polarization!r}")
-        object.__setattr__(self, "frequency", f)
-        object.__setattr__(self, "theta1", th)
-        object.__setattr__(self, "polarization", polarization)
+        super().__init__(f, th, polarization)
 
     @property
     def k0(self) -> float:
@@ -165,19 +149,13 @@ class LayerWaveState(Value):
 
     __slots__ = ("s_n", "s_t", "eta_n", "cos_n")
 
-    def __init__(self, s_n: complex, s_t: complex, eta_n: complex, cos_n: complex) -> None:
-        object.__setattr__(self, "s_n", s_n)
-        object.__setattr__(self, "s_t", s_t)
-        object.__setattr__(self, "eta_n", eta_n)
-        object.__setattr__(self, "cos_n", cos_n)
-
 
 def incident_wave_state(medium: Medium, theta1: float) -> LayerWaveState:
     """State of the wave incident at angle theta1 (radians) in the incident half-space."""
     s = cmath.sqrt(medium.eps_r * medium.mu_r)
     eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
     theta = complex(theta1)
-    return LayerWaveState(s_n=s, s_t=s * cmath.sin(theta), eta_n=eta, cos_n=cmath.cos(theta))
+    return LayerWaveState(s, s * cmath.sin(theta), eta, cmath.cos(theta))
 
 
 def layer_wave_state(medium: Medium, incident_state: LayerWaveState) -> LayerWaveState:
@@ -193,7 +171,7 @@ def layer_wave_state(medium: Medium, incident_state: LayerWaveState) -> LayerWav
     # on the Re = 0 branch pick the solution decaying toward the termination.
     if cos_t.real < 0.0 or (cos_t.real == 0.0 and (s * cos_t).imag > 0.0):
         cos_t = -cos_t
-    return LayerWaveState(s_n=s, s_t=incident_state.s_t, eta_n=eta, cos_n=cos_t)
+    return LayerWaveState(s, incident_state.s_t, eta, cos_t)
 
 
 def interface_reflection(state_n: LayerWaveState, state_np1: LayerWaveState) -> complex:

@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from planemirage._value import _require_finite
 from planemirage.errors import (
     DegenerateSynthesisError,
     DomainError,
@@ -53,7 +54,6 @@ from planemirage.wavecore import (
     Sheet,
     Stack,
     _DENOM_FLOOR,
-    _require_finite,
     angle_walk,
     incident_wave_state,
     interface_reflection,

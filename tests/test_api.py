@@ -18,7 +18,13 @@ import pytest
 import planemirage
 from planemirage._value import Value
 from planemirage.sweep import ScenarioConfig, SweepAxis
-from planemirage.companions import RadialTransform, StripProfile
+from planemirage.companions import (
+    RadialTransform,
+    StripProfile,
+    grating_angle,
+    pb_phase,
+    strip_height,
+)
 from planemirage.errors import (
     ConfigError,
     DuplicateStateError,
@@ -27,7 +33,7 @@ from planemirage.errors import (
     ValidationError,
 )
 from planemirage.synthesis import IllusionProblem, Mode
-from planemirage.unitcell import CodingSet, ReflectionMap, UnitCellRecord
+from planemirage.unitcell import CodingSet, ReflectionMap, UnitCellRecord, select_state
 from planemirage.wavecore import (
     AIR,
     Layer,
@@ -289,3 +295,56 @@ def test_an_illusion_problem_keeps_its_cached_walks():
     assert problem.gamma_i is gamma and problem.actual_walk is problem.actual_walk
     # the cache is not a field: the problem still equals a fresh one
     assert problem == VALUES[IllusionProblem][0]()
+
+
+# The finite and positive checks the value types and their functions share:
+# (a call that fails one, the exact message of its ValidationError).
+_STRIP = StripProfile(0.8, 0.012)
+SHARED_CHECKS = {
+    "PlaneWave.frequency": (lambda: PlaneWave(0, 0.3), "frequency must be positive, got 0.0"),
+    "UnitCellRecord.f_ghz": (lambda: UnitCellRecord(0, 27.0, 0.35, 0.5), "frequency must be positive, got 0.0"),
+    "UnitCellRecord.r_ohm": (lambda: _record(r=-1), "resistance must be positive, got -1.0"),
+    "UnitCellRecord.c_pf": (
+        lambda: UnitCellRecord(4.5, 27.0, math.nan, 0.5),
+        "capacitance must be positive, got nan",
+    ),
+    "UnitCellRecord.rho": (
+        lambda: UnitCellRecord(4.5, 27.0, 0.35, complex(math.nan, 0.0)),
+        "reflection must be finite, got (nan+0j)",
+    ),
+    "RadialTransform.r1": (lambda: RadialTransform(0, 0.3, 3.0), "r1 must be positive, got 0.0"),
+    "RadialTransform.r2": (lambda: RadialTransform(0.05, math.inf, 3.0), "r2 must be positive, got inf"),
+    "RadialTransform.q": (lambda: RadialTransform(0.05, 0.3, -2), "q must be positive, got -2.0"),
+    "StripProfile.amplitude": (lambda: StripProfile(0, 0.012), "amplitude must be positive, got 0.0"),
+    "StripProfile.period": (lambda: StripProfile(0.8, -0.012), "period must be positive, got -0.012"),
+    "grating_angle.wavelength": (lambda: grating_angle(1, 0, 0.06), "wavelength must be positive, got 0.0"),
+    "grating_angle.period": (lambda: grating_angle(1, 0.03, math.inf), "period must be positive, got inf"),
+    "Sheet.rho": (lambda: Sheet(complex(math.inf, 0.0)), "sheet reflection must be finite, got (inf+0j)"),
+    "select_state.rho_target": (
+        lambda: select_state(ReflectionMap((_record(),)), 4.5, complex(0.0, math.inf)),
+        "rho_target must be finite, got infj",
+    ),
+    "strip_height.x": (lambda: strip_height(_STRIP, math.inf), "x must be finite, got inf"),
+    "pb_phase.x": (lambda: pb_phase(_STRIP, -math.inf), "x must be finite, got -inf"),
+}
+
+
+@pytest.mark.parametrize("site", list(SHARED_CHECKS))
+def test_shared_checks_keep_their_messages(site):
+    call, message = SHARED_CHECKS[site]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
+def test_only_the_value_base_writes_fields():
+    """No module but _value bypasses a value's refusal to assign."""
+    for path in sorted((SRC / "planemirage").glob("*.py")):
+        if path.name == "_value.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                target = node.value
+                assert not (isinstance(target, ast.Name) and target.id == "object"), (
+                    f"{path.name}:{node.lineno} writes a field with object.__setattr__"
+                )

@@ -177,6 +177,40 @@ def test_a_grid_that_cannot_run_is_a_config_error_before_any_point(
     assert not out.exists()
 
 
+# A value that a constructor refuses, set at a path in the config, and the
+# JSON path its config error names.
+_REFUSED_VALUES = {
+    "nan-thickness": (("actual", "layers", 0, "thickness_mm"), math.nan, "actual.layers[0]"),
+    "infinite-sheet-rho": (
+        ("actual", "termination"),
+        {"kind": "sheet", "rho": [math.inf, 0.0]},
+        "actual.termination",
+    ),
+    "theta-zero-step": (("sweep", "theta_deg", "step"), 0.0, "sweep.theta_deg"),
+    "theta-start-past-stop": (("sweep", "theta_deg", "start"), 2.0, "sweep.theta_deg"),
+    "freq-zero-step": (("sweep", "freq_ghz", "step"), 0.0, "sweep.freq_ghz"),
+    "freq-start-past-stop": (("sweep", "freq_ghz", "start"), 11.0, "sweep.freq_ghz"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_VALUES))
+def test_a_refused_config_value_is_a_config_error_that_names_its_path(
+    monkeypatch, tmp_path, capsys, case
+):
+    def angle_walk(stack, theta1):
+        raise AssertionError("a grid point was reached")
+
+    monkeypatch.setattr(sweep, "angle_walk", angle_walk)
+    path, value, named = _REFUSED_VALUES[case]
+    doc = _scenario_doc()
+    _put(doc, path, value)
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"planemirage: config error: {named}: "), err
+    assert not out.exists()
+
+
 def test_parse_scenario_round_trip(tmp_path):
     doc = _scenario_doc(output={"format": "csv", "path": "result.csv"})
     doc["actual"]["incident"] = {"eps": 1.0}
