@@ -7,7 +7,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
-from .sweep import SweepRow, _fmt, _write_bytes
+from .sweep import SweepRow, _fmt, _write_csv
 
 # Fixed plot geometry; coordinates rounded to 0.01 px for determinism.
 _SVG_W, _SVG_H = 860, 620
@@ -93,4 +93,5 @@ def _emit_svg(rows: Iterable[SweepRow], kind: str, path: Path) -> None:
                 f'<text x="{lx + 18}" y="{_SVG_H - 14}">{_LABELS[field]}</text>'
             )
     parts.append("</svg>")
-    _write_bytes(path, [("\n".join(parts) + "\n").encode()])
+    # one line per part; the first, as a header of one cell, has no comma to join
+    _write_csv(path, parts[:1], parts[1:], str)

@@ -5,6 +5,9 @@ degrees, converted to SI), holds two stacks, a mode and the (theta, f) grid,
 refused before its first point if it would leave the float range.
 run_simulate and run_synthesize return SweepRows; emit writes them as CSV,
 byte-deterministic, or as SVG through planemirage.svg, loaded only then.
+Every file goes through one writer, which spools a table to an anonymous
+temporary file as its rows are formed and copies it into the output path,
+in place, only after the last row.
 """
 
 from __future__ import annotations
@@ -468,22 +471,28 @@ def _sweep_table(kind: str):
 
 
 def _write_csv(path: Path, header: list[str], rows, line) -> None:
-    """Every CSV table: the header line, then line(row), a string of
-    comma-joined cells, for each row; every line ends in a newline."""
-    # Rows are taken 256 at a time, then formatted and encoded together,
-    # so a table is held once, as bytes, and the file is opened only after
-    # its last row is formed: a sweep that stops at a point writes nothing.
+    """Every output file, tables and SVG alike: the header line, then
+    line(row), a string of comma-joined cells, for each row; every line ends
+    in a newline. Any OSError of the spool or of path is a WriteError that
+    names path; the rows raise none, as a sweep's own faults are
+    GridPointFaults."""
+    # Rows are taken 256 at a time, then formatted, encoded and written to
+    # an anonymous temporary file, so memory holds one batch, not the table.
+    # path is opened only after the last row is formed, so a sweep that
+    # stops at a point leaves it as it was, and then the spool is copied
+    # into it in place: a link stays a link and a file keeps its inode.
+    import shutil
+    import tempfile
+
     rows = iter(rows)
-    chunks = [f"{','.join(header)}\n".encode()]
-    while batch := list(islice(rows, 256)):
-        chunks.append("\n".join([*map(line, batch), ""]).encode())
-    _write_bytes(path, chunks)
-
-
-def _write_bytes(path: Path, chunks) -> None:
     try:
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
+        with tempfile.TemporaryFile() as spool:
+            spool.write(f"{','.join(header)}\n".encode())
+            while batch := list(islice(rows, 256)):
+                spool.write("\n".join([*map(line, batch), ""]).encode())
+            spool.seek(0)
+            with open(path, "wb") as fh:
+                shutil.copyfileobj(spool, fh)
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc}") from None
 

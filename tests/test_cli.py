@@ -1,5 +1,6 @@
 """CLI: config parsing, sweep tables, emission determinism, exit codes."""
 
+import errno
 import hashlib
 import json
 import math
@@ -922,8 +923,8 @@ def test_an_error_that_stops_a_sweep_leaves_the_old_file(monkeypatch, tmp_path, 
 
 @pytest.mark.parametrize("command", [["simulate"], ["synthesize", "--mode", "reflective"]])
 def test_a_sweep_holds_one_copy_of_its_output(tmp_path, command):
-    # rows are streamed into one encoded buffer: no row list, no list of
-    # line strings and no joined text beside it
+    # rows are streamed into a spool on disk one batch at a time: no row
+    # list, no list of line strings and no joined text beside it
     argv = command + ["--scenario", "builtin", "--out", str(tmp_path / "sweep.csv")]
     assert main(argv) == 0  # imports and first-use caches are not the sweep's
     tracemalloc.start()
@@ -933,6 +934,99 @@ def test_a_sweep_holds_one_copy_of_its_output(tmp_path, command):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (tmp_path / "sweep.csv").stat().st_size
+
+
+def _builtin_stacks_doc(freq_stop):
+    """The builtin scenario's stacks and angles, with frequencies from 10 GHz
+    to freq_stop in steps of 0.1 GHz."""
+    target_layers = [
+        {"eps": 1.0, "thickness_mm": 60.0},
+        {"eps": [2.1, -0.0006], "thickness_mm": 120.0},
+        {"eps": 1.0, "thickness_mm": 120.0},
+    ]
+    return _scenario_doc(
+        target={"layers": target_layers, "termination": {"kind": "open"}},
+        sweep={
+            "theta_deg": {"start": 0.0, "stop": 80.0, "step": 0.5},
+            "freq_ghz": {"start": 10.0, "stop": freq_stop, "step": 0.1},
+        },
+    )
+
+
+def test_a_sweeps_memory_does_not_grow_with_its_table(tmp_path):
+    # the same 161 angles at 21 and at 168 frequencies: 3,381 and 27,048
+    # rows, of which the sweep holds its angle walks and one batch
+    runs = []
+    for name, freq_stop, count in (("small", 12.0, 21), ("large", 26.7, 168)):
+        config = _write_config(tmp_path, _builtin_stacks_doc(freq_stop), name=f"{name}.json")
+        assert parse_scenario(config).freq_ghz.count == count
+        argv = ["synthesize", "--mode", "reflective", "--config", str(config)]
+        runs.append(argv + ["--out", str(tmp_path / f"{name}.csv")])
+    assert main(runs[0]) == 0  # imports and first-use caches are not the sweep's
+    peaks = []
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len((tmp_path / "large.csv").read_bytes().splitlines()) == 27049
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("old", [None, b"freq_ghz,theta_deg\n"], ids=["new-target", "old-target"])
+def test_a_linked_out_path_stays_a_link_to_the_table(tmp_path, old):
+    target, out = tmp_path / "table.csv", tmp_path / "link.csv"
+    if old is not None:
+        target.write_bytes(old)
+    out.symlink_to(target)
+    assert main(["simulate", "--scenario", "builtin", "--out", str(out)]) == 0
+    assert out.is_symlink() and out.resolve() == target.resolve()
+    assert len(target.read_bytes().splitlines()) == 3382
+
+
+def test_an_existing_out_file_is_written_in_place(tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"freq_ghz,theta_deg\n")
+    inode = out.stat().st_ino
+    assert main(["simulate", "--scenario", "builtin", "--out", str(out)]) == 0
+    assert out.stat().st_ino == inode
+    assert len(out.read_bytes().splitlines()) == 3382
+
+
+@pytest.mark.parametrize("command", ["simulate", "select-cell"])
+def test_an_out_path_that_is_a_directory_is_a_write_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.mkdir()
+    if command == "simulate":
+        argv = ["simulate", "--scenario", "builtin"]
+    else:
+        doc = {"map": "sample", "frequency_ghz": 4.5, "rho_target": [0.2, 0.4]}
+        argv = ["select-cell", "--config", str(_write_config(tmp_path, doc))]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"planemirage: error: cannot write {out}: ")
+    assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("output", ["csv", "svg"])
+def test_a_spool_that_cannot_be_written_is_a_write_error_that_keeps_the_old_file(
+    monkeypatch, tmp_path, capsys, output
+):
+    import tempfile
+
+    def temporary_file(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+    out = tmp_path / f"sweep.{output}"
+    out.write_bytes(b"freq_ghz,theta_deg\n")
+    config = _write_config(tmp_path, _scenario_doc(output={"format": output}))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"planemirage: error: cannot write {out}: [Errno {errno.ENOSPC}] No space left on device"
+    )
+    assert out.read_bytes() == b"freq_ghz,theta_deg\n"
 
 
 def test_a_fault_in_an_angle_walk_names_the_angle(monkeypatch, tmp_path, capsys):
