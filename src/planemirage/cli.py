@@ -41,7 +41,7 @@ from .sweep import (
     _parse_number,
     _require_keys,
     _sweep,
-    _write_csv,
+    _write_lines,
     builtin_scenario,
     emit,
     parse_scenario,
@@ -90,7 +90,7 @@ def _select_cell(doc: dict, where: str):
     if not isinstance(phase_only, bool):
         raise ConfigError("phase_only: expected true or false")
     rec = select_state(reflection_map, frequency, rho_target, phase_only=phase_only)
-    return MAP_HEADER.split(","), [(rec.f_ghz, rec.r_ohm, rec.c_pf, rec.rho)]
+    return MAP_HEADER, [(rec.f_ghz, rec.r_ohm, rec.c_pf, rec.rho)]
 
 
 def _coding_set(doc: dict, where: str):
@@ -104,7 +104,7 @@ def _coding_set(doc: dict, where: str):
         raise ConfigError(f"n_bit: expected an integer, got {n_bit!r}")
     min_amplitude = _parse_number(doc.get("min_amplitude", 0.3), "min_amplitude")
     coding = build_coding_set(reflection_map, frequency, n_bit, min_amplitude)
-    return ["slot", "target_phase_rad", *MAP_HEADER.split(",")], [
+    return f"slot,target_phase_rad,{MAP_HEADER}", [
         (slot, phase, rec.f_ghz, rec.r_ohm, rec.c_pf, rec.rho)
         for slot, (phase, rec) in enumerate(zip(coding.target_phases, coding.states))
     ]
@@ -125,7 +125,7 @@ def _to_map(doc: dict, where: str):
         r = transform.r2 * i / (samples - 1)
         r_prime = radial_forward(transform, r)
         rows.append((r * 1e3, r_prime * 1e3, radial_inverse(transform, r_prime) * 1e3))
-    return ["r_mm", "r_prime_mm", "r_back_mm"], rows
+    return "r_mm,r_prime_mm,r_back_mm", rows
 
 
 def _pb_phase(doc: dict, where: str):
@@ -143,7 +143,7 @@ def _pb_phase(doc: dict, where: str):
     samples = _parse_samples(doc)
     xs = [profile.period * i / (samples - 1) for i in range(samples)]
     rows = [(x * 1e3, strip_height(profile, x) * 1e3, pb_phase(profile, x)) for x in xs]
-    return ["x_mm", "height_mm", "phase_rad"], rows
+    return "x_mm,height_mm,phase_rad", rows
 
 
 def _grating(doc: dict, where: str):
@@ -161,11 +161,11 @@ def _grating(doc: dict, where: str):
             rows.append((m, math.degrees(grating_angle(m, wavelength, period)), None))
         except EvanescentOrderError as exc:
             rows.append((m, None, _error_tag(exc)))
-    return ["m", "theta_deg", "err"], rows
+    return "m,theta_deg,err", rows
 
 
 # Subcommand -> (help, table function or one per submode). A table function
-# takes the parsed JSON config and its name and returns (header, rows).
+# takes the parsed JSON config and its name and returns (header line, rows).
 _TABLE_COMMANDS = {
     "select-cell": ("nearest unit-cell state to a target reflection", _select_cell),
     "coding-set": ("N-bit coding set from a reflection map", _coding_set),
@@ -191,13 +191,11 @@ def _cmd_sweep(args) -> int:
     out = args.out or config.output_path
     if out is None:
         raise ConfigError("an output path is required: --out <path>")
-    if args.command == "simulate":
-        mode, kind = None, "simulate"
-    else:
+    mode = None
+    if args.command == "synthesize":
         mode = config.mode if args.mode is None else Mode(args.mode)
         if mode is None:
             raise ConfigError(_NO_MODE)
-        kind = f"synthesize-{mode.value}"
     ok = 0
 
     def counted(rows):
@@ -206,7 +204,7 @@ def _cmd_sweep(args) -> int:
             ok += not row[-1]  # err
             yield row
 
-    emit(counted(_sweep(config, mode)), kind, config.output_format, Path(out))
+    emit(counted(_sweep(config, mode)), mode, config.output_format, Path(out))
     return 0 if ok else 2  # every axis has a point, so the grid is never empty
 
 
@@ -249,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(table, dict):
             table = table[args.submode]
         header, rows = table(_load_json(args.config), str(args.config))
-        _write_csv(args.out, header, map(_cells, rows), ",".join)
+        _write_lines(args.out, [header, *map(",".join, map(_cells, rows))])
         return 0
     except ConfigError as exc:
         print(f"planemirage: config error: {exc}", file=sys.stderr)

@@ -3,11 +3,12 @@
 A ScenarioConfig, from builtin_scenario or parse_scenario (JSON in mm / GHz /
 degrees, converted to SI), holds two stacks, a mode and the (theta, f) grid,
 refused before its first point if it would leave the float range.
-run_simulate and run_synthesize return SweepRows; emit writes them as CSV,
-byte-deterministic, or as SVG through planemirage.svg, loaded only then.
-Every file goes through one writer, which spools a table to an anonymous
-temporary file as its rows are formed and copies it into the output path,
-in place, only after the last row.
+run_simulate and run_synthesize return SweepRows; emit writes them in the
+table of their mode, None for simulate's, as CSV, byte-deterministic, or as
+SVG through planemirage.svg, loaded only then. Every file is a run of lines
+that goes through one writer, which spools them to an anonymous temporary
+file as they are formed and copies it into the output path, in place, only
+after the last line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -393,13 +394,13 @@ def run_synthesize(config: ScenarioConfig) -> list[SweepRow]:
 # ----------------------------------------------------------------- emission
 
 
-# The complex columns of each table kind, carried by a row in the order
-# g_act, g_tgt, rho_req, aux. Every table starts with freq_ghz,theta_deg and
-# ends with err; a synthesis table puts passive before err.
+# The complex columns of each table, by mode (None: simulate's), carried by
+# a row in the order g_act, g_tgt, rho_req, aux. Every table starts with
+# freq_ghz,theta_deg and ends with err; a synthesis table puts passive before err.
 _TABLES = {
-    "simulate": ("g_act", "g_tgt"),
-    "synthesize-reflective": ("g_act", "g_tgt", "rho_req", "eta_n"),
-    "synthesize-transmissive": ("g_act", "g_tgt", "rho_req", "chi_e"),
+    None: ("g_act", "g_tgt"),
+    Mode.REFLECTIVE: ("g_act", "g_tgt", "rho_req", "eta_n"),
+    Mode.TRANSMISSIVE: ("g_act", "g_tgt", "rho_req", "chi_e"),
 }
 
 
@@ -429,12 +430,10 @@ def _cells(values) -> list[str]:
     return cells
 
 
-def _sweep_table(kind: str):
-    """Header and row formatter of a sweep table."""
-    if kind not in _TABLES:
-        raise ValueError(f"unknown table kind {kind!r}")
-    names = _TABLES[kind]
-    synthesis = kind != "simulate"
+def _sweep_table(mode: Mode | None):
+    """Header line and row formatter of the sweep table of mode."""
+    names = _TABLES[mode]
+    synthesis = mode is not None
     header = ["freq_ghz", "theta_deg"]
     for name in names:
         header += [f"{name}_re", f"{name}_im"]
@@ -467,29 +466,26 @@ def _sweep_table(kind: str):
         out.append(err)
         return ",".join(out)
 
-    return header, row_line
+    return ",".join(header), row_line
 
 
-def _write_csv(path: Path, header: list[str], rows, line) -> None:
-    """Every output file, tables and SVG alike: the header line, then
-    line(row), a string of comma-joined cells, for each row; every line ends
-    in a newline. Any OSError of the spool or of path is a WriteError that
-    names path; the rows raise none, as a sweep's own faults are
-    GridPointFaults."""
-    # Rows are taken 256 at a time, then formatted, encoded and written to
-    # an anonymous temporary file, so memory holds one batch, not the table.
-    # path is opened only after the last row is formed, so a sweep that
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Every output file, tables and SVG alike: each of lines, ended by a
+    newline. Any OSError of the spool or of path is a WriteError that names
+    path; the lines raise none, as a sweep's own faults are GridPointFaults."""
+    # Lines are taken 256 at a time, then encoded and written to an
+    # anonymous temporary file, so memory holds one batch, not the file.
+    # path is opened only after the last line is formed, so a sweep that
     # stops at a point leaves it as it was, and then the spool is copied
     # into it in place: a link stays a link and a file keeps its inode.
     import shutil
     import tempfile
 
-    rows = iter(rows)
+    lines = iter(lines)
     try:
         with tempfile.TemporaryFile() as spool:
-            spool.write(f"{','.join(header)}\n".encode())
-            while batch := list(islice(rows, 256)):
-                spool.write("\n".join([*map(line, batch), ""]).encode())
+            while batch := list(islice(lines, 256)):
+                spool.write("\n".join([*batch, ""]).encode())
             spool.seek(0)
             with open(path, "wb") as fh:
                 shutil.copyfileobj(spool, fh)
@@ -497,16 +493,19 @@ def _write_csv(path: Path, header: list[str], rows, line) -> None:
         raise WriteError(f"cannot write {path}: {exc}") from None
 
 
-def emit(rows: Iterable[SweepRow], kind: str, output_format: str, path: Path) -> None:
-    """Write a sweep table to path as CSV (canonical) or SVG (presentation).
-    rows are SweepRows or plain tuples in SweepRow's field order, and may be
-    an iterator; the file is written once it is exhausted."""
+def emit(rows: Iterable[SweepRow], mode: Mode | None, output_format: str, path: Path) -> None:
+    """Write the sweep table of mode, None for simulate's, to path as CSV
+    (canonical) or SVG (presentation). rows are SweepRows or plain tuples
+    in SweepRow's field order, and may be an iterator: a CSV table formats
+    each row as it comes, an SVG plot keeps only the points it draws, and
+    the file is written once rows are exhausted."""
     if output_format == "csv":
-        header, line = _sweep_table(kind)
-        _write_csv(path, header, rows, line)
+        header, line = _sweep_table(mode)
+        lines = chain([header], map(line, rows))
     elif output_format == "svg":
-        from .svg import _emit_svg
+        from .svg import _svg_lines
 
-        _emit_svg(rows, kind, path)
+        lines = _svg_lines(rows, mode)
     else:
         raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
+    _write_lines(path, lines)

@@ -180,7 +180,7 @@ def interface_reflection(state_n: LayerWaveState, state_np1: LayerWaveState) -> 
     n1 = state_n.eta_n * state_n.cos_n
     n2 = state_np1.eta_n * state_np1.cos_n
     den = n2 + n1
-    if abs(den) < _DENOM_FLOOR:
+    if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
         raise DegenerateInterfaceError(f"interface denominator vanished: {den!r}")
     return (n2 - n1) / den
 

@@ -501,7 +501,7 @@ def test_csv_emission_bytes(tmp_path):
         SweepRow(10.0, 0.5, None, None, err="resonant-singularity"),
     ]
     out = tmp_path / "table.csv"
-    emit(rows, "simulate", "csv", out)
+    emit(rows, None, "csv", out)
     text = out.read_bytes().decode("utf-8")
     assert text.splitlines() == [
         _SIM_HEADER,
@@ -509,7 +509,7 @@ def test_csv_emission_bytes(tmp_path):
         "10,0.5,,,,,resonant-singularity",
     ]
     assert text.endswith("\n")
-    emit(rows, "simulate", "csv", tmp_path / "again.csv")
+    emit(rows, None, "csv", tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
 
@@ -532,9 +532,8 @@ def test_sweep_lines_follow_the_cell_rule(tmp_path, mode):
     again = float(repr(first))
     assert again == first and again is not first
     rows += [r._replace(freq_ghz=again) for r in rows if r.freq_ghz == first]
-    kind = "simulate" if mode is None else f"synthesize-{mode.value}"
     out = tmp_path / "table.csv"
-    emit(rows, kind, "csv", out)
+    emit(rows, mode, "csv", out)
 
     def line(r):
         values = [r.freq_ghz, r.theta_deg]
@@ -545,8 +544,8 @@ def test_sweep_lines_follow_the_cell_rule(tmp_path, mode):
     assert out.read_text().split("\n")[1:] == [line(r) for r in rows] + [""]
     # the sweep streams plain tuples in SweepRow order; emit writes the same bytes from them
     for output_format in ("csv", "svg"):
-        emit(rows, kind, output_format, tmp_path / f"rows.{output_format}")
-        emit(map(tuple, rows), kind, output_format, tmp_path / f"tuples.{output_format}")
+        emit(rows, mode, output_format, tmp_path / f"rows.{output_format}")
+        emit(map(tuple, rows), mode, output_format, tmp_path / f"tuples.{output_format}")
         assert (tmp_path / f"tuples.{output_format}").read_bytes() == (
             tmp_path / f"rows.{output_format}"
         ).read_bytes()
@@ -554,7 +553,7 @@ def test_sweep_lines_follow_the_cell_rule(tmp_path, mode):
 
 def test_csv_empty_table_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
-    emit([], "synthesize-reflective", "csv", out)
+    emit([], Mode.REFLECTIVE, "csv", out)
     assert out.read_text().splitlines() == [
         "freq_ghz,theta_deg,g_act_re,g_act_im,g_tgt_re,g_tgt_im,"
         "rho_req_re,rho_req_im,eta_n_re,eta_n_im,passive,err"
@@ -568,12 +567,12 @@ def test_svg_emission(tmp_path):
     )
     rows = run_synthesize(small)
     out = tmp_path / "plot.svg"
-    emit(rows, "synthesize-reflective", "svg", out)
+    emit(rows, Mode.REFLECTIVE, "svg", out)
     text = out.read_text()
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 6  # three series in each of two panels
-    emit(rows, "synthesize-reflective", "svg", tmp_path / "plot2.svg")
+    emit(rows, Mode.REFLECTIVE, "svg", tmp_path / "plot2.svg")
     assert (tmp_path / "plot2.svg").read_bytes() == out.read_bytes()
 
 
@@ -810,6 +809,41 @@ def test_builtin_sweeps_write_golden_bytes(tmp_path, command):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SWEEP_GOLDEN_SHA256[command]
 
 
+# sha256 of two SVG plots of the builtin stacks, as written by the emitter
+# that still kept every row; libm rounding of x86-64 Linux. The builtin grid
+# puts the incidence angle on the x axis; one angle over 41 frequencies puts
+# frequency there.
+_SVG_GOLDEN_SHA256 = {
+    "simulate": (
+        ((0.0, 80.0, 0.5), (10.0, 12.0, 0.1)),
+        "1901855e974e013ad35e1e341dd64a98f22abd942229868bdd597674a8074f37",
+    ),
+    "synthesize --mode transmissive": (
+        ((30.0, 30.0, 0.5), (10.0, 12.0, 0.05)),
+        "a841dbe378f6d141f812345b90df296ef6e02efc24542c325536465367846c84",
+    ),
+}
+
+
+def _svg_doc(theta, freq):
+    """The builtin stacks over the given (start, stop, step) axes, as SVG."""
+    doc = _builtin_stacks_doc(12.0)
+    doc["sweep"] = {
+        name: dict(zip(("start", "stop", "step"), axis))
+        for name, axis in (("theta_deg", theta), ("freq_ghz", freq))
+    }
+    doc["output"] = {"format": "svg"}
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(_SVG_GOLDEN_SHA256))
+def test_svg_plots_write_golden_bytes(tmp_path, command):
+    axes, digest = _SVG_GOLDEN_SHA256[command]
+    config, out = _write_config(tmp_path, _svg_doc(*axes)), tmp_path / "plot.svg"
+    assert main(command.split() + ["--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_main_companion_bad_samples(tmp_path):
     config_path = _write_config(
         tmp_path, {"r1_mm": 50.0, "r2_mm": 300.0, "q": 3.0, "samples": 1}, name="bad.json"
@@ -934,6 +968,21 @@ def test_a_sweep_holds_one_copy_of_its_output(tmp_path, command):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (tmp_path / "sweep.csv").stat().st_size
+
+
+def test_an_svg_sweep_does_not_keep_its_rows(tmp_path):
+    # the plot holds the points it draws, read from each row as it streams
+    # past, and no list of the rows they came from
+    config = _write_config(tmp_path, _svg_doc(*_SVG_GOLDEN_SHA256["simulate"][0]))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sweep.svg")]
+    assert main(argv) == 0  # imports and first-use caches are not the sweep's
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * (tmp_path / "sweep.svg").stat().st_size
 
 
 def _builtin_stacks_doc(freq_stop):
@@ -1104,6 +1153,30 @@ def test_a_failed_walk_is_tagged_once(role, mode):
     rows = run_synthesize(ScenarioConfig(stacks["actual"], stacks["target"], mode, _small_axis(), axis))
     assert [r.err for r in rows] == ["domain"] * 3
     assert all(r.rho_req is None and r.aux is None and r.passive is None for r in rows)
+
+
+@pytest.mark.parametrize(
+    "command, tags",
+    [
+        (["simulate"], "domain"),
+        (["synthesize", "--mode", "reflective"], "domain;degenerate-synthesis"),
+        (["synthesize", "--mode", "transmissive"], "domain"),
+    ],
+)
+def test_an_interface_sum_past_the_float_range_is_a_tagged_point(tmp_path, capsys, command, tags):
+    # at 45 degrees the layer's eta*cos(theta) has parts of about 1.3e308:
+    # its sum with air is finite, but abs() of it overflows
+    actual = {"layers": [{"eps": [1e-306, -1e-306], "thickness_mm": 1.0}], "termination": {"kind": "pec"}}
+    doc = _scenario_doc(actual=actual)
+    doc["sweep"] = {
+        "theta_deg": {"start": 45.0, "stop": 45.0, "step": 1.0},
+        "freq_ghz": {"start": 10.0, "stop": 10.0, "step": 1.0},
+    }
+    out = tmp_path / "huge-n.csv"
+    assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    (row,) = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert row[:4] == ["10", "45", "", ""] and row[-1] == tags
 
 
 @pytest.mark.parametrize(

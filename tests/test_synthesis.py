@@ -6,9 +6,17 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planemirage import wavecore
-from planemirage.errors import DegenerateSynthesisError, DomainError, OpenCircuitError, ValidationError
+from planemirage.errors import (
+    DegenerateSynthesisError,
+    DomainError,
+    OpenCircuitError,
+    PlanemirageError,
+    ValidationError,
+)
 from planemirage.gstc import impedance_from_reflection, susceptibility_from_reflection
 from planemirage.sweep import builtin_scenario
 from planemirage.synthesis import (
@@ -24,6 +32,7 @@ from planemirage.wavecore import (
     AIR,
     Layer,
     Medium,
+    Open,
     Pec,
     PlaneWave,
     Sheet,
@@ -390,3 +399,60 @@ def test_deep_lossy_wall_hides_its_termination():
     problem = IllusionProblem(actual, builtin_scenario().target, wave, Mode.REFLECTIVE)
     with pytest.raises(DegenerateSynthesisError, match="hides"):
         synthesize(problem)
+
+
+# A layer whose n = eta*cos(theta) at 45 degrees has parts of about 1.3e308:
+# its interface sum with air is finite, but its magnitude is past the float
+# range, so abs() of it raises OverflowError.
+_HUGE_N_LAYER = Layer(Medium(complex(1e-306, -1e-306)), 1e-3)
+
+
+def test_an_interface_sum_past_the_float_range_raises_only_typed_errors():
+    actual = Stack(AIR, (_HUGE_N_LAYER,), Pec())
+    target = Stack(AIR, (Layer(Medium(2.0), 10e-3),), Open(AIR))
+    wave = PlaneWave(10e9, math.radians(45.0))
+    with pytest.raises(DomainError):
+        chain_reflection(actual, wave)
+    with pytest.raises(DegenerateSynthesisError):
+        synthesize(IllusionProblem(actual, target, wave, Mode.REFLECTIVE))
+    rho, chi_e, _ = synthesize(IllusionProblem(actual, target, wave, Mode.TRANSMISSIVE))
+    assert cmath.isfinite(rho) and cmath.isfinite(chi_e)
+
+
+# One part of eps or mu: zero, or a sign times a power of ten from 1e-307 to 1e307.
+_wide_part = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from((-1.0, 1.0)), st.floats(-307.0, 307.0)),
+)
+_wide_medium = st.tuples(st.builds(complex, _wide_part, _wide_part), st.builds(complex, _wide_part, _wide_part))
+
+
+@settings(max_examples=300, deadline=None)
+@example(layers=[((1e-306 - 1e-306j, 1 + 0j), 1.0)], open_medium=None, theta_deg=45.0, f_ghz=10.0)
+@given(
+    layers=st.lists(st.tuples(_wide_medium, st.floats(0.0, 100.0)), min_size=1, max_size=4),
+    open_medium=st.one_of(st.none(), _wide_medium),  # None: a PEC termination
+    theta_deg=st.floats(0.0, 89.9),
+    f_ghz=st.floats(0.1, 40.0),
+)
+def test_media_across_the_float_range_raise_only_typed_errors(layers, open_medium, theta_deg, f_ghz):
+    # every medium, layer and stack a constructor accepts gives a finite
+    # answer or a PlanemirageError, as actual and as target stack
+    try:
+        termination = Pec() if open_medium is None else Open(Medium(*open_medium))
+        stack = Stack(AIR, tuple(Layer(Medium(*m), t * 1e-3) for m, t in layers), termination)
+    except PlanemirageError:
+        return
+    other = Stack(AIR, (Layer(Medium(2.0), 10e-3),), Open(AIR))
+    wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
+    problems = [
+        IllusionProblem(actual, target, wave, mode)
+        for mode in Mode
+        for actual, target in ((stack, other), (other, stack))
+    ]
+    for problem in [None, *problems]:  # None: chain_reflection of the stack
+        try:
+            values = [chain_reflection(stack, wave)] if problem is None else synthesize(problem)[:2]
+        except PlanemirageError:
+            continue
+        assert all(cmath.isfinite(v) for v in values)
