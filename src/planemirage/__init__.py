@@ -5,10 +5,12 @@ another.
 The public API re-exports the core types and operations; the submodules
 group them by concern:
 
-  wavecore    media, stacks, wave states, the reflection recursion
+  wavecore    media, stacks, wave states, the angle walk and the one
+              reflection recursion over it
   gstc        sheet descriptions of a reflection (impedance, susceptibility)
   synthesis   illusion synthesis (reflective and transmissive), by
-              inverting the reflection recursion, and the sheet step
+              inverting the recursion over the actual stack's angle walk,
+              and the sheet step
   unitcell    tunable-cell reflection maps, state selection, coding sets
   companions  radial transform, strip profile, geometric phase, grating
   sweep       scenario configs, (theta, frequency) sweeps, their CSV/SVG tables
@@ -61,9 +63,6 @@ from .wavecore import (
     Stack,
     angle_walk,
     chain_reflection,
-    chain_segments,
-    fold_reflection,
-    frequency_step,
     incident_wave_state,
     interface_reflection,
     layer_wave_state,
@@ -111,9 +110,6 @@ __all__ = [
     "angle_walk",
     "build_coding_set",
     "chain_reflection",
-    "chain_segments",
-    "fold_reflection",
-    "frequency_step",
     "front_sheet_reflection",
     "grating_angle",
     "impedance_from_reflection",

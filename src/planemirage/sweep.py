@@ -3,12 +3,14 @@
 A ScenarioConfig, from builtin_scenario or parse_scenario (JSON in mm / GHz /
 degrees, converted to SI), holds two stacks, a mode and the (theta, f) grid,
 refused before its first point if it would leave the float range.
-run_simulate and run_synthesize return SweepRows; emit writes them in the
-table of their mode, None for simulate's, as CSV, byte-deterministic, or as
-SVG through planemirage.svg, loaded only then. Every file is a run of lines
-that goes through one writer, which spools them to an anonymous temporary
-file as they are formed and copies it into the output path, in place, only
-after the last line.
+run_simulate and run_synthesize return SweepRows from one loop that walks
+each stack once per angle and folds both walks at every point;
+run_synthesize also feeds the actual walk to sheet_state. emit writes the
+rows in the table of their mode, None for simulate's, as CSV,
+byte-deterministic, or as SVG through planemirage.svg, loaded only then.
+Every file is a run of lines that goes through one writer, which spools
+them to an anonymous temporary file as they are formed and copies it into
+the output path, in place, only after the last line.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from .wavecore import (
     Sheet,
     Stack,
     angle_walk,
-    fold_reflection,
-    frequency_step,
     walk_reflection,
 )
 
@@ -303,21 +303,18 @@ def _gamma(walk, k0: float, errs: list[str]) -> complex | None:
         return None
 
 
-def _reflect(walk, k0: float, errs: list[str]):
-    """(segments, rho_T, Gamma) of one stack at k0 from its angle walk, for
-    an inversion that needs the segments. A failure, the walk's own tag
-    included, goes to errs and leaves None for what it kept from being
-    computed."""
-    segments = rho_t = gamma = None
+def _round_trips_finite(walk, k0: float) -> bool:
+    """Whether an angle walk, not its error tag, has no round trip
+    e^{-j k0 a_n} that overflows at k0, formed as the inversions form it."""
     if isinstance(walk, str):
-        errs.append(walk)
-    else:
-        try:
-            segments, rho_t = frequency_step(walk, k0)
-            gamma = fold_reflection(segments, rho_t)
-        except PlanemirageError as exc:
-            errs.append(_error_tag(exc))
-    return segments, rho_t, gamma
+        return False
+    jk0 = -1j * k0
+    try:
+        for _, a in walk[0]:
+            cmath.exp(jk0 * a)
+    except OverflowError:
+        return False
+    return True
 
 
 class GridPointFault(Exception):
@@ -339,12 +336,14 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     field order, and a frequency's rows share one freq_ghz float.
 
     Every medium is non-dispersive, so each stack is walked once per angle
-    and each point only folds the walk at its k0, taking the frequency step
-    as segments only for the actual stack of a synthesis; a point gets the
-    same bits as chain_reflection and synthesize. A failed walk is
-    tagged at every frequency of its angle. A point whose actual segments
-    or Gamma_i failed is not synthesized: one tag per failure. Any other
-    exception at a point raises GridPointFault."""
+    and each point folds both walks at its k0 with walk_reflection; a
+    synthesis reads the actual walk again in its inversion. A point gets
+    the same bits as chain_reflection and synthesize. A failed walk is
+    tagged at every frequency of its angle. A point is synthesized when
+    Gamma_i is known and no round trip of the actual walk overflows at k0,
+    even where the actual Gamma failed at its closing division; otherwise
+    each failure is tagged once. Any other exception at a point raises
+    GridPointFault."""
     angles = []
     f_ghz = theta_deg = None
     # One guard around both loops: the loop variables name the point that raised.
@@ -357,16 +356,16 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
             k0 = PlaneWave(f_ghz * 1e9).k0
             for theta_deg, cos_theta, actual, target in angles:
                 errs = []
-                if mode is None:
-                    segments = None
-                    g_act = _gamma(actual, k0, errs)
-                else:
-                    segments, rho_t, g_act = _reflect(actual, k0, errs)
+                g_act = _gamma(actual, k0, errs)
                 g_tgt = _gamma(target, k0, errs)
                 rho_req = aux = passive = None
-                if segments is not None and g_tgt is not None:
+                if (
+                    mode is not None
+                    and g_tgt is not None
+                    and (g_act is not None or _round_trips_finite(actual, k0))
+                ):
                     try:
-                        rho_req, aux, passive = sheet_state(mode, segments, rho_t, g_tgt, k0, cos_theta)
+                        rho_req, aux, passive = sheet_state(mode, actual, k0, g_tgt, cos_theta)
                     except PlanemirageError as exc:
                         errs.append(_error_tag(exc))
                 yield f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)

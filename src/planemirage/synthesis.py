@@ -15,11 +15,13 @@ Each step of the reflection recursion in wavecore is a fractional-linear
 (Moebius) map, so both syntheses are exact single-point inversions of it:
 the reflective one runs Gamma_i backward through every layer of the actual
 stack, the transmissive one takes a single inverse step at its front. Both
-work for actual stacks of any depth. sheet_state is the one per-point step
-(inversion, sheet description, passivity); a sweep feeds it the actual
-stack's segments, its rho_T and Gamma_i, and synthesize feeds it an
-IllusionProblem. The substitution checks evaluate the forward recursion
-with the synthesized value in place.
+work for actual stacks of any depth. They read the actual stack's angle
+walk and form each round trip Z_n^2 = e^{-j k0 a_n} as they reach it, the
+same factor wavecore.walk_reflection forms. sheet_state is the one
+per-point step (inversion, sheet description, passivity); a sweep feeds it
+the actual stack's angle walk, k0 and Gamma_i, and synthesize feeds it an
+IllusionProblem. The substitution checks fold the same walk with
+walk_reflection, the synthesized value in place.
 """
 
 from __future__ import annotations
@@ -28,21 +30,14 @@ import cmath
 from enum import Enum
 from functools import cached_property
 
-from ._value import Value
+from ._value import Value, _require_finite
 from .errors import DegenerateSynthesisError, DomainError, ValidationError
 from .gstc import impedance_from_reflection, susceptibility_from_reflection
-from .wavecore import (
-    PlaneWave,
-    Segments,
-    Sheet,
-    Stack,
-    chain_reflection,
-    chain_segments,
-    fold_reflection,
-)
+from .wavecore import PlaneWave, Sheet, Stack, Walk, angle_walk, chain_reflection, walk_reflection
 
 _DEGENERACY_RTOL = 1e-12
-# abs() raises OverflowError for a finite complex whose magnitude is past the float range
+# abs() of a finite complex past the float range raises OverflowError, and so
+# does a round trip e^{-j k0 a} that leaves it
 _OVERFLOW = "the {} inversion overflows at this point"
 
 
@@ -70,9 +65,9 @@ class IllusionProblem(Value):
         super().__init__(actual, target, wave, mode)
 
     @cached_property
-    def actual_walk(self) -> tuple[Segments, complex]:
-        """chain_segments of the actual stack: its (rho_n, Z_n^2) and rho_T."""
-        return chain_segments(self.actual, self.wave)
+    def actual_walk(self) -> Walk:
+        """The actual stack's angle walk: its (rho_n, a_n) and rho_T."""
+        return angle_walk(self.actual, self.wave.theta1)
 
     @cached_property
     def gamma_i(self) -> complex:
@@ -102,10 +97,11 @@ def _solve(p: complex, q: complex, q_scale: float, det: complex, sheet: str) -> 
     return rho
 
 
-def reflective_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -> complex:
+def reflective_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
     """rho_4m, the terminating sheet reflection that makes the actual stack,
-    given by its (rho_n, Z_n^2) segments, reflect Gamma_i. The sheet takes
-    the place of the termination rho_t, which is therefore not read.
+    given by its angle walk, reflect Gamma_i at vacuum wavenumber k0. The
+    sheet takes the place of the walk's termination rho_T, which is
+    therefore not read.
 
     Runs Gamma_i backward through the inverse steps of the actual stack,
 
@@ -117,10 +113,13 @@ def reflective_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -
     is the product of the steps' Z_n^2 (1 - rho_n^2), and q_scale bounds
     the magnitudes that q is summed from.
     """
+    steps, _ = walk
+    jk0 = -1j * k0
     try:
         p, q, det = gamma_i, 1.0 + 0.0j, 1.0 + 0.0j
         p_scale, q_scale = abs(gamma_i), 1.0
-        for rho, z2 in segments:
+        for rho, a in steps:
+            z2 = cmath.exp(jk0 * a)
             r, z = abs(rho), abs(z2)
             p, q = p - rho * q, z2 * (q - rho * p)
             p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
@@ -130,21 +129,22 @@ def reflective_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -
         raise DomainError(_OVERFLOW.format("terminating sheet")) from None
 
 
-def transmissive_inversion(segments: Segments, rho_t: complex, gamma_i: complex) -> complex:
+def transmissive_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
     """rho_1m, the front-sheet reflection that makes the actual stack, given
-    by its (rho_n, Z_n^2) segments and termination rho_t, reflect Gamma_i.
+    by its angle walk, reflect Gamma_i at vacuum wavenumber k0.
 
     rho_1m replaces the actual first interface's reflection coefficient.
     With X = Z_1^2 Gamma_2, the forward recursion over layers 2..N brought
     to the front of layer 1, the total reflection is (r + X)/(1 + r X) for a
     first interface reflecting r; one inverse step at the front gives
     rho_1m = (Gamma_i - X)/(1 - Gamma_i X). rho_1m = 1 admits no finite
-    front sheet and raises, and so do segments with no layer.
+    front sheet and raises, and so does a walk with no layer.
     """
-    if not segments:
+    steps, rho_t = walk
+    if not steps:
         raise ValidationError("the front-sheet inversion needs at least one layer")
-    x = segments[0][1] * fold_reflection(segments[1:], rho_t)
     try:
+        x = cmath.exp(-1j * k0 * steps[0][1]) * walk_reflection((steps[1:], rho_t), k0)
         rho_1m = _solve(gamma_i - x, 1.0 - gamma_i * x, 1.0 + abs(gamma_i * x), 1.0 - x * x, "front sheet")
         if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
             raise DegenerateSynthesisError(
@@ -157,23 +157,24 @@ def transmissive_inversion(segments: Segments, rho_t: complex, gamma_i: complex)
 
 def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> complex:
     """Total reflection of the actual stack with its termination replaced by Sheet(rho)."""
-    segments, _ = problem.actual_walk
-    return fold_reflection(segments, Sheet(rho).rho)
+    steps, _ = problem.actual_walk
+    return walk_reflection((steps, Sheet(rho).rho), problem.wave.k0)
 
 
 def front_sheet_reflection(problem: IllusionProblem, rho_1: complex) -> complex:
     """Total reflection of the actual stack with its first interface's
     reflection replaced by rho_1."""
-    segments, rho_t = problem.actual_walk
-    return fold_reflection(((complex(rho_1), segments[0][1]),) + segments[1:], rho_t)
+    rho_1 = _require_finite("sheet reflection", complex(rho_1))
+    steps, rho_t = problem.actual_walk
+    return walk_reflection((((rho_1, steps[0][1]),) + steps[1:], rho_t), problem.wave.k0)
 
 
 def sheet_state(
-    mode: Mode, segments: Segments, rho_t: complex, gamma_i: complex, k0: float, cos_theta: complex
+    mode: Mode, walk: Walk, k0: float, gamma_i: complex, cos_theta: complex
 ) -> tuple[complex, complex, bool]:
     """(rho, sheet, passive): the sheet reflection that makes the actual
-    stack, given by its (rho_n, Z_n^2) segments and termination rho_t,
-    reflect Gamma_i at vacuum wavenumber k0 and incidence cosine cos_theta.
+    stack, given by its angle walk, reflect Gamma_i at vacuum wavenumber k0
+    and incidence cosine cos_theta.
 
     The mode picks the inversion and the sheet description: the normalized
     impedance eta/eta0 of rho_4m (reflective) or the susceptibility chi_e of
@@ -183,10 +184,10 @@ def sheet_state(
     under rounding. The |rho| = 1 boundary is passive.
     """
     if mode is Mode.REFLECTIVE:
-        rho = reflective_inversion(segments, rho_t, gamma_i)
+        rho = reflective_inversion(walk, k0, gamma_i)
         sheet = eta_n = impedance_from_reflection(rho)
     else:
-        rho = transmissive_inversion(segments, rho_t, gamma_i)
+        rho = transmissive_inversion(walk, k0, gamma_i)
         sheet = susceptibility_from_reflection(rho, k0, cos_theta)
         eta_n = impedance_from_reflection(rho)
     return rho, sheet, abs(rho) <= 1.0 and eta_n.real >= 0.0
@@ -195,6 +196,4 @@ def sheet_state(
 def synthesize(problem: IllusionProblem) -> tuple[complex, complex, bool]:
     """sheet_state of one illusion problem, in the problem's mode."""
     wave = problem.wave
-    return sheet_state(
-        problem.mode, *problem.actual_walk, problem.gamma_i, wave.k0, cmath.cos(wave.theta1)
-    )
+    return sheet_state(problem.mode, problem.actual_walk, wave.k0, problem.gamma_i, cmath.cos(wave.theta1))

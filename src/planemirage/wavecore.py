@@ -5,9 +5,8 @@ interface reflection rho_n and round trip a_n = 2 s l cos, plus the
 termination reflection. walk_reflection folds that walk into the total
 reflection at one vacuum wavenumber k0 with the Airy/Rouard recursion,
 taking each round-trip factor Z_n^2 = e^{-j k0 a_n} as the fold reaches
-layer n. Where an inversion needs the factors themselves, frequency_step
-returns them as segments (chain_segments is both steps at one plane wave)
-and fold_reflection folds the segments; both routes give the same bits.
+layer n. It is the only forward fold: simulate, both inversions and the
+substitution checks read the same walk through it.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -35,7 +34,6 @@ C0 = 299792458.0            # vacuum speed of light, m/s
 ETA0 = 376.730313668        # vacuum wave impedance, ohms
 
 _DENOM_FLOOR = 1e-300
-_GAIN_OVERFLOW = "the propagation factor across a gain layer overflows"
 
 
 class Medium(Value):
@@ -185,7 +183,6 @@ def interface_reflection(state_n: LayerWaveState, state_np1: LayerWaveState) -> 
     return (n2 - n1) / den
 
 
-Segments = tuple[tuple[complex, complex], ...]
 Walk = tuple[tuple[tuple[complex, complex], ...], complex]  # ((rho_n, a_n), ...), rho_T
 
 
@@ -229,51 +226,20 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     return tuple(steps), rho_t
 
 
-def frequency_step(walk: Walk, k0: float) -> tuple[Segments, complex]:
-    """An angle walk at vacuum wavenumber k0: each layer's (rho_n, Z_n^2)
-    with the round trip Z_n^2 = e^{-j k0 a_n}, and rho_T. DomainError where
-    a round trip overflows, as across a thick gain layer."""
-    steps, rho_t = walk
-    jk0 = -1j * k0
-    try:
-        return tuple([(rho, cmath.exp(jk0 * a)) for rho, a in steps]), rho_t
-    except OverflowError:
-        raise DomainError(_GAIN_OVERFLOW) from None
-
-
-def chain_segments(stack: Stack, wave: PlaneWave) -> tuple[Segments, complex]:
-    """The stack's per-layer pairs (rho_n, Z_n^2) and rho_T at one wave:
-    its angle walk at wave's frequency."""
-    return frequency_step(angle_walk(stack, wave.theta1), wave.k0)
-
-
-def fold_reflection(segments: Segments, rho_t: complex) -> complex:
-    """Reflection at the front of segments closed by rho_t.
+def walk_reflection(walk: Walk, k0: float) -> complex:
+    """Total reflection of an angle walk at vacuum wavenumber k0.
 
     Folds the Airy/Rouard recursion from the back,
 
         Gamma_n = (rho_n + Z_n^2 Gamma_{n+1}) / (1 + rho_n Z_n^2 Gamma_{n+1}),
 
-    starting from Gamma_{N+1} = rho_T. Gamma is carried as a pair p/q, so an
-    infinite intermediate value passes through and only the total can be
-    singular. Only Z^2 appears, never 1/Z, so a layer thick enough for Z^2
-    to underflow simply hides everything behind it. Gain layers can make
-    the pair overflow; a total that is not finite raises DomainError.
-    """
-    p, q = rho_t, 1.0
-    for rho, z2 in reversed(segments):
-        w = z2 * p
-        p, q = rho * q + w, q + rho * w
-    return _close_fold(p, q)
-
-
-def walk_reflection(walk: Walk, k0: float) -> complex:
-    """Total reflection of an angle walk at vacuum wavenumber k0.
-
-    The same fold as fold_reflection(*frequency_step(walk, k0)), in one
-    pass: each Z_n^2 is taken when the fold reaches layer n and none is
-    kept. The expressions and their order are the same, so are the bits
-    and the errors.
+    starting from Gamma_{N+1} = rho_T, and takes each round trip
+    Z_n^2 = e^{-j k0 a_n} when the fold reaches layer n. Gamma is carried
+    as a pair p/q, so an infinite intermediate value passes through and
+    only the total can be singular. Only Z^2 appears, never 1/Z, so a layer
+    thick enough for Z^2 to underflow simply hides everything behind it.
+    Gain layers can make a round trip or the pair overflow; a total that is
+    not finite raises DomainError.
     """
     steps, p = walk
     q = 1.0
@@ -283,12 +249,7 @@ def walk_reflection(walk: Walk, k0: float) -> complex:
             w = cmath.exp(jk0 * a) * p
             p, q = rho * q + w, q + rho * w
     except OverflowError:
-        raise DomainError(_GAIN_OVERFLOW) from None
-    return _close_fold(p, q)
-
-
-def _close_fold(p: complex, q: complex) -> complex:
-    """Gamma = p/q, the end of a fold."""
+        raise DomainError("the propagation factor across a gain layer overflows") from None
     # hypot, unlike abs, gives inf instead of raising when gain layers push |q| past the float range
     if math.hypot(q.real, q.imag) < _DENOM_FLOOR:
         raise ResonantSingularityError("total-reflection denominator vanished")

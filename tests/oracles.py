@@ -198,6 +198,13 @@ def propagation_phase(state_n: LayerWaveState, thickness: float, k0: float) -> c
         raise DomainError("the propagation factor across a gain layer overflows") from None
 
 
+def round_trips(walk, k0: float) -> list[complex]:
+    """Each layer's round trip Z_n^2 = e^{-j k0 a_n} of an angle walk, formed
+    with the runtime's expression; OverflowError where one leaves the float
+    range."""
+    return [cmath.exp(-1j * k0 * a) for _, a in walk[0]]
+
+
 def termination_reflection(stack: Stack, wave: PlaneWave) -> complex:
     """Reflection of the termination as seen from inside the last layer."""
     return angle_walk(stack, wave.theta1)[1]

@@ -25,6 +25,7 @@ from planemirage.errors import (
     ConfigError,
     DegenerateInterfaceError,
     DegenerateSynthesisError,
+    DomainError,
     EvanescentOrderError,
     PlanemirageError,
     ResonantSingularityError,
@@ -41,12 +42,12 @@ from planemirage.wavecore import (
     PlaneWave,
     Sheet,
     Stack,
+    angle_walk,
     chain_reflection,
-    chain_segments,
-    fold_reflection,
+    walk_reflection,
 )
 
-from oracles import chain_matrix, segment_triples
+from oracles import chain_matrix, round_trips, segment_triples
 
 _SIM_HEADER = "freq_ghz,theta_deg,g_act_re,g_act_im,g_tgt_re,g_tgt_im,err"
 
@@ -388,24 +389,33 @@ def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode
 
 
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
-def test_only_a_synthesis_takes_the_frequency_step_as_segments(monkeypatch, mode):
-    # every Gamma folds its angle walk in one pass; an inversion needs the
-    # actual stack's Z_n^2, so synthesis takes them once per point
+def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
+    # the sweep folds both walks at every point; a transmissive inversion
+    # folds the actual walk's layers 2..N once more, a reflective one nothing
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
-    calls = []
-    real = sweep.frequency_step
+    calls = {"walk": [], "sweep": [], "synthesis": []}
 
-    def counted(walk, k0):
-        calls.append(walk)
-        return real(walk, k0)
+    def counted(key, real):
+        def fn(*args):
+            calls[key].append(args)
+            return real(*args)
 
-    monkeypatch.setattr(sweep, "frequency_step", counted)
+        return fn
+
+    monkeypatch.setattr(sweep, "angle_walk", counted("walk", angle_walk))
+    monkeypatch.setattr(sweep, "walk_reflection", counted("sweep", walk_reflection))
+    monkeypatch.setattr(synthesis, "walk_reflection", counted("synthesis", walk_reflection))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
-    actual_walks = {sweep.angle_walk(config.actual, math.radians(t)) for t in config.theta_deg.values()}
-    assert len(calls) == (0 if mode is None else len(rows))
-    assert all(walk in actual_walks for walk in calls)
+    assert len(calls["walk"]) == 2 * config.theta_deg.count
+    assert len(calls["sweep"]) == 2 * len(rows)
+    if mode is Mode.TRANSMISSIVE:
+        # each point folds the actual walk first, then the target's
+        actual = [walk for walk, _ in calls["sweep"][::2]]
+        assert [walk for walk, _ in calls["synthesis"]] == [(steps[1:], rho_t) for steps, rho_t in actual]
+    else:
+        assert calls["synthesis"] == []
 
 
 def test_sweep_rows_are_tuples():
@@ -416,24 +426,33 @@ def test_sweep_rows_are_tuples():
         row.err = "domain"
 
 
+def _round_trips_are_floats(walk, k0):
+    """Whether no round trip e^{-j k0 a_n} of an angle walk overflows."""
+    try:
+        round_trips(walk, k0)
+    except OverflowError:
+        return False
+    return True
+
+
 def _per_point_row(actual, target, mode, f_ghz, theta_deg):
     """The row a sweep owes one grid point, from the per-point API alone:
-    the actual stack's chain_segments and fold, the target's Gamma_i, then
-    synthesize unless one of those two raised."""
+    the actual stack's angle walk and fold, the target's Gamma_i, then
+    synthesize unless the walk, one of its round trips or Gamma_i raised."""
     wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
     problem = IllusionProblem(actual, target, wave, mode or Mode.REFLECTIVE)
     errs = []
     walk = g_act = g_tgt = rho = aux = passive = None
     try:
         walk = problem.actual_walk
-        g_act = fold_reflection(*walk)
+        g_act = walk_reflection(walk, wave.k0)
     except PlanemirageError as exc:
         errs.append(_error_tag(exc))
     try:
         g_tgt = problem.gamma_i
     except PlanemirageError as exc:
         errs.append(_error_tag(exc))
-    if mode and walk is not None and g_tgt is not None:
+    if mode and walk is not None and g_tgt is not None and _round_trips_are_floats(walk, wave.k0):
         try:
             rho, aux, passive = synthesize(problem)
         except PlanemirageError as exc:
@@ -460,6 +479,33 @@ def test_a_round_trip_that_overflows_at_one_frequency_is_tagged_there(role, mode
     assert [r.err for r in rows] == [""] * 3 + ["domain"] * 3
 
 
+def test_an_actual_gamma_that_fails_at_its_close_is_still_synthesized(tmp_path):
+    # 1 m of eps = 3 + j and 1 m of eps = 1 + 4j over PEC at 60 deg and
+    # 10 GHz: every round trip is a float, but the actual stack's total
+    # reflection overflows at the closing division. A synthesis needs the
+    # round trips, not that total, so the point still gets a front sheet.
+    layers = [{"eps": [3.0, 1.0], "thickness_mm": 1000.0}, {"eps": [1.0, 4.0], "thickness_mm": 1000.0}]
+    doc = _scenario_doc(actual={"layers": layers, "termination": {"kind": "pec"}}, mode="transmissive")
+    doc["sweep"] = {
+        "theta_deg": {"start": 60.0, "stop": 60.0, "step": 1.0},
+        "freq_ghz": {"start": 10.0, "stop": 10.0, "step": 1.0},
+    }
+    config = parse_scenario(_write_config(tmp_path, doc))
+    wave = PlaneWave(10e9, math.radians(60.0))
+    assert _round_trips_are_floats(angle_walk(config.actual, wave.theta1), wave.k0)
+    with pytest.raises(DomainError, match="total reflection overflows"):
+        chain_reflection(config.actual, wave)
+    out = tmp_path / "sheet.csv"
+    assert main(["synthesize", "--config", str(tmp_path / "scenario.json"), "--out", str(out)]) == 2
+    header, line = out.read_text().splitlines()
+    assert header.endswith(",chi_e_re,chi_e_im,passive,err")
+    cells = line.split(",")
+    assert cells[2:4] == ["", ""]  # g_act
+    assert all(cells[4:10])  # g_tgt, rho_req and chi_e
+    assert cells[-1] == "domain"
+    assert run_synthesize(config) == [_per_point_row(config.actual, config.target, Mode.TRANSMISSIVE, 10.0, 60.0)]
+
+
 @pytest.mark.parametrize("role", ["actual", "target"])
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_a_walk_that_fails_at_one_angle_is_tagged_at_every_frequency(monkeypatch, role, mode):
@@ -472,8 +518,10 @@ def test_a_walk_that_fails_at_one_angle_is_tagged_at_every_frequency(monkeypatch
             raise DegenerateInterfaceError("interface denominator vanished")
         return real(stack, theta1)
 
-    monkeypatch.setattr(wavecore, "angle_walk", angle_walk)
-    monkeypatch.setattr(sweep, "angle_walk", angle_walk)
+    # the sweep, chain_reflection (the target's Gamma_i) and IllusionProblem
+    # (the actual walk) each call angle_walk by their own name
+    for module in (wavecore, sweep, synthesis):
+        monkeypatch.setattr(module, "angle_walk", angle_walk)
     rows = _sweep_matches_per_point_api(config.actual, config.target, mode, SweepAxis(10.0, 10.1, 0.1))
     assert [r.err for r in rows] == ["", "degenerate-interface", ""] * 2
 
@@ -858,7 +906,7 @@ def _degenerate_target_doc(frequency_ghz):
     m = chain_matrix(segment_triples(actual, wave))
     thickness = 0.015
     shell = Stack(AIR, (Layer(AIR, thickness),), Sheet(0j))
-    z2_1 = chain_segments(shell, wave)[0][0][1]
+    (z2_1,) = round_trips(angle_walk(shell, wave.theta1), wave.k0)
     rho_t = (m[3] / m[1]) / z2_1
     return {
         "layers": [{"eps": 1.0, "thickness_mm": thickness * 1e3}],

@@ -39,7 +39,6 @@ from planemirage.wavecore import (
     Stack,
     angle_walk,
     chain_reflection,
-    chain_segments,
     incident_wave_state,
     interface_reflection,
     layer_wave_state,
@@ -56,6 +55,7 @@ from oracles import (
     reflective_closed_form,
     reflective_matrix_oracle,
     reflective_products,
+    round_trips,
     segment_triples,
     transmissive_closed_form,
     transmissive_matrix_oracle,
@@ -234,7 +234,7 @@ def test_identity_chain_synthesis_is_the_target_reflection():
 def _air_over_sheet(wave, gamma, thickness=0.015):
     """A target stack, an air layer over a sheet, whose total reflection is gamma."""
     shell = Stack(AIR, (Layer(AIR, thickness),), Sheet(0j))
-    z2 = chain_segments(shell, wave)[0][0][1]
+    (z2,) = round_trips(angle_walk(shell, wave.theta1), wave.k0)
     return Stack(AIR, (Layer(AIR, thickness),), Sheet(gamma / z2))
 
 
@@ -263,7 +263,8 @@ def test_degeneracy_is_judged_on_the_composed_map():
     # yet the composed map is regular and asks for an active sheet.
     scenario = builtin_scenario()
     wave = PlaneWave(10e9, 0.0)
-    (_, z2_1), (rho_2, _), _ = chain_segments(scenario.actual, wave)[0]
+    walk = angle_walk(scenario.actual, wave.theta1)
+    z2_1, rho_2 = round_trips(walk, wave.k0)[0], walk[0][1][0]
     target = _air_over_sheet(wave, z2_1 / rho_2, thickness=0.030)
     problem = IllusionProblem(scenario.actual, target, wave, Mode.REFLECTIVE)
     gamma_2 = problem.gamma_i / z2_1  # rho_1 = 0: air onto air
@@ -324,8 +325,8 @@ def test_transmissive_unit_front_reflection_raises():
 
 
 def _passive(rho):
-    # no segments: the reflective inversion asks for Gamma_i itself
-    return sheet_state(Mode.REFLECTIVE, (), -1.0, rho, 200.0, 1.0)[2]
+    # a walk with no layer: the reflective inversion asks for Gamma_i itself
+    return sheet_state(Mode.REFLECTIVE, ((), -1.0), 200.0, rho, 1.0)[2]
 
 
 def test_passivity_verdict():
@@ -348,14 +349,22 @@ def test_a_reflection_whose_magnitude_overflows_is_a_typed_error():
     with pytest.raises(DomainError):
         _passive(huge)
     with pytest.raises(DomainError):
-        sheet_state(Mode.TRANSMISSIVE, ((0.0, 1.0 + 0j),), -1.0, huge, 200.0, 1.0)
+        sheet_state(Mode.TRANSMISSIVE, (((0.0, 0j),), -1.0), 200.0, huge, 1.0)
 
 
 def test_a_front_sheet_inversion_without_layers_is_a_typed_error():
     with pytest.raises(ValidationError, match="at least one layer"):
-        transmissive_inversion((), -1.0, 0.5)
+        transmissive_inversion(((), -1.0), 200.0, 0.5)
     with pytest.raises(ValidationError, match="at least one layer"):
-        sheet_state(Mode.TRANSMISSIVE, (), -1.0, 0.5, 200.0, 1.0)
+        sheet_state(Mode.TRANSMISSIVE, ((), -1.0), 200.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, complex(0.5, -math.inf)], ids=["nan", "inf", "inf-imag"])
+def test_both_substitution_checks_refuse_a_non_finite_sheet_reflection(rho):
+    problem = _builtin_problem(Mode.TRANSMISSIVE)
+    for check in (sheet_terminated_reflection, front_sheet_reflection):
+        with pytest.raises(ValidationError, match="sheet reflection must be finite"):
+            check(problem, rho)
 
 
 def test_mode_and_problem_validation():
@@ -376,7 +385,7 @@ def test_termination_independence_of_transmissive_front():
     wave = PlaneWave(11e9, math.radians(25.0))
     problem = IllusionProblem(scenario.actual, scenario.target, wave, Mode.TRANSMISSIVE)
     natural = chain_reflection(scenario.actual, wave)
-    rho_1 = chain_segments(scenario.actual, wave)[0][0][0]
+    rho_1 = angle_walk(scenario.actual, wave.theta1)[0][0][0]
     assert abs(front_sheet_reflection(problem, rho_1) - natural) < 1e-12
 
 
@@ -393,7 +402,7 @@ def test_deep_lossy_wall_hides_its_termination():
     actual = Stack(AIR, random_layers(rng, random_lossy_medium, 40), Pec())
     wave = PlaneWave(10e9, 0.0)
     attenuation = 1.0
-    for _, z2 in chain_segments(actual, wave)[0]:
+    for z2 in round_trips(angle_walk(actual, wave.theta1), wave.k0):
         attenuation *= abs(z2)
     assert attenuation < 1e-30
     problem = IllusionProblem(actual, builtin_scenario().target, wave, Mode.REFLECTIVE)
@@ -429,6 +438,9 @@ _wide_medium = st.tuples(st.builds(complex, _wide_part, _wide_part), st.builds(c
 
 @settings(max_examples=300, deadline=None)
 @example(layers=[((1e-306 - 1e-306j, 1 + 0j), 1.0)], open_medium=None, theta_deg=45.0, f_ghz=10.0)
+# the round trip across the first layer overflows, and the front-sheet
+# inversion forms it outside the walk's fold
+@example(layers=[((-1j, -1e9 + 0j), 1.0)], open_medium=None, theta_deg=0.0, f_ghz=1.0)
 @given(
     layers=st.lists(st.tuples(_wide_medium, st.floats(0.0, 100.0)), min_size=1, max_size=4),
     open_medium=st.one_of(st.none(), _wide_medium),  # None: a PEC termination

@@ -6,10 +6,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from planemirage.errors import DegenerateInterfaceError, DomainError
+from planemirage.errors import DomainError
 from planemirage.wavecore import (
     AIR,
     ETA0,
@@ -24,9 +24,6 @@ from planemirage.wavecore import (
     ValidationError,
     angle_walk,
     chain_reflection,
-    chain_segments,
-    fold_reflection,
-    frequency_step,
     incident_wave_state,
     interface_reflection,
     layer_wave_state,
@@ -44,6 +41,7 @@ from oracles import (
     random_lossless_pec_stack,
     random_lossy_stack,
     random_wave,
+    round_trips,
     segment_matrix,
     termination_reflection,
 )
@@ -164,7 +162,7 @@ def test_thick_lossy_layer_hides_what_is_behind_it():
     wave = PlaneWave(20e9)
     lossy = Medium(4.0 - 4.0j)
     walled = Stack(AIR, (Layer(AIR, 0.1), Layer(lossy, 3.0), Layer(AIR, 0.1)), Pec())
-    assert chain_segments(walled, wave)[0][1][1] == 0.0
+    assert round_trips(angle_walk(walled, wave.theta1), wave.k0)[1] == 0.0
     half_space = Stack(AIR, (Layer(AIR, 0.1),), Open(lossy))
     assert abs(chain_reflection(walled, wave) - chain_reflection(half_space, wave)) < 1e-12
 
@@ -181,9 +179,10 @@ def test_a_lossy_layer_past_the_float_range_hides_what_is_behind_it():
     assert gamma(4 - 0.1j, 1e308) == gamma(4 - 0.1j, 1e300)
     assert complex(*map(float.fromhex, gamma(4 - 0.1j, 1e308))) == pytest.approx(-0.33341 + 0.00555j, abs=1e-5)
     stack = Stack(AIR, (Layer(AIR, 0.1), Layer(Medium(4 - 0.1j), 1e308)), Pec())
-    segments, rho_t = chain_segments(stack, wave)
-    assert segments[1][1] == 0.0
-    assert fold_reflection(segments, rho_t) == chain_reflection(stack, wave)
+    steps, rho_t = walk = angle_walk(stack, wave.theta1)
+    assert round_trips(walk, wave.k0)[1] == 0.0
+    # so any other termination gives the same bits
+    assert walk_reflection((steps, 0.5 - 0.5j), wave.k0) == chain_reflection(stack, wave)
 
 
 @pytest.mark.parametrize("eps", [4.0, 4.0 + 0.1j], ids=["lossless", "gain"])
@@ -207,8 +206,13 @@ def test_evanescent_gap_behind_a_dense_medium():
 
 def test_fold_passes_an_infinite_intermediate_reflection():
     # the back layer alone is resonant (Gamma_2 = infinity); the front maps it to 1/rho_1
-    rho_1, rho_2, z2 = 0.4 + 0.1j, 0.5, 1.0 + 0.0j
-    assert abs(fold_reflection(((rho_1, z2), (rho_2, z2)), -1.0 / rho_2) - 1.0 / rho_1) < 1e-15
+    rho_1, rho_2 = 0.4 + 0.1j, 0.5
+    # a layer of zero thickness has a_n = 0, so Z_n^2 = 1 exactly
+    zero = Stack(AIR, (Layer(FR4ISH, 0.0),), Pec())
+    assert angle_walk(zero, 0.3)[0][0][1] == 0.0
+    walk = (((rho_1, 0j), (rho_2, 0j)), -1.0 / rho_2)
+    assert round_trips(walk, 200.0) == [1.0, 1.0]
+    assert abs(walk_reflection(walk, 200.0) - 1.0 / rho_1) < 1e-15
 
 
 def test_thick_gain_layer_overflow_is_a_domain_error():
@@ -226,54 +230,17 @@ def test_gain_layers_that_overflow_the_fold_are_a_domain_error():
     # each round trip is finite (about e^381), their product is not: the pair p/q is nan
     gain = Layer(Medium(4.0 + 4.0j), 0.5)
     stack = Stack(AIR, (gain, Layer(AIR, 0.01), gain), Pec())
-    segments, rho_t = chain_segments(stack, PlaneWave(20e9))
-    assert all(math.isfinite(abs(z2)) for _, z2 in segments)
-    with pytest.raises(DomainError):
-        fold_reflection(segments, rho_t)
-    # both parts of the denominator are finite, its magnitude is not: the
-    # plain quotient is nan, the rescaled pair gives Gamma = 1/0.99
-    assert fold_reflection(((0.99, complex(1.5e308, 1.5e308)),), 0.99) == pytest.approx(1.0 / 0.99)
-
-
-def _outcome(fold, *args):
-    """A fold's result as exact hex parts, or its exception's type and message."""
-    try:
-        gamma = complex(fold(*args))
-    except Exception as exc:  # the property compares failures too
-        return type(exc), str(exc)
-    return gamma.real.hex(), gamma.imag.hex()
-
-
-_media = st.builds(
-    Medium,
-    st.builds(complex, st.floats(0.05, 12.0), st.floats(-6.0, 6.0)),  # lossy, lossless and gain
-    st.one_of(st.just(1.0), st.builds(complex, st.floats(0.2, 4.0), st.floats(-1.0, 0.5))),
-)
-_terminations = st.one_of(
-    st.builds(Pec),
-    st.builds(Open, _media),
-    st.builds(Sheet, st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(st.just(AIR), _media),  # a dense incident medium makes gaps evanescent
-    st.lists(st.tuples(_media, st.floats(0.0, 3.0)), min_size=1, max_size=6),
-    _terminations,
-    st.floats(0.0, 89.9),
-    st.floats(0.1, 40.0),
-)
-def test_walk_reflection_is_the_fold_of_the_frequency_step(incident, layers, termination, theta_deg, f_ghz):
-    stack = Stack(incident, tuple(Layer(m, t) for m, t in layers), termination)
-    wave = PlaneWave(f_ghz * 1e9, math.radians(theta_deg))
-    try:
-        walk = angle_walk(stack, wave.theta1)
-    except DegenerateInterfaceError:
-        return
-    want = _outcome(lambda: fold_reflection(*frequency_step(walk, wave.k0)))
-    assert _outcome(walk_reflection, walk, wave.k0) == want
-    assert _outcome(chain_reflection, stack, wave) == want
+    walk, k0 = angle_walk(stack, 0.0), PlaneWave(20e9).k0
+    assert all(math.isfinite(abs(z2)) for z2 in round_trips(walk, k0))
+    with pytest.raises(DomainError, match="total reflection overflows"):
+        walk_reflection(walk, k0)
+    # a round trip of about 1.5e308 (1 + j): both parts of the denominator
+    # are finite, its magnitude is not, so the plain quotient is nan and
+    # the rescaled pair gives Gamma = 1/0.99
+    walk = (((0.99, complex(-math.pi / 4.0, 709.95)),), 0.99)
+    (z2,) = round_trips(walk, 1.0)
+    assert 1e308 < z2.real < math.inf and 1e308 < z2.imag < math.inf
+    assert walk_reflection(walk, 1.0) == pytest.approx(1.0 / 0.99)
 
 
 def test_termination_reflections():
@@ -315,17 +282,17 @@ def test_lossless_pec_stacks_conserve_energy():
         assert abs(abs(chain_reflection(stack, wave)) - 1.0) < 1e-12
 
 
-def test_chain_segments_shape():
+def test_angle_walk_shape():
     wave = PlaneWave(10e9, math.radians(25.0))
     stack = Stack(AIR, (Layer(AIR, 0.12), Layer(FR4ISH, 0.06), Layer(AIR, 0.12)), Pec())
-    segments, rho_t = chain_segments(stack, wave)
-    assert len(segments) == 3
-    assert abs(segments[0][0]) < 1e-15  # air onto air
-    assert abs(segments[1][0]) > 0.1
+    steps, rho_t = walk = angle_walk(stack, wave.theta1)
+    assert len(steps) == 3
+    assert abs(steps[0][0]) < 1e-15  # air onto air
+    assert abs(steps[1][0]) > 0.1
     assert rho_t == -1.0
-    # (rho_n, Z_n^2): the second entry is the round trip across the layer
+    # (rho_n, a_n): a_n is the round trip across the layer, Z_n^2 = e^{-j k0 a_n}
     state = incident_wave_state(AIR, wave.theta1)
-    for layer, (rho, z2) in zip(stack.layers, segments):
+    for layer, (rho, _), z2 in zip(stack.layers, steps, round_trips(walk, wave.k0)):
         nxt = layer_wave_state(layer.medium, state)
         assert rho == interface_reflection(state, nxt)
         assert abs(z2 - propagation_phase(nxt, layer.thickness, wave.k0) ** 2) <= 1e-15 * abs(z2)
