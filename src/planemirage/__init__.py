@@ -13,7 +13,10 @@ group them by concern:
               and the sheet step
   unitcell    tunable-cell reflection maps, state selection, coding sets
   companions  radial transform, strip profile, geometric phase, grating
-  sweep       scenario configs, (theta, frequency) sweeps, their CSV/SVG tables
+  config      scenario configs read from JSON into SI units
+  sweep       scenario values and the (theta, frequency) sweep loop
+  output      every file a command writes: the CSV/SVG sweep tables and the
+              table commands' CSV
   cli         the planemirage command line (argparse, table commands, exit codes)
 
 unitcell and companions are imported on first use of one of their names.

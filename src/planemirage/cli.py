@@ -10,8 +10,9 @@ Subcommands:
 
 Each subcommand reads a JSON config (--config) or, for the sweep commands,
 the bundled demonstration scenario (--scenario builtin), and writes CSV or
-SVG to --out. The sweep commands run planemirage.sweep, which holds the
-config parsing, the sweep loop and the table writer.
+SVG to --out. The sweep commands read their config through
+planemirage.config, run the sweep loop of planemirage.sweep and write its
+rows through planemirage.output, which writes every command's file.
 
 Exit codes: 0 success; 1 configuration, data, or I/O error; 2 when every
 grid point of a sweep failed; 3 when a grid point raised an exception that
@@ -31,21 +32,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, EvanescentOrderError, PlanemirageError
-from .sweep import (
-    _NO_MODE,
-    GridPointFault,
-    _cells,
-    _error_tag,
-    _load_json,
-    _parse_complex,
-    _parse_number,
-    _require_keys,
-    _sweep,
-    _write_lines,
-    builtin_scenario,
-    emit,
-    parse_scenario,
-)
+from .config import _load_json, _parse_complex, _parse_number, _require_keys, parse_scenario
+from .output import _cells, _write_lines, emit
+from .sweep import _NO_MODE, GridPointFault, _error_tag, _sweep, builtin_scenario
 from .synthesis import Mode
 
 

@@ -1,4 +1,4 @@
-"""SVG plot of a sweep table; planemirage.sweep.emit loads it only for svg
+"""SVG plot of a sweep table; planemirage.output.emit loads it only for svg
 and writes the lines it returns."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ import cmath
 import math
 from typing import Iterable
 
-from .sweep import _fmt
+from .output import _fmt
 
 # Fixed plot geometry; coordinates rounded to 0.01 px for determinism.
 _SVG_W, _SVG_H = 860, 620

@@ -1,16 +1,12 @@
 """Scenario sweeps, the library behind simulate and synthesize; no argparse.
 
-A ScenarioConfig, from builtin_scenario or parse_scenario (JSON in mm / GHz /
-degrees, converted to SI), holds two stacks, a mode and the (theta, f) grid,
-refused before its first point if it would leave the float range.
+A ScenarioConfig, from builtin_scenario or planemirage.config.parse_scenario,
+holds two stacks, a mode and the (theta, f) grid in SI units, refused
+before its first point if it would leave the float range.
 run_simulate and run_synthesize return SweepRows from one loop that walks
 each stack once per angle and folds both walks at every point;
-run_synthesize also feeds the actual walk to sheet_state. emit writes the
-rows in the table of their mode, None for simulate's, as CSV,
-byte-deterministic, or as SVG through planemirage.svg, loaded only then.
-Every file is a run of lines that goes through one writer, which spools
-them to an anonymous temporary file as they are formed and copies it into
-the output path, in place, only after the last line.
+run_synthesize also feeds the actual walk to sheet_state. The loop yields
+each row as its point is done, for planemirage.output.emit to write.
 """
 
 from __future__ import annotations
@@ -18,12 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from itertools import chain, islice
-from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from ._value import Value
-from .errors import ConfigError, PlanemirageError, WriteError
+from .errors import ConfigError, PlanemirageError
 from .synthesis import Mode, sheet_state
 from .wavecore import (
     AIR,
@@ -32,7 +26,6 @@ from .wavecore import (
     Open,
     Pec,
     PlaneWave,
-    Sheet,
     Stack,
     angle_walk,
     walk_reflection,
@@ -141,137 +134,6 @@ def builtin_scenario() -> ScenarioConfig:
     )
 
 
-# ---------------------------------------------------------------- config I/O
-
-
-def _load_json(path: Path):
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _require_keys(obj, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-
-
-def _parse_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
-
-
-def _build(where: str, make, *args):
-    """make(*args), whose PlanemirageError becomes a ConfigError naming where."""
-    try:
-        return make(*args)
-    except PlanemirageError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _parse_medium(obj, where: str) -> Medium:
-    _require_keys(obj, where, ("eps",), ("mu",))
-    eps = _parse_complex(obj["eps"], f"{where}.eps")
-    mu = _parse_complex(obj.get("mu", 1.0), f"{where}.mu")
-    return _build(where, Medium, eps, mu)
-
-
-def _parse_termination(obj, where: str):
-    _require_keys(obj, where, ("kind",), ("eps", "mu", "rho"))
-    kind = obj["kind"]
-    if kind == "pec":
-        _require_keys(obj, where, ("kind",))
-        return Pec()
-    if kind == "open":
-        _require_keys(obj, where, ("kind",), ("eps", "mu"))
-        return Open(_parse_medium({"eps": 1.0, **{k: v for k, v in obj.items() if k != "kind"}}, where))
-    if kind == "sheet":
-        _require_keys(obj, where, ("kind", "rho"))
-        return _build(where, Sheet, _parse_complex(obj["rho"], f"{where}.rho"))
-    raise ConfigError(f"{where}: kind must be pec, open, or sheet, got {kind!r}")
-
-
-def _parse_stack(obj, where: str) -> Stack:
-    _require_keys(obj, where, ("layers", "termination"), ("incident",))
-    incident = _parse_medium(obj["incident"], f"{where}.incident") if "incident" in obj else AIR
-    layers_obj = obj["layers"]
-    if not isinstance(layers_obj, list) or not layers_obj:
-        raise ConfigError(f"{where}.layers: expected a non-empty list")
-    layers = []
-    for i, layer_obj in enumerate(layers_obj):
-        lw = f"{where}.layers[{i}]"
-        _require_keys(layer_obj, lw, ("eps", "thickness_mm"), ("mu",))
-        medium = _parse_medium({k: v for k, v in layer_obj.items() if k != "thickness_mm"}, lw)
-        thickness_mm = _parse_number(layer_obj["thickness_mm"], f"{lw}.thickness_mm")
-        if thickness_mm < 0.0:
-            raise ConfigError(f"{lw}.thickness_mm: must be >= 0, got {thickness_mm}")
-        layers.append(_build(lw, Layer, medium, thickness_mm * 1e-3))
-    termination = _parse_termination(obj["termination"], f"{where}.termination")
-    return _build(where, Stack, incident, tuple(layers), termination)
-
-
-def _parse_axis(obj, where: str) -> SweepAxis:
-    _require_keys(obj, where, ("start", "stop", "step"))
-    bounds = [_parse_number(obj[key], f"{where}.{key}") for key in ("start", "stop", "step")]
-    return _build(where, SweepAxis, *bounds)
-
-
-def parse_scenario(path: Path) -> ScenarioConfig:
-    """Read and validate a sweep scenario config (simulate/synthesize)."""
-    doc = _load_json(path)
-    _require_keys(doc, str(path), ("actual", "target", "sweep"), ("mode", "output"))
-    actual = _parse_stack(doc["actual"], "actual")
-    target = _parse_stack(doc["target"], "target")
-    mode = None
-    if "mode" in doc:
-        if doc["mode"] not in ("reflective", "transmissive"):
-            raise ConfigError(f"mode must be reflective or transmissive, got {doc['mode']!r}")
-        mode = Mode(doc["mode"])
-    sweep = doc["sweep"]
-    _require_keys(sweep, "sweep", ("theta_deg", "freq_ghz"))
-    theta = _parse_axis(sweep["theta_deg"], "sweep.theta_deg")
-    freq = _parse_axis(sweep["freq_ghz"], "sweep.freq_ghz")
-    out = doc.get("output", {})
-    _require_keys(out, "output", (), ("format", "path"))
-    output_format = out.get("format", "csv")
-    output_path = out.get("path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output.path: expected a string")
-    return ScenarioConfig(
-        actual=actual,
-        target=target,
-        mode=mode,
-        theta_deg=theta,
-        freq_ghz=freq,
-        output_format=output_format,
-        output_path=output_path,
-    )
-
-
 # ------------------------------------------------------------------- sweeps
 
 
@@ -305,14 +167,14 @@ def _gamma(walk, k0: float, errs: list[str]) -> complex | None:
 
 def _round_trips_finite(walk, k0: float) -> bool:
     """Whether an angle walk, not its error tag, has no round trip
-    e^{-j k0 a_n} that overflows at k0, formed as the inversions form it."""
+    e^{-j k0 a_n} that is not finite at k0, formed as the inversions form it."""
     if isinstance(walk, str):
         return False
     jk0 = -1j * k0
     try:
         for _, a in walk[0]:
             cmath.exp(jk0 * a)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return False
     return True
 
@@ -388,123 +250,3 @@ def run_synthesize(config: ScenarioConfig) -> list[SweepRow]:
     if config.mode is None:
         raise ConfigError(_NO_MODE)
     return list(map(SweepRow._make, _sweep(config, config.mode)))
-
-
-# ----------------------------------------------------------------- emission
-
-
-# The complex columns of each table, by mode (None: simulate's), carried by
-# a row in the order g_act, g_tgt, rho_req, aux. Every table starts with
-# freq_ghz,theta_deg and ends with err; a synthesis table puts passive before err.
-_TABLES = {
-    None: ("g_act", "g_tgt"),
-    Mode.REFLECTIVE: ("g_act", "g_tgt", "rho_req", "eta_n"),
-    Mode.TRANSMISSIVE: ("g_act", "g_tgt", "rho_req", "chi_e"),
-}
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _pair(value: complex | None) -> list[str]:
-    if value is None:
-        return ["", ""]
-    return [_fmt(value.real), _fmt(value.imag)]
-
-
-def _cells(values) -> list[str]:
-    """The one CSV cell rule: a number is written %.17g (a bool too, as 1
-    or 0), a complex value takes two cells, None is an empty cell and a
-    string is written as it is. Sweep rows, whose column types are fixed,
-    follow the same rule where _sweep_table builds them."""
-    cells = []
-    for value in values:
-        if isinstance(value, complex):
-            cells += _pair(value)
-        elif value is None or isinstance(value, str):
-            cells.append(value or "")
-        else:
-            cells.append(_fmt(value))
-    return cells
-
-
-def _sweep_table(mode: Mode | None):
-    """Header line and row formatter of the sweep table of mode."""
-    names = _TABLES[mode]
-    synthesis = mode is not None
-    header = ["freq_ghz", "theta_deg"]
-    for name in names:
-        header += [f"{name}_re", f"{name}_im"]
-    header += ["passive", "err"] if synthesis else ["err"]
-    # A row with no err has every cell, so one format string writes it,
-    # the passive flag as %s and the empty err as the trailing comma. The
-    # freq_ghz cell is formatted once for each run of rows that share one
-    # float object, as a frequency's rows from _sweep do; holding the last
-    # object keeps its identity from passing to another float.
-    ok = ",".join(["%s"] + ["%.17g"] * (1 + 2 * len(names)) + ["%s"] * synthesis) + ","
-    f_last = f_cell = None
-
-    def row_line(r) -> str:
-        nonlocal f_last, f_cell
-        f, theta, a, t, rho, aux, passive, err = r
-        if f is not f_last:
-            f_last, f_cell = f, _fmt(f)
-        if not err:
-            if not synthesis:
-                return ok % (f_cell, theta, a.real, a.imag, t.real, t.imag)
-            return ok % (
-                f_cell, theta, a.real, a.imag, t.real, t.imag,
-                rho.real, rho.imag, aux.real, aux.imag, "1" if passive else "0",
-            )
-        out = [f_cell, _fmt(theta)]
-        for value in (a, t, rho, aux)[: len(names)]:
-            out += _pair(value)
-        if synthesis:  # _fmt(passive), without its slow float conversion
-            out.append("" if passive is None else ("1" if passive else "0"))
-        out.append(err)
-        return ",".join(out)
-
-    return ",".join(header), row_line
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Every output file, tables and SVG alike: each of lines, ended by a
-    newline. Any OSError of the spool or of path is a WriteError that names
-    path; the lines raise none, as a sweep's own faults are GridPointFaults."""
-    # Lines are taken 256 at a time, then encoded and written to an
-    # anonymous temporary file, so memory holds one batch, not the file.
-    # path is opened only after the last line is formed, so a sweep that
-    # stops at a point leaves it as it was, and then the spool is copied
-    # into it in place: a link stays a link and a file keeps its inode.
-    import shutil
-    import tempfile
-
-    lines = iter(lines)
-    try:
-        with tempfile.TemporaryFile() as spool:
-            while batch := list(islice(lines, 256)):
-                spool.write("\n".join([*batch, ""]).encode())
-            spool.seek(0)
-            with open(path, "wb") as fh:
-                shutil.copyfileobj(spool, fh)
-    except OSError as exc:
-        raise WriteError(f"cannot write {path}: {exc}") from None
-
-
-def emit(rows: Iterable[SweepRow], mode: Mode | None, output_format: str, path: Path) -> None:
-    """Write the sweep table of mode, None for simulate's, to path as CSV
-    (canonical) or SVG (presentation). rows are SweepRows or plain tuples
-    in SweepRow's field order, and may be an iterator: a CSV table formats
-    each row as it comes, an SVG plot keeps only the points it draws, and
-    the file is written once rows are exhausted."""
-    if output_format == "csv":
-        header, line = _sweep_table(mode)
-        lines = chain([header], map(line, rows))
-    elif output_format == "svg":
-        from .svg import _svg_lines
-
-        lines = _svg_lines(rows, mode)
-    else:
-        raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
-    _write_lines(path, lines)

@@ -37,8 +37,9 @@ from .wavecore import PlaneWave, Sheet, Stack, Walk, angle_walk, chain_reflectio
 
 _DEGENERACY_RTOL = 1e-12
 # abs() of a finite complex past the float range raises OverflowError, and so
-# does a round trip e^{-j k0 a} that leaves it
-_OVERFLOW = "the {} inversion overflows at this point"
+# does a round trip e^{-j k0 a} that leaves it; one whose phase k0 Re(a)
+# overflows raises ValueError
+_NOT_FINITE = "the {} inversion is not finite at this point"
 
 
 class Mode(Enum):
@@ -125,8 +126,8 @@ def reflective_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
             p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
             det *= z2 * (1.0 - rho * rho)
         return _solve(p, q, q_scale, det, "terminating sheet")
-    except OverflowError:
-        raise DomainError(_OVERFLOW.format("terminating sheet")) from None
+    except (OverflowError, ValueError):
+        raise DomainError(_NOT_FINITE.format("terminating sheet")) from None
 
 
 def transmissive_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
@@ -150,8 +151,8 @@ def transmissive_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
             raise DegenerateSynthesisError(
                 "required front reflection is 1: no finite susceptibility realizes it"
             )
-    except OverflowError:
-        raise DomainError(_OVERFLOW.format("front sheet")) from None
+    except (OverflowError, ValueError):
+        raise DomainError(_NOT_FINITE.format("front sheet")) from None
     return rho_1m
 
 

@@ -238,8 +238,9 @@ def walk_reflection(walk: Walk, k0: float) -> complex:
     as a pair p/q, so an infinite intermediate value passes through and
     only the total can be singular. Only Z^2 appears, never 1/Z, so a layer
     thick enough for Z^2 to underflow simply hides everything behind it.
-    Gain layers can make a round trip or the pair overflow; a total that is
-    not finite raises DomainError.
+    Gain layers can make a round trip or the pair overflow, and a round
+    trip whose phase k0 Re(a_n) overflows has no value; either, or a total
+    that is not finite, raises DomainError.
     """
     steps, p = walk
     q = 1.0
@@ -248,8 +249,8 @@ def walk_reflection(walk: Walk, k0: float) -> complex:
         for rho, a in reversed(steps):
             w = cmath.exp(jk0 * a) * p
             p, q = rho * q + w, q + rho * w
-    except OverflowError:
-        raise DomainError("the propagation factor across a gain layer overflows") from None
+    except (OverflowError, ValueError):
+        raise DomainError("the propagation factor of a round trip is not finite") from None
     # hypot, unlike abs, gives inf instead of raising when gain layers push |q| past the float range
     if math.hypot(q.real, q.imag) < _DENOM_FLOOR:
         raise ResonantSingularityError("total-reflection denominator vanished")

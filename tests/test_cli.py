@@ -9,15 +9,14 @@ import tracemalloc
 import pytest
 
 from planemirage.cli import main
+from planemirage.config import parse_scenario
+from planemirage.output import _cells, emit
 from planemirage.sweep import (
     ScenarioConfig,
     SweepAxis,
     SweepRow,
-    _cells,
     _error_tag,
     builtin_scenario,
-    emit,
-    parse_scenario,
     run_simulate,
     run_synthesize,
 )
@@ -1261,3 +1260,26 @@ def test_gain_medium_overflow_is_a_tagged_point_not_a_crash(tmp_path, gain_layer
     synthesized = sandwich and command != ["simulate"]
     assert high[-1] == ("domain;degenerate-synthesis" if synthesized else "domain")
     assert all(math.isfinite(float(cell)) for cell in low[:-1] + high[4:6])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["synthesize", "--mode", "reflective"], ["synthesize", "--mode", "transmissive"]],
+)
+def test_a_round_trip_whose_phase_overflows_is_a_tagged_point(tmp_path, capsys, command):
+    # 2*pi*f in Hz is finite at 1e288 GHz, but k0 times the round trip across
+    # 1e23 mm of air is not, and cmath.exp of that phase raises ValueError
+    actual = {"layers": [{"eps": 1.0, "thickness_mm": 1e23}], "termination": {"kind": "pec"}}
+    doc = _scenario_doc(actual=actual)
+    doc["sweep"] = {
+        "theta_deg": {"start": 0.0, "stop": 0.0, "step": 1.0},
+        "freq_ghz": {"start": 1e288, "stop": 1e288, "step": 1.0},
+    }
+    out = tmp_path / "phase.csv"
+    assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    (row,) = (line.split(",") for line in out.read_text().splitlines()[1:])
+    assert row[:4] == ["1e+288", "0", "", ""] and row[-1] == "domain"
+    # g_tgt is libm's cos and sin of a phase of about 4e286 rad: present, digits not pinned
+    assert all(math.isfinite(float(cell)) for cell in row[4:6])
+    assert row[6:-1] == [""] * (len(row) - 7)

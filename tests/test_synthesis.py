@@ -428,6 +428,19 @@ def test_an_interface_sum_past_the_float_range_raises_only_typed_errors():
     assert cmath.isfinite(rho) and cmath.isfinite(chi_e)
 
 
+def test_a_round_trip_whose_phase_overflows_is_a_domain_error():
+    # k0 Re(a) of 1e20 m of air at 1e297 Hz overflows, so e^{-j k0 a} has an
+    # infinite phase and cmath.exp raises ValueError, not OverflowError
+    actual = Stack(AIR, (Layer(AIR, 1e20),), Pec())
+    target = Stack(AIR, (Layer(Medium(2.0), 10e-3),), Open(AIR))
+    wave = PlaneWave(1e297, 0.0)
+    with pytest.raises(DomainError):
+        chain_reflection(actual, wave)
+    for mode in Mode:
+        with pytest.raises(DomainError, match="inversion is not finite"):
+            synthesize(IllusionProblem(actual, target, wave, mode))
+
+
 # One part of eps or mu: zero, or a sign times a power of ten from 1e-307 to 1e307.
 _wide_part = st.one_of(
     st.just(0.0),
