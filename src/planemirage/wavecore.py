@@ -2,7 +2,9 @@
 
 One walk from the incident side per angle (angle_walk) gives each layer's
 interface reflection rho_n and round trip a_n = 2 s l cos, plus the
-termination reflection. walk_reflection folds that walk into the total
+termination reflection. It carries s_t and eta*cos from layer to layer as
+plain complex values through the scalar steps under layer_wave_state and
+interface_reflection. walk_reflection folds that walk into the total
 reflection at one vacuum wavenumber k0 with the Airy/Rouard recursion,
 taking each round-trip factor Z_n^2 = e^{-j k0 a_n} as the fold reaches
 layer n. It is the only forward fold: simulate, both inversions and the
@@ -142,7 +144,8 @@ class LayerWaveState(Value):
     s_n = sqrt(eps*mu), the wavenumber in units of the vacuum wavenumber k0;
     s_t = s_n*sin(angle), its transverse part; the impedance eta_n (ohms);
     and the cosine cos_n of the angle. s_t is the same in every region of a
-    stack, so refraction never needs the angle itself.
+    stack, so refraction never needs the angle itself. angle_walk carries
+    these as plain values and builds one only for an Open termination.
     """
 
     __slots__ = ("s_n", "s_t", "eta_n", "cos_n")
@@ -156,31 +159,40 @@ def incident_wave_state(medium: Medium, theta1: float) -> LayerWaveState:
     return LayerWaveState(s, s * cmath.sin(theta), eta, cmath.cos(theta))
 
 
-def layer_wave_state(medium: Medium, incident_state: LayerWaveState) -> LayerWaveState:
-    """Refract the wave from incident_state's region into medium.
-
-    The transverse part s*sin(theta) is conserved across the interface.
-    """
+def _refract(medium: Medium, s_t: complex) -> tuple[complex, complex, complex]:
+    """(s, eta, cos) of the wave with transverse index s_t inside medium."""
     s = cmath.sqrt(medium.eps_r * medium.mu_r)
     eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
-    sin_t = incident_state.s_t / s
+    sin_t = s_t / s
     cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
     # Principal branch keeps Re(cos) >= 0 except across the evanescent cut;
     # on the Re = 0 branch pick the solution decaying toward the termination.
     if cos_t.real < 0.0 or (cos_t.real == 0.0 and (s * cos_t).imag > 0.0):
         cos_t = -cos_t
+    return s, eta, cos_t
+
+
+def layer_wave_state(medium: Medium, incident_state: LayerWaveState) -> LayerWaveState:
+    """Refract the wave from incident_state's region into medium.
+
+    The transverse part s*sin(theta) is conserved across the interface.
+    """
+    s, eta, cos_t = _refract(medium, incident_state.s_t)
     return LayerWaveState(s, incident_state.s_t, eta, cos_t)
+
+
+def _reflect(n1: complex, n2: complex) -> complex:
+    """(n2 - n1)/(n2 + n1), or DegenerateInterfaceError where the sum vanishes."""
+    den = n2 + n1
+    if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
+        raise DegenerateInterfaceError(f"interface denominator vanished: {den!r}")
+    return (n2 - n1) / den
 
 
 def interface_reflection(state_n: LayerWaveState, state_np1: LayerWaveState) -> complex:
     """Reflection coefficient rho = (n2 - n1)/(n2 + n1) at one interface,
     with n_i = eta_i*cos(theta_i)."""
-    n1 = state_n.eta_n * state_n.cos_n
-    n2 = state_np1.eta_n * state_np1.cos_n
-    den = n2 + n1
-    if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
-        raise DegenerateInterfaceError(f"interface denominator vanished: {den!r}")
-    return (n2 - n1) / den
+    return _reflect(state_n.eta_n * state_n.cos_n, state_np1.eta_n * state_np1.cos_n)
 
 
 Walk = tuple[tuple[tuple[complex, complex], ...], complex]  # ((rho_n, a_n), ...), rho_T
@@ -204,25 +216,28 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     underflows; a lossless or gain layer raises DomainError.
     """
     steps = []
-    state = incident_wave_state(stack.incident_medium, theta1)
+    incident = incident_wave_state(stack.incident_medium, theta1)
+    s_t, n = incident.s_t, incident.eta_n * incident.cos_n
     for layer in stack.layers:
-        nxt = layer_wave_state(layer.medium, state)
-        rho = interface_reflection(state, nxt)
-        a = nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n
+        s, eta, cos_t = _refract(layer.medium, s_t)
+        n_next = eta * cos_t
+        rho = _reflect(n, n_next)
+        a = s * (2.0 * layer.thickness) * cos_t
         if not cmath.isfinite(a):
-            decay = (nxt.s_n * nxt.cos_n).imag
+            decay = (s * cos_t).imag
             if not decay < 0.0:
                 raise DomainError("the round trip across a layer leaves the float range")
             a = complex(0.0, 2.0 * (layer.thickness * decay))
         steps.append((rho, a))
-        state = nxt
+        n = n_next
     term = stack.termination
     if isinstance(term, Pec):
         rho_t = -1.0 + 0.0j
     elif isinstance(term, Sheet):
         rho_t = term.rho
     else:
-        rho_t = interface_reflection(state, layer_wave_state(term.half_space, state))
+        last = LayerWaveState(s, s_t, eta, cos_t)
+        rho_t = interface_reflection(last, layer_wave_state(term.half_space, last))
     return tuple(steps), rho_t
 
 

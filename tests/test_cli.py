@@ -344,27 +344,35 @@ def _deep_stack(n_layers):
     return Stack(AIR, layers, Open(Medium(3.0)))
 
 
-@pytest.mark.parametrize("stacks", ["builtin", "deep"])
+@pytest.mark.parametrize("stacks", ["builtin", "deep", "sheet"])
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
-    # one wave state per layer, plus the half-space behind an Open
-    # termination, at each angle and not again at each frequency
+    # one walk per stack at each angle, and not again at each frequency; a
+    # walk builds a layer wave state only for the half-space behind an Open
+    # termination, and none for Pec or Sheet
     actual, target = (_deep_stack(9), _deep_stack(12))
     if stacks == "builtin":
         actual, target = builtin_scenario().actual, builtin_scenario().target
+    elif stacks == "sheet":
+        actual = Stack(AIR, actual.layers, Sheet(0.5 - 0.2j))
     config = ScenarioConfig(actual, target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
-    calls = []
-    real = wavecore.layer_wave_state
+    calls = {"walk": [], "state": []}
 
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
+    def counted(key, real):
+        def fn(*args):
+            calls[key].append(args)
+            return real(*args)
 
-    monkeypatch.setattr(wavecore, "layer_wave_state", counted)
+        return fn
+
+    monkeypatch.setattr(wavecore, "layer_wave_state", counted("state", wavecore.layer_wave_state))
+    monkeypatch.setattr(sweep, "angle_walk", counted("walk", angle_walk))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
-    per_angle = sum(len(s.layers) + isinstance(s.termination, Open) for s in (actual, target))
-    assert len(calls) == len(config.theta_deg.values()) * per_angle
+    angles = config.theta_deg.values()
+    assert calls["walk"] == [(s, math.radians(t)) for t in angles for s in (actual, target)]
+    per_angle = sum(isinstance(s.termination, Open) for s in (actual, target))
+    assert len(calls["state"]) == len(angles) * per_angle
 
 
 @pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
@@ -854,6 +862,46 @@ def test_builtin_sweeps_write_golden_bytes(tmp_path, command):
     out = tmp_path / "sweep.csv"
     assert main(command.split() + ["--scenario", "builtin", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _SWEEP_GOLDEN_SHA256[command]
+
+
+# sha256 of each sweep table of a config that reaches branches the builtin
+# stacks never do, as written by the walk that built one wave state per
+# layer; libm rounding of x86-64 Linux. Both stacks are met from eps 4, so
+# their air gaps turn evanescent past 30 degrees; the actual stack has a
+# layer with mu != 1, a gain layer and a sheet termination, the target a
+# lossy mu 1.1 half-space behind it.
+_REGIME_DOC = {
+    "actual": {
+        "incident": {"eps": 4.0},
+        "layers": [
+            {"eps": 1.0, "thickness_mm": 8.0},
+            {"eps": [3.9, -0.08], "mu": [1.6, -0.05], "thickness_mm": 20.0},
+            {"eps": [3.0, 0.02], "thickness_mm": 15.0},
+        ],
+        "termination": {"kind": "sheet", "rho": [0.3, -0.4]},
+    },
+    "target": {
+        "incident": {"eps": 4.0},
+        "layers": [{"eps": 1.0, "thickness_mm": 5.0}, {"eps": [2.1, -0.0006], "thickness_mm": 30.0}],
+        "termination": {"kind": "open", "eps": [2.0, -0.1], "mu": 1.1},
+    },
+    "sweep": {
+        "theta_deg": {"start": 0.0, "stop": 80.0, "step": 2.0},
+        "freq_ghz": {"start": 8.0, "stop": 12.0, "step": 0.5},
+    },
+}
+_REGIME_GOLDEN_SHA256 = {
+    "simulate": "7bc627fc2bd5907f07944945bd42d2fbe902c0e275780c6ca491e0b0ebef06a9",
+    "synthesize --mode reflective": "5505d559b9cf1324a52a5b43252935d339f213b195a956c9bd5a6469c1acc45b",
+    "synthesize --mode transmissive": "62117f976e75d3edab5e6190a9f277b80cbc4211878cd2c5b42c7dc7e232634f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REGIME_GOLDEN_SHA256))
+def test_regime_sweeps_write_golden_bytes(tmp_path, command):
+    config, out = _write_config(tmp_path, _REGIME_DOC), tmp_path / "sweep.csv"
+    assert main(command.split() + ["--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _REGIME_GOLDEN_SHA256[command]
 
 
 # sha256 of two SVG plots of the builtin stacks, as written by the emitter

@@ -6,10 +6,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planemirage.errors import DomainError
+from planemirage.errors import DegenerateInterfaceError, DomainError
 from planemirage.wavecore import (
     AIR,
     ETA0,
@@ -297,6 +297,66 @@ def test_angle_walk_shape():
         assert rho == interface_reflection(state, nxt)
         assert abs(z2 - propagation_phase(nxt, layer.thickness, wave.k0) ** 2) <= 1e-15 * abs(z2)
         state = nxt
+
+
+def _public_walk(stack, theta1):
+    """angle_walk recomposed from the public one-step functions."""
+    steps = []
+    state = incident_wave_state(stack.incident_medium, theta1)
+    for layer in stack.layers:
+        nxt = layer_wave_state(layer.medium, state)
+        rho = interface_reflection(state, nxt)
+        a = nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n
+        if not cmath.isfinite(a):
+            decay = (nxt.s_n * nxt.cos_n).imag
+            if not decay < 0.0:
+                raise DomainError("the round trip across a layer leaves the float range")
+            a = complex(0.0, 2.0 * (layer.thickness * decay))
+        steps.append((rho, a))
+        state = nxt
+    term = stack.termination
+    if isinstance(term, Pec):
+        return tuple(steps), -1.0 + 0.0j
+    if isinstance(term, Sheet):
+        return tuple(steps), term.rho
+    return tuple(steps), interface_reflection(state, layer_wave_state(term.half_space, state))
+
+
+def _outcome(walk, stack, theta1):
+    """repr of the walk, so that signed zeros count, or the error it raised."""
+    try:
+        return repr(walk(stack, theta1))
+    except (DomainError, DegenerateInterfaceError) as exc:
+        return type(exc), str(exc)
+
+
+# Gain (Im > 0) and lossy parts, mu != 1, and incident media up to eps 9,
+# behind which air and other thin media are evanescent at oblique incidence.
+_parts = st.floats(-2.0, 0.5)
+_media = st.builds(
+    lambda eps, eps_im, mu, mu_im: Medium(complex(eps, eps_im), complex(mu, mu_im)),
+    st.floats(0.05, 12.0), _parts, st.one_of(st.just(1.0), st.floats(0.3, 4.0)), _parts.map(lambda x: x / 4),
+)
+_incident = st.builds(Medium, st.floats(1.0, 9.0), st.sampled_from([1.0, 1.2 - 0.01j]))
+# thicknesses past 1e300 m make a round trip leave the float range
+_layers = st.lists(
+    st.builds(Layer, _media, st.one_of(st.floats(0.0, 0.2), st.floats(1e300, 1.7e308))), min_size=1, max_size=6
+)
+_terminations = st.one_of(
+    st.just(Pec()),
+    st.builds(lambda re, im: Sheet(complex(re, im)), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.builds(Open, _media),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_incident, _layers, _terminations, st.floats(0.0, math.radians(89.9)))
+@example(Medium(4.0), [Layer(AIR, 0.01), Layer(Medium(4.0 + 0.1j), 1e308)], Open(Medium(2.0, 1.1)), 0.7)
+@example(Medium(4.0), [Layer(AIR, 1e308)], Sheet(0.5j), math.radians(60.0))
+def test_angle_walk_matches_the_public_one_step_chain(incident, layers, termination, theta1):
+    # every (rho_n, a_n) and rho_T bit for bit, or the same error
+    stack = Stack(incident, tuple(layers), termination)
+    assert _outcome(angle_walk, stack, theta1) == _outcome(_public_walk, stack, theta1)
 
 
 def test_validation_rejects_bad_inputs():
