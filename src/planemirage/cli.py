@@ -19,8 +19,10 @@ grid point of a sweep failed; 3 when a grid point raised an exception that
 is not a PlanemirageError, a fault of the program: one stderr line names
 the point (f, theta) and the exception, and no output file is written.
 
-A command imports only what it runs: the table commands import unitcell or
-companions when they run, and json is loaded only where a config is read.
+main builds its argparse parser on its first call and reuses it in later
+calls from the same process. A command imports only what it runs: the
+table commands import unitcell or companions when they run, and json is
+loaded only where a config is read.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import argparse
 import cmath
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import ConfigError, EvanescentOrderError, PlanemirageError
@@ -197,7 +200,9 @@ def _cmd_sweep(args) -> int:
     return 0 if ok else 2  # every axis has a point, so the grid is never empty
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and kept for later calls."""
     parser = argparse.ArgumentParser(
         prog="planemirage",
         description="Layered-environment reflection and metasurface illusion synthesis.",
@@ -227,8 +232,11 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("submode", choices=list(table))
         p.add_argument("--config", type=Path, required=True)
         p.add_argument("--out", type=Path, required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command in ("simulate", "synthesize"):
             return _cmd_sweep(args)

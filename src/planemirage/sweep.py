@@ -2,7 +2,8 @@
 
 A ScenarioConfig, from builtin_scenario or planemirage.config.parse_scenario,
 holds two stacks, a mode and the (theta, f) grid in SI units, refused
-before its first point if it would leave the float range.
+before its first point if it would leave the float range or an axis would
+have more than MAX_AXIS_POINTS points.
 run_simulate and run_synthesize return SweepRows from one loop that walks
 each stack once per angle and folds both walks at every point;
 run_synthesize also feeds the actual walk to sheet_state. The loop yields
@@ -32,6 +33,11 @@ from .wavecore import (
 )
 
 _GRID_NUDGE = 1e-9  # absorbs float noise in (stop - start)/step
+# The most points one axis may have. A sweep holds every angle's walks and
+# both axes' values in lists, so an axis whose point count is finite but
+# astronomically large would exhaust memory instead of being refused; this
+# is about 3,000 times the 321 angles of a dense grid.
+MAX_AXIS_POINTS = 10**6
 
 
 class SweepAxis(Value):
@@ -49,6 +55,8 @@ class SweepAxis(Value):
         if not math.isfinite((stop - start) / step):
             raise ConfigError(f"sweep step {step} gives a point count that is not finite")
         super().__init__(*values)
+        if self.count > MAX_AXIS_POINTS:
+            raise ConfigError(f"sweep step {step} gives more than {MAX_AXIS_POINTS:,} points")
 
     @property
     def count(self) -> int:

@@ -4,11 +4,14 @@ One walk from the incident side per angle (angle_walk) gives each layer's
 interface reflection rho_n and round trip a_n = 2 s l cos, plus the
 termination reflection. It carries s_t and eta*cos from layer to layer as
 plain complex values through the scalar steps under layer_wave_state and
-interface_reflection. walk_reflection folds that walk into the total
-reflection at one vacuum wavenumber k0 with the Airy/Rouard recursion,
-taking each round-trip factor Z_n^2 = e^{-j k0 a_n} as the fold reaches
-layer n. It is the only forward fold: simulate, both inversions and the
-substitution checks read the same walk through it.
+interface_reflection, starting from the incident wave's without building a
+wave state. Each medium's s = sqrt(eps*mu) and eta are formed once, on
+first use, and kept on the Medium (Medium.wave_constants); per angle the
+walk forms only what depends on s_t. walk_reflection folds that walk into
+the total reflection at one vacuum wavenumber k0 with the Airy/Rouard
+recursion, taking each round-trip factor Z_n^2 = e^{-j k0 a_n} as the fold
+reaches layer n. It is the only forward fold: simulate, both inversions and
+the substitution checks read the same walk through it.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import cached_property
 
 from ._value import Value, _positive, _require_finite
 from .errors import (
@@ -39,9 +43,14 @@ _DENOM_FLOOR = 1e-300
 
 
 class Medium(Value):
-    """Homogeneous medium given by relative permittivity and permeability."""
+    """Homogeneous medium given by relative permittivity and permeability.
 
-    __slots__ = ("eps_r", "mu_r")
+    Its wave constants (s, eta) are formed on first use and kept; they are
+    not fields, so equality, hash, repr, copy and pickle see only eps_r and
+    mu_r, and a copy forms its own on first use.
+    """
+
+    __slots__ = ("eps_r", "mu_r", "__dict__")  # __dict__ keeps the cached wave constants
 
     def __init__(self, eps_r: complex, mu_r: complex = 1.0 + 0.0j) -> None:
         eps = complex(eps_r)
@@ -59,6 +68,12 @@ class Medium(Value):
                 f"mu_r/eps_r must be nonzero and finite: eps_r={eps!r} mu_r={mu!r}"
             )
         super().__init__(eps, mu)
+
+    @cached_property
+    def wave_constants(self) -> tuple[complex, complex]:
+        """(s, eta): the wavenumber s = sqrt(eps*mu) in units of the vacuum
+        wavenumber k0, and the wave impedance eta = ETA0*sqrt(mu/eps) (ohms)."""
+        return cmath.sqrt(self.eps_r * self.mu_r), ETA0 * cmath.sqrt(self.mu_r / self.eps_r)
 
 
 AIR = Medium(1.0 + 0.0j)
@@ -151,18 +166,21 @@ class LayerWaveState(Value):
     __slots__ = ("s_n", "s_t", "eta_n", "cos_n")
 
 
+def _incident(medium: Medium, theta1: float) -> tuple[complex, complex, complex, complex]:
+    """(s, s_t, eta, cos) of the wave incident at angle theta1 (radians) in medium."""
+    s, eta = medium.wave_constants
+    theta = complex(theta1)
+    return s, s * cmath.sin(theta), eta, cmath.cos(theta)
+
+
 def incident_wave_state(medium: Medium, theta1: float) -> LayerWaveState:
     """State of the wave incident at angle theta1 (radians) in the incident half-space."""
-    s = cmath.sqrt(medium.eps_r * medium.mu_r)
-    eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
-    theta = complex(theta1)
-    return LayerWaveState(s, s * cmath.sin(theta), eta, cmath.cos(theta))
+    return LayerWaveState(*_incident(medium, theta1))
 
 
 def _refract(medium: Medium, s_t: complex) -> tuple[complex, complex, complex]:
     """(s, eta, cos) of the wave with transverse index s_t inside medium."""
-    s = cmath.sqrt(medium.eps_r * medium.mu_r)
-    eta = ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
+    s, eta = medium.wave_constants
     sin_t = s_t / s
     cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
     # Principal branch keeps Re(cos) >= 0 except across the evanescent cut;
@@ -216,8 +234,8 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     underflows; a lossless or gain layer raises DomainError.
     """
     steps = []
-    incident = incident_wave_state(stack.incident_medium, theta1)
-    s_t, n = incident.s_t, incident.eta_n * incident.cos_n
+    _, s_t, eta, cos_t = _incident(stack.incident_medium, theta1)
+    n = eta * cos_t
     for layer in stack.layers:
         s, eta, cos_t = _refract(layer.medium, s_t)
         n_next = eta * cos_t

@@ -36,6 +36,7 @@ from planemirage.synthesis import IllusionProblem, Mode
 from planemirage.unitcell import CodingSet, ReflectionMap, UnitCellRecord, select_state
 from planemirage.wavecore import (
     AIR,
+    ETA0,
     Layer,
     LayerWaveState,
     Medium,
@@ -295,6 +296,24 @@ def test_an_illusion_problem_keeps_its_cached_walks():
     assert problem.gamma_i is gamma and problem.actual_walk is problem.actual_walk
     # the cache is not a field: the problem still equals a fresh one
     assert problem == VALUES[IllusionProblem][0]()
+
+
+def test_a_medium_keeps_its_wave_constants_outside_its_fields():
+    medium, fresh = VALUES[Medium][0](), VALUES[Medium][0]()
+    s, eta = medium.wave_constants
+    assert medium.wave_constants is medium.wave_constants
+    assert s == cmath.sqrt(medium.eps_r * medium.mu_r)
+    assert eta == ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
+    # reading the cache changes nothing a value shows
+    assert medium == fresh and hash(medium) == hash(fresh) and repr(medium) == repr(fresh)
+    for twin in (copy.copy(medium), copy.deepcopy(medium), pickle.loads(pickle.dumps(medium))):
+        assert type(twin) is Medium and twin == fresh and hash(twin) == hash(fresh)
+        assert "wave_constants" not in vars(twin)  # a copy forms its own on first use
+        assert twin.wave_constants == (s, eta)
+    for name in ("eps_r", "mu_r", "wave_constants"):
+        with pytest.raises(AttributeError):
+            setattr(medium, name, 1.0)
+    assert medium == fresh and medium.wave_constants == (s, eta)
 
 
 # The finite and positive checks the value types and their functions share:

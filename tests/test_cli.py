@@ -1,5 +1,6 @@
 """CLI: config parsing, sweep tables, emission determinism, exit codes."""
 
+import argparse
 import errno
 import hashlib
 import json
@@ -12,6 +13,7 @@ from planemirage.cli import main
 from planemirage.config import parse_scenario
 from planemirage.output import _cells, emit
 from planemirage.sweep import (
+    MAX_AXIS_POINTS,
     ScenarioConfig,
     SweepAxis,
     SweepRow,
@@ -30,7 +32,7 @@ from planemirage.errors import (
     ResonantSingularityError,
     ValidationError,
 )
-from planemirage import gstc, sweep, synthesis, wavecore
+from planemirage import cli, gstc, sweep, synthesis, wavecore
 from planemirage.synthesis import IllusionProblem, Mode, synthesize
 from planemirage.wavecore import (
     AIR,
@@ -98,6 +100,12 @@ def test_sweep_axis_values():
         SweepAxis(10.0, 5.0, 1.0)
     with pytest.raises(ConfigError, match="point count"):
         SweepAxis(-1e308, 1e308, 1.0)  # stop - start overflows
+    # a finite point count is refused past MAX_AXIS_POINTS, before any value is made
+    assert SweepAxis(0.0, MAX_AXIS_POINTS - 1, 1.0).count == MAX_AXIS_POINTS
+    with pytest.raises(ConfigError, match="more than 1,000,000 points"):
+        SweepAxis(0.0, MAX_AXIS_POINTS, 1.0)
+    with pytest.raises(ConfigError, match="more than 1,000,000 points"):
+        SweepAxis(0.0, 80.0, 1e-300)
 
 
 def test_builtin_scenario_shape():
@@ -178,6 +186,8 @@ def test_a_grid_that_cannot_run_is_a_config_error_before_any_point(
     assert not out.exists()
 
 
+_ASTRONOMICAL_AXIS = {"start": 0, "stop": 80, "step": 1e-300}
+
 # A value that a constructor refuses, set at a path in the config, and the
 # JSON path its config error names.
 _REFUSED_VALUES = {
@@ -191,6 +201,9 @@ _REFUSED_VALUES = {
     "theta-start-past-stop": (("sweep", "theta_deg", "start"), 2.0, "sweep.theta_deg"),
     "freq-zero-step": (("sweep", "freq_ghz", "step"), 0.0, "sweep.freq_ghz"),
     "freq-start-past-stop": (("sweep", "freq_ghz", "start"), 11.0, "sweep.freq_ghz"),
+    # 8e301 points: a finite count, but more than MAX_AXIS_POINTS
+    "theta-astronomical-count": (("sweep", "theta_deg"), _ASTRONOMICAL_AXIS, "sweep.theta_deg"),
+    "freq-astronomical-count": (("sweep", "freq_ghz"), _ASTRONOMICAL_AXIS, "sweep.freq_ghz"),
 }
 
 
@@ -210,6 +223,48 @@ def test_a_refused_config_value_is_a_config_error_that_names_its_path(
     err = capsys.readouterr().err
     assert err.startswith(f"planemirage: config error: {named}: "), err
     assert not out.exists()
+
+
+def _main_exit(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr, where argparse exits by SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+def test_one_process_builds_one_parser_for_every_main_call(monkeypatch, tmp_path):
+    cli._parser.cache_clear()
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", "--scenario", "builtin", "--out", str(a)]) == 0
+    first = list(built)
+    assert first.count("planemirage") == 1  # one top-level parser; the rest are its subcommands
+    assert main(["simulate", "--scenario", "builtin", "--out", str(b)]) == 0
+    assert built == first
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_kept_parser_reports_usage_errors_and_help_as_a_new_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    bad = ["simulate", "--scenario", "other"]
+    fresh_error = _main_exit(capsys, bad)
+    assert fresh_error[0] == 2 and "invalid choice: 'other'" in fresh_error[2]
+    assert main(["simulate", "--scenario", "builtin", "--out", str(tmp_path / "a.csv")]) == 0
+    assert _main_exit(capsys, bad) == fresh_error
+    for argv in (["--help"], ["synthesize", "--help"], ["companion", "--help"]):
+        cli._parser.cache_clear()
+        first = _main_exit(capsys, argv)
+        assert first[0] == 0 and first[1].startswith("usage: planemirage") and first[2] == ""
+        assert _main_exit(capsys, argv) == first
 
 
 def test_parse_scenario_round_trip(tmp_path):
@@ -344,19 +399,28 @@ def _deep_stack(n_layers):
     return Stack(AIR, layers, Open(Medium(3.0)))
 
 
+def _media(stack):
+    """The media a walk of stack meets: incident, each layer's, and an Open half-space."""
+    yield stack.incident_medium
+    yield from (layer.medium for layer in stack.layers)
+    if isinstance(stack.termination, Open):
+        yield stack.termination.half_space
+
+
 @pytest.mark.parametrize("stacks", ["builtin", "deep", "sheet"])
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
     # one walk per stack at each angle, and not again at each frequency; a
     # walk builds a layer wave state only for the half-space behind an Open
-    # termination, and none for Pec or Sheet
+    # termination, and none for Pec or Sheet, nor one for the incident wave;
+    # each medium's (s, eta) is formed once, whatever the number of angles
     actual, target = (_deep_stack(9), _deep_stack(12))
     if stacks == "builtin":
         actual, target = builtin_scenario().actual, builtin_scenario().target
     elif stacks == "sheet":
         actual = Stack(AIR, actual.layers, Sheet(0.5 - 0.2j))
     config = ScenarioConfig(actual, target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
-    calls = {"walk": [], "state": []}
+    calls = {"walk": [], "state": [], "incident": [], "constants": []}
 
     def counted(key, real):
         def fn(*args):
@@ -365,14 +429,24 @@ def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
 
         return fn
 
+    # every distinct medium of both stacks, its cached constants dropped
+    media = {id(m): m for s in (actual, target) for m in _media(s)}
+    for m in media.values():
+        vars(m).pop("wave_constants", None)
+    constants = Medium.__dict__["wave_constants"]
+    monkeypatch.setattr(constants, "func", counted("constants", constants.func))
     monkeypatch.setattr(wavecore, "layer_wave_state", counted("state", wavecore.layer_wave_state))
+    monkeypatch.setattr(wavecore, "incident_wave_state", counted("incident", wavecore.incident_wave_state))
     monkeypatch.setattr(sweep, "angle_walk", counted("walk", angle_walk))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
     angles = config.theta_deg.values()
+    assert len(angles) == 3
     assert calls["walk"] == [(s, math.radians(t)) for t in angles for s in (actual, target)]
     per_angle = sum(isinstance(s.termination, Open) for s in (actual, target))
     assert len(calls["state"]) == len(angles) * per_angle
+    assert calls["incident"] == []
+    assert sorted(id(m) for (m,) in calls["constants"]) == sorted(media)
 
 
 @pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
