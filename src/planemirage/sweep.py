@@ -2,12 +2,14 @@
 
 A ScenarioConfig, from builtin_scenario or planemirage.config.parse_scenario,
 holds two stacks, a mode and the (theta, f) grid in SI units, refused
-before its first point if it would leave the float range or an axis would
-have more than MAX_AXIS_POINTS points.
+before its first point if it would leave the float range, an axis would
+have more than MAX_AXIS_POINTS points, or its angles times the layers of
+both stacks would be more than MAX_LAYER_ANGLES walk layers to hold.
 run_simulate and run_synthesize return SweepRows from one loop that walks
 each stack once per angle and folds both walks at every point;
-run_synthesize also feeds the actual walk to sheet_state. The loop yields
-each row as its point is done, for planemirage.output.emit to write.
+run_synthesize also plans the synthesis of each angle's actual walk once
+(synthesis.sheet_plan) and takes the plan's step at every point. The loop
+yields each row as its point is done, for planemirage.output.emit to write.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 from ._value import Value
 from .errors import ConfigError, PlanemirageError
-from .synthesis import Mode, sheet_state
+from .synthesis import Mode, _sheet_step, sheet_plan
 from .wavecore import (
     AIR,
     Layer,
@@ -38,6 +40,12 @@ _GRID_NUDGE = 1e-9  # absorbs float noise in (stop - start)/step
 # astronomically large would exhaust memory instead of being refused; this
 # is about 3,000 times the 321 angles of a dense grid.
 MAX_AXIS_POINTS = 10**6
+# The most walk layers a sweep may hold, angles times the layers of both
+# stacks: each angle's two walks and its synthesis plan are kept until the
+# last row. At the limit, one layer per stack in reflective mode holds the
+# most, 170 MiB under tracemalloc on Python 3.11; the dense grid holds
+# 1,926 walk layers and the deep-stack walls 1,848.
+MAX_LAYER_ANGLES = 4 * 10**5
 
 
 class SweepAxis(Value):
@@ -92,6 +100,13 @@ class ScenarioConfig(Value):
         f_last = freq_ghz.start + (freq_ghz.count - 1) * freq_ghz.step
         if not math.isfinite(2.0 * math.pi * (f_last * 1e9)):
             raise ConfigError(f"freq_ghz grid ends at {f_last} GHz, where 2*pi*f in Hz is not finite")
+        layer_angles = theta_deg.count * (len(actual.layers) + len(target.layers))
+        if layer_angles > MAX_LAYER_ANGLES:
+            raise ConfigError(
+                f"sweep.theta_deg: {theta_deg.count:,} angles times {len(actual.layers)} + "
+                f"{len(target.layers)} stack layers is more than the {MAX_LAYER_ANGLES:,} "
+                "walk layers a sweep may hold"
+            )
         if output_format not in ("csv", "svg"):
             raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
         super().__init__(actual, target, mode, theta_deg, freq_ghz, output_format, output_path)
@@ -206,10 +221,11 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     field order, and a frequency's rows share one freq_ghz float.
 
     Every medium is non-dispersive, so each stack is walked once per angle
-    and each point folds both walks at its k0 with walk_reflection; a
-    synthesis reads the actual walk again in its inversion. A point gets
-    the same bits as chain_reflection and synthesize. A failed walk is
-    tagged at every frequency of its angle. A point is synthesized when
+    and each point folds both walks at its k0 with walk_reflection. In a
+    synthesis, each angle's actual walk also gives one sheet_plan, and
+    each point takes the plan's step. A point gets the same bits as
+    chain_reflection and synthesize. A failed walk is tagged at every
+    frequency of its angle, and has no plan. A point is synthesized when
     Gamma_i is known and no round trip of the actual walk overflows at k0,
     even where the actual Gamma failed at its closing division; otherwise
     each failure is tagged once. Any other exception at a point raises
@@ -220,22 +236,24 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     try:
         for theta_deg in config.theta_deg.values():
             theta = math.radians(theta_deg)
-            walks = (_angle_walk(config.actual, theta), _angle_walk(config.target, theta))
-            angles.append((theta_deg, cmath.cos(theta), *walks))
+            actual = _angle_walk(config.actual, theta)
+            target = _angle_walk(config.target, theta)
+            plan = None if mode is None or isinstance(actual, str) else sheet_plan(mode, actual)
+            angles.append((theta_deg, cmath.cos(theta), actual, target, plan))
         for f_ghz in config.freq_ghz.values():
             k0 = PlaneWave(f_ghz * 1e9).k0
-            for theta_deg, cos_theta, actual, target in angles:
+            for theta_deg, cos_theta, actual, target, plan in angles:
                 errs = []
                 g_act = _gamma(actual, k0, errs)
                 g_tgt = _gamma(target, k0, errs)
                 rho_req = aux = passive = None
                 if (
-                    mode is not None
+                    plan is not None
                     and g_tgt is not None
                     and (g_act is not None or _round_trips_finite(actual, k0))
                 ):
                     try:
-                        rho_req, aux, passive = sheet_state(mode, actual, k0, g_tgt, cos_theta)
+                        rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
                     except PlanemirageError as exc:
                         errs.append(_error_tag(exc))
                 yield f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)

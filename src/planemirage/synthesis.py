@@ -17,10 +17,12 @@ the reflective one runs Gamma_i backward through every layer of the actual
 stack, the transmissive one takes a single inverse step at its front. Both
 work for actual stacks of any depth. They read the actual stack's angle
 walk and form each round trip Z_n^2 = e^{-j k0 a_n} as they reach it, the
-same factor wavecore.walk_reflection forms. sheet_state is the one
-per-point step (inversion, sheet description, passivity); a sweep feeds it
-the actual stack's angle walk, k0 and Gamma_i, and synthesize feeds it an
-IllusionProblem. The substitution checks fold the same walk with
+same factor wavecore.walk_reflection forms. Each is split by loop level:
+sheet_plan takes what depends on the angle only from the walk, and the
+per-point step _sheet_step gives the inversion, its sheet description from
+the gstc kernels and the passivity verdict. A sweep plans once per angle
+and steps at every point; the inversions, sheet_state and synthesize are
+plan then step. The substitution checks fold the same walk with
 walk_reflection, the synthesized value in place.
 """
 
@@ -32,7 +34,7 @@ from functools import cached_property
 
 from ._value import Value, _require_finite
 from .errors import DegenerateSynthesisError, DomainError, ValidationError
-from .gstc import impedance_from_reflection, susceptibility_from_reflection
+from .gstc import _impedance, _incidence, _susceptibility
 from .wavecore import PlaneWave, Sheet, Stack, Walk, angle_walk, chain_reflection, walk_reflection
 
 _DEGENERACY_RTOL = 1e-12
@@ -88,14 +90,72 @@ def _solve(p: complex, q: complex, q_scale: float, det: complex, sheet: str) -> 
         |p*q/det| ulps. A layer whose Z^2 underflows gives det = 0;
       * p/q overflows.
     """
-    if abs(q) <= _DEGENERACY_RTOL * q_scale:
+    abs_q = abs(q)
+    if abs_q <= _DEGENERACY_RTOL * q_scale:
         raise DegenerateSynthesisError(f"no {sheet} produces the target reflection at this point")
-    if abs(det) <= _DEGENERACY_RTOL * abs(p) * abs(q):
+    if abs(det) <= _DEGENERACY_RTOL * abs(p) * abs_q:
         raise DegenerateSynthesisError(f"the actual stack hides the {sheet} at this point")
     rho = p / q
     if not cmath.isfinite(rho):
         raise DegenerateSynthesisError(f"the required {sheet} reflection overflows at this point")
     return rho
+
+
+def sheet_plan(mode: Mode, walk: Walk) -> tuple:
+    """(invert, inverse): what a synthesis in this mode reads of the actual
+    stack's angle walk at every frequency, formed once per walk.
+    invert(inverse, k0, gamma_i) is the mode's inversion at one point.
+
+    Reflective: per layer (rho_n, a_n, |rho_n|, 1 - rho_n^2), which depend on
+    the angle only. Transmissive: a_1 and the walk of layers 2..N, (steps[1:],
+    rho_T). Building a plan never raises: where |rho_n| overflows, or the walk
+    has no layer to put a front sheet on, inverse is None and invert raises
+    what the inversion would.
+    """
+    steps, rho_t = walk
+    if mode is Mode.REFLECTIVE:
+        try:
+            return _terminating_sheet, tuple((rho, a, abs(rho), 1.0 - rho * rho) for rho, a in steps)
+        except OverflowError:
+            return _terminating_sheet, None
+    return _front_sheet, ((steps[0][1], (steps[1:], rho_t)) if steps else None)
+
+
+def _terminating_sheet(layers: tuple | None, k0: float, gamma_i: complex) -> complex:
+    """rho_4m from a reflective plan's layers; see reflective_inversion."""
+    if layers is None:  # an |rho_n| of the walk overflowed
+        raise DomainError(_NOT_FINITE.format("terminating sheet"))
+    jk0 = -1j * k0
+    try:
+        p, q, det = gamma_i, 1.0 + 0.0j, 1.0 + 0.0j
+        p_scale, q_scale = abs(gamma_i), 1.0
+        for rho, a, r, d in layers:
+            z2 = cmath.exp(jk0 * a)
+            z = abs(z2)
+            p, q = p - rho * q, z2 * (q - rho * p)
+            p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
+            det *= z2 * d
+        return _solve(p, q, q_scale, det, "terminating sheet")
+    except (OverflowError, ValueError):
+        raise DomainError(_NOT_FINITE.format("terminating sheet")) from None
+
+
+def _front_sheet(front: tuple | None, k0: float, gamma_i: complex) -> complex:
+    """rho_1m from a transmissive plan's (a_1, rest walk); see transmissive_inversion."""
+    if front is None:
+        raise ValidationError("the front-sheet inversion needs at least one layer")
+    a_1, rest = front
+    try:
+        x = cmath.exp(-1j * k0 * a_1) * walk_reflection(rest, k0)
+        gx = gamma_i * x
+        rho_1m = _solve(gamma_i - x, 1.0 - gx, 1.0 + abs(gx), 1.0 - x * x, "front sheet")
+        if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
+            raise DegenerateSynthesisError(
+                "required front reflection is 1: no finite susceptibility realizes it"
+            )
+    except (OverflowError, ValueError):
+        raise DomainError(_NOT_FINITE.format("front sheet")) from None
+    return rho_1m
 
 
 def reflective_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
@@ -112,22 +172,11 @@ def reflective_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
     infinite intermediate Gamma passes through. Degeneracy is judged once,
     on the composed map (see _solve), never step by step: its determinant
     is the product of the steps' Z_n^2 (1 - rho_n^2), and q_scale bounds
-    the magnitudes that q is summed from.
+    the magnitudes that q is summed from. |rho_n| and 1 - rho_n^2 come from
+    the walk's sheet_plan.
     """
-    steps, _ = walk
-    jk0 = -1j * k0
-    try:
-        p, q, det = gamma_i, 1.0 + 0.0j, 1.0 + 0.0j
-        p_scale, q_scale = abs(gamma_i), 1.0
-        for rho, a in steps:
-            z2 = cmath.exp(jk0 * a)
-            r, z = abs(rho), abs(z2)
-            p, q = p - rho * q, z2 * (q - rho * p)
-            p_scale, q_scale = p_scale + r * q_scale, z * (q_scale + r * p_scale)
-            det *= z2 * (1.0 - rho * rho)
-        return _solve(p, q, q_scale, det, "terminating sheet")
-    except (OverflowError, ValueError):
-        raise DomainError(_NOT_FINITE.format("terminating sheet")) from None
+    invert, inverse = sheet_plan(Mode.REFLECTIVE, walk)
+    return invert(inverse, k0, gamma_i)
 
 
 def transmissive_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
@@ -139,21 +188,11 @@ def transmissive_inversion(walk: Walk, k0: float, gamma_i: complex) -> complex:
     to the front of layer 1, the total reflection is (r + X)/(1 + r X) for a
     first interface reflecting r; one inverse step at the front gives
     rho_1m = (Gamma_i - X)/(1 - Gamma_i X). rho_1m = 1 admits no finite
-    front sheet and raises, and so does a walk with no layer.
+    front sheet and raises, and so does a walk with no layer. The walk of
+    layers 2..N comes from the walk's sheet_plan.
     """
-    steps, rho_t = walk
-    if not steps:
-        raise ValidationError("the front-sheet inversion needs at least one layer")
-    try:
-        x = cmath.exp(-1j * k0 * steps[0][1]) * walk_reflection((steps[1:], rho_t), k0)
-        rho_1m = _solve(gamma_i - x, 1.0 - gamma_i * x, 1.0 + abs(gamma_i * x), 1.0 - x * x, "front sheet")
-        if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
-            raise DegenerateSynthesisError(
-                "required front reflection is 1: no finite susceptibility realizes it"
-            )
-    except (OverflowError, ValueError):
-        raise DomainError(_NOT_FINITE.format("front sheet")) from None
-    return rho_1m
+    invert, inverse = sheet_plan(Mode.TRANSMISSIVE, walk)
+    return invert(inverse, k0, gamma_i)
 
 
 def sheet_terminated_reflection(problem: IllusionProblem, rho: complex) -> complex:
@@ -170,6 +209,21 @@ def front_sheet_reflection(problem: IllusionProblem, rho_1: complex) -> complex:
     return walk_reflection((((rho_1, steps[0][1]),) + steps[1:], rho_t), problem.wave.k0)
 
 
+def _sheet_step(
+    plan: tuple, k0: float, gamma_i: complex, cos_theta: complex
+) -> tuple[complex, complex, bool]:
+    """sheet_state from the walk's sheet_plan; k0 > 0 and a cos_theta that
+    describes an incident wave are the caller's to ensure."""
+    invert, inverse = plan
+    rho = invert(inverse, k0, gamma_i)
+    if invert is _terminating_sheet:
+        sheet = eta_n = _impedance(rho)
+    else:
+        sheet = _susceptibility(rho, k0, cos_theta)
+        eta_n = _impedance(rho)
+    return rho, sheet, abs(rho) <= 1.0 and eta_n.real >= 0.0
+
+
 def sheet_state(
     mode: Mode, walk: Walk, k0: float, gamma_i: complex, cos_theta: complex
 ) -> tuple[complex, complex, bool]:
@@ -183,15 +237,15 @@ def sheet_state(
     conditions agree analytically (the unit disk maps onto the right
     impedance half-plane); checking both keeps the verdict conservative
     under rounding. The |rho| = 1 boundary is passive.
+
+    It is sheet_plan followed by the per-point step; a sweep builds the
+    plan once per angle and takes the step at every frequency. In
+    transmissive mode k0 and cos_theta are checked first, as
+    susceptibility_from_reflection checks them.
     """
-    if mode is Mode.REFLECTIVE:
-        rho = reflective_inversion(walk, k0, gamma_i)
-        sheet = eta_n = impedance_from_reflection(rho)
-    else:
-        rho = transmissive_inversion(walk, k0, gamma_i)
-        sheet = susceptibility_from_reflection(rho, k0, cos_theta)
-        eta_n = impedance_from_reflection(rho)
-    return rho, sheet, abs(rho) <= 1.0 and eta_n.real >= 0.0
+    if mode is Mode.TRANSMISSIVE:
+        cos_theta = _incidence(k0, cos_theta)
+    return _sheet_step(sheet_plan(mode, walk), k0, gamma_i, cos_theta)
 
 
 def synthesize(problem: IllusionProblem) -> tuple[complex, complex, bool]:

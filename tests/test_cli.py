@@ -8,12 +8,15 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planemirage.cli import main
 from planemirage.config import parse_scenario
 from planemirage.output import _cells, emit
 from planemirage.sweep import (
     MAX_AXIS_POINTS,
+    MAX_LAYER_ANGLES,
     ScenarioConfig,
     SweepAxis,
     SweepRow,
@@ -106,6 +109,31 @@ def test_sweep_axis_values():
         SweepAxis(0.0, MAX_AXIS_POINTS, 1.0)
     with pytest.raises(ConfigError, match="more than 1,000,000 points"):
         SweepAxis(0.0, 80.0, 1e-300)
+
+
+def test_a_sweep_holds_at_most_max_layer_angles():
+    # angles times the layers of both stacks: what a sweep holds before its
+    # first row; refused on the ScenarioConfig, before any value is made
+    config = builtin_scenario()
+    actual = Stack(AIR, config.actual.layers[:2], Pec())
+    target = Stack(AIR, config.target.layers[:2], Open())
+    assert MAX_LAYER_ANGLES % 4 == 0
+
+    def theta_axis(count):
+        axis = SweepAxis(0.0, 80.0, 80.0 / (count - 1))
+        assert axis.count == count
+        return axis
+
+    most = MAX_LAYER_ANGLES // 4
+    ScenarioConfig(actual, target, Mode.REFLECTIVE, theta_axis(most), config.freq_ghz)
+    with pytest.raises(ConfigError, match=r"^sweep\.theta_deg: 100,001 angles times 2 \+ 2 stack layers"):
+        ScenarioConfig(actual, target, Mode.REFLECTIVE, theta_axis(most + 1), config.freq_ghz)
+    # a deep stack lowers the number of angles
+    deep = Stack(AIR, config.actual.layers * 16, Pec())
+    assert MAX_LAYER_ANGLES % 51 != 0
+    ScenarioConfig(deep, config.target, None, theta_axis(MAX_LAYER_ANGLES // 51), config.freq_ghz)
+    with pytest.raises(ConfigError, match="walk layers a sweep may hold"):
+        ScenarioConfig(deep, config.target, None, theta_axis(MAX_LAYER_ANGLES // 51 + 1), config.freq_ghz)
 
 
 def test_builtin_scenario_shape():
@@ -204,6 +232,12 @@ _REFUSED_VALUES = {
     # 8e301 points: a finite count, but more than MAX_AXIS_POINTS
     "theta-astronomical-count": (("sweep", "theta_deg"), _ASTRONOMICAL_AXIS, "sweep.theta_deg"),
     "freq-astronomical-count": (("sweep", "freq_ghz"), _ASTRONOMICAL_AXIS, "sweep.freq_ghz"),
+    # 800,001 angles, under MAX_AXIS_POINTS, times 4 layers: past MAX_LAYER_ANGLES
+    "theta-too-many-walk-layers": (
+        ("sweep", "theta_deg"),
+        {"start": 0, "stop": 80, "step": 1e-4},
+        "sweep.theta_deg",
+    ),
 }
 
 
@@ -407,6 +441,14 @@ def _media(stack):
         yield stack.termination.half_space
 
 
+def _counted(calls, key, real):
+    def fn(*args):
+        calls[key].append(args)
+        return real(*args)
+
+    return fn
+
+
 @pytest.mark.parametrize("stacks", ["builtin", "deep", "sheet"])
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
@@ -421,23 +463,15 @@ def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
         actual = Stack(AIR, actual.layers, Sheet(0.5 - 0.2j))
     config = ScenarioConfig(actual, target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
     calls = {"walk": [], "state": [], "incident": [], "constants": []}
-
-    def counted(key, real):
-        def fn(*args):
-            calls[key].append(args)
-            return real(*args)
-
-        return fn
-
     # every distinct medium of both stacks, its cached constants dropped
     media = {id(m): m for s in (actual, target) for m in _media(s)}
     for m in media.values():
         vars(m).pop("wave_constants", None)
     constants = Medium.__dict__["wave_constants"]
-    monkeypatch.setattr(constants, "func", counted("constants", constants.func))
-    monkeypatch.setattr(wavecore, "layer_wave_state", counted("state", wavecore.layer_wave_state))
-    monkeypatch.setattr(wavecore, "incident_wave_state", counted("incident", wavecore.incident_wave_state))
-    monkeypatch.setattr(sweep, "angle_walk", counted("walk", angle_walk))
+    monkeypatch.setattr(constants, "func", _counted(calls, "constants", constants.func))
+    for key, name in (("state", "layer_wave_state"), ("incident", "incident_wave_state")):
+        monkeypatch.setattr(wavecore, name, _counted(calls, key, getattr(wavecore, name)))
+    monkeypatch.setattr(sweep, "angle_walk", _counted(calls, "walk", angle_walk))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
     angles = config.theta_deg.values()
@@ -451,52 +485,72 @@ def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
 
 @pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode):
-    # the sheet impedance serves both the reflective eta_n and the passivity verdict
+    # the impedance kernel serves both the reflective eta_n and the passivity
+    # verdict; a sweep point has proved rho, k0 and cos_theta, so it calls the
+    # gstc kernels and never the public functions that check them again
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
-    calls = []
-    real = gstc.impedance_from_reflection
-
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
-
-    for module in (sweep, synthesis):
-        if hasattr(module, "impedance_from_reflection"):
-            monkeypatch.setattr(module, "impedance_from_reflection", counted)
+    calls = {"impedance": [], "susceptibility": [], "public": []}
+    monkeypatch.setattr(synthesis, "_impedance", _counted(calls, "impedance", gstc._impedance))
+    monkeypatch.setattr(synthesis, "_susceptibility", _counted(calls, "susceptibility", gstc._susceptibility))
+    for name in ("impedance_from_reflection", "susceptibility_from_reflection"):
+        for module in (gstc, sweep, synthesis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _counted(calls, "public", getattr(gstc, name)))
     rows = run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
-    assert 0 < len(calls) <= len(rows)
+    assert [rho for (rho,) in calls["impedance"]] == [r.rho_req for r in rows]
+    if mode is Mode.TRANSMISSIVE:
+        assert [(rho, k0) for rho, k0, _ in calls["susceptibility"]] == [
+            (r.rho_req, PlaneWave(r.freq_ghz * 1e9).k0) for r in rows
+        ]
+    else:
+        assert calls["susceptibility"] == []
+    assert calls["public"] == []
 
 
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
-    # the sweep folds both walks at every point; a transmissive inversion
-    # folds the actual walk's layers 2..N once more, a reflective one nothing
+    # the sweep folds both walks at every point; a transmissive step folds
+    # the walk of the actual stack's layers 2..N once more, from the one
+    # rest walk its angle's plan holds; a reflective step folds nothing
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
     calls = {"walk": [], "sweep": [], "synthesis": []}
-
-    def counted(key, real):
-        def fn(*args):
-            calls[key].append(args)
-            return real(*args)
-
-        return fn
-
-    monkeypatch.setattr(sweep, "angle_walk", counted("walk", angle_walk))
-    monkeypatch.setattr(sweep, "walk_reflection", counted("sweep", walk_reflection))
-    monkeypatch.setattr(synthesis, "walk_reflection", counted("synthesis", walk_reflection))
+    monkeypatch.setattr(sweep, "angle_walk", _counted(calls, "walk", angle_walk))
+    monkeypatch.setattr(sweep, "walk_reflection", _counted(calls, "sweep", walk_reflection))
+    monkeypatch.setattr(synthesis, "walk_reflection", _counted(calls, "synthesis", walk_reflection))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
-    assert len(calls["walk"]) == 2 * config.theta_deg.count
+    n_angles = config.theta_deg.count
+    assert len(calls["walk"]) == 2 * n_angles
     assert len(calls["sweep"]) == 2 * len(rows)
     if mode is Mode.TRANSMISSIVE:
         # each point folds the actual walk first, then the target's
         actual = [walk for walk, _ in calls["sweep"][::2]]
-        assert [walk for walk, _ in calls["synthesis"]] == [(steps[1:], rho_t) for steps, rho_t in actual]
+        rests = [walk for walk, _ in calls["synthesis"]]
+        assert rests == [(steps[1:], rho_t) for steps, rho_t in actual]
+        # one rest walk per angle, the same object at every frequency
+        assert len({id(rest) for rest in rests}) == n_angles
+        assert all(rest is rests[i % n_angles] for i, rest in enumerate(rests))
     else:
         assert calls["synthesis"] == []
+
+
+def test_a_synthesis_sweep_plans_each_angle_once(monkeypatch):
+    # one plan per angle, from that angle's actual walk, whatever the number
+    # of frequencies; simulate plans nothing
+    config = builtin_scenario()
+    calls = {"plan": []}
+    monkeypatch.setattr(sweep, "sheet_plan", _counted(calls, "plan", synthesis.sheet_plan))
+    for mode in (None, Mode.REFLECTIVE, Mode.TRANSMISSIVE):
+        small = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.2, 0.1))
+        rows = run_simulate(small) if mode is None else run_synthesize(small)
+        assert [r.err for r in rows] == [""] * 9
+    thetas = [math.radians(t) for t in _small_axis().values()]
+    assert len(thetas) == 3
+    modes = (Mode.REFLECTIVE, Mode.TRANSMISSIVE)
+    assert calls["plan"] == [(mode, angle_walk(config.actual, theta)) for mode in modes for theta in thetas]
 
 
 def test_sweep_rows_are_tuples():
@@ -541,10 +595,11 @@ def _per_point_row(actual, target, mode, f_ghz, theta_deg):
     return SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho, aux, passive, ";".join(errs))
 
 
-def _sweep_matches_per_point_api(actual, target, mode, freq_axis):
-    config = ScenarioConfig(actual, target, mode, _small_axis(), freq_axis)
+def _sweep_matches_per_point_api(actual, target, mode, freq_axis, theta_axis=None):
+    config = ScenarioConfig(actual, target, mode, theta_axis or _small_axis(), freq_axis)
     rows = run_simulate(config) if mode is None else run_synthesize(config)
-    assert rows == [_per_point_row(actual, target, mode, r.freq_ghz, r.theta_deg) for r in rows]
+    # repr, so that signed zeros count
+    assert repr(rows) == repr([_per_point_row(actual, target, mode, r.freq_ghz, r.theta_deg) for r in rows])
     return rows
 
 
@@ -585,6 +640,82 @@ def test_an_actual_gamma_that_fails_at_its_close_is_still_synthesized(tmp_path):
     assert all(cells[4:10])  # g_tgt, rho_req and chi_e
     assert cells[-1] == "domain"
     assert run_synthesize(config) == [_per_point_row(config.actual, config.target, Mode.TRANSMISSIVE, 10.0, 60.0)]
+    # a reflective synthesis is attempted at the same point, and finds the
+    # terminating sheet hidden behind the lossy layers
+    grid = (config.freq_ghz, config.theta_deg)
+    rows = {mode: _sweep_matches_per_point_api(config.actual, config.target, mode, *grid) for mode in Mode}
+    assert [r.err for r in rows[Mode.REFLECTIVE]] == ["domain;degenerate-synthesis"]
+    assert [r.err for r in rows[Mode.TRANSMISSIVE]] == ["domain"]
+
+
+@pytest.mark.parametrize(
+    "termination", [Pec(), Open(Medium(2.0)), Sheet(0.3 - 0.4j)], ids=["pec", "open", "sheet"]
+)
+@pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_one_layer_actual_stack_is_synthesized_as_its_points_are(mode, termination):
+    # one layer: the transmissive plan's walk of layers 2..N has no step, so
+    # Gamma_2 is the termination's rho_T
+    config = builtin_scenario()
+    actual = Stack(AIR, config.actual.layers[1:2], termination)
+    assert len(synthesis.sheet_plan(Mode.TRANSMISSIVE, angle_walk(actual, 0.0))[1][1][0]) == 0
+    rows = _sweep_matches_per_point_api(actual, config.target, mode, SweepAxis(10.0, 10.1, 0.1))
+    assert [r.err for r in rows] == [""] * 6
+    assert all(r.rho_req is not None for r in rows)
+
+
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_reflection_magnitude_that_overflows_is_tagged_only_where_synthesized(monkeypatch, mode):
+    # rho_1 of the actual walk has finite parts, but |rho_1| is past the float
+    # range: the reflective plan cannot form it, so each point that attempts
+    # a terminating sheet is tagged domain, as the inversion raises there. At
+    # 0.5 degrees the target's walk fails, so no synthesis is attempted and
+    # no domain is tagged; a front sheet never reads rho_1.
+    config = builtin_scenario()
+    real = wavecore.angle_walk
+    huge = complex(1.5e308, 1.5e308)
+
+    def angle_walk(stack, theta1):
+        if stack is config.target and theta1 == math.radians(0.5):
+            raise DegenerateInterfaceError("interface denominator vanished")
+        steps, rho_t = real(stack, theta1)
+        if stack is config.actual:
+            steps = ((huge, steps[0][1]),) + steps[1:]
+        return steps, rho_t
+
+    for module in (wavecore, sweep, synthesis):
+        monkeypatch.setattr(module, "angle_walk", angle_walk)
+    rows = _sweep_matches_per_point_api(config.actual, config.target, mode, SweepAxis(10.0, 10.1, 0.1))
+    tag = "domain" if mode is Mode.REFLECTIVE else ""
+    assert [r.err for r in rows] == [tag, "degenerate-interface", tag] * 2
+    assert all(r.g_act is not None for r in rows)
+
+
+# Stacks of 1-6 layers: lossy, gain and (behind an eps 4 incident medium, or
+# where eps < sin^2 theta) evanescent media, mu != 1, thicknesses up to 1e300
+# m, whose round trips leave the float range, and all three terminations.
+_drawn_parts = st.floats(-2.0, 0.5)
+_drawn_media = st.builds(
+    lambda eps, eps_im, mu: Medium(complex(eps, eps_im), mu),
+    st.floats(0.05, 12.0), _drawn_parts, st.sampled_from([1.0, 1.6 - 0.05j]),
+)
+_drawn_stacks = st.builds(
+    lambda incident, layers, termination: Stack(incident, tuple(layers), termination),
+    st.sampled_from([AIR, Medium(4.0)]),
+    st.lists(
+        st.builds(Layer, _drawn_media, st.one_of(st.floats(0.0, 0.2), st.just(1e300))), min_size=1, max_size=6
+    ),
+    st.one_of(
+        st.just(Pec()),
+        st.builds(Open, _drawn_media),
+        st.builds(lambda re, im: Sheet(complex(re, im)), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_stacks, _drawn_stacks, st.sampled_from([Mode.REFLECTIVE, Mode.TRANSMISSIVE]))
+def test_a_synthesis_sweep_of_drawn_stacks_matches_its_points(actual, target, mode):
+    _sweep_matches_per_point_api(actual, target, mode, SweepAxis(1.0, 21.0, 10.0), SweepAxis(0.0, 80.0, 40.0))
 
 
 @pytest.mark.parametrize("role", ["actual", "target"])

@@ -23,6 +23,7 @@ from planemirage.synthesis import (
     IllusionProblem,
     Mode,
     front_sheet_reflection,
+    reflective_inversion,
     sheet_state,
     sheet_terminated_reflection,
     synthesize,
@@ -276,6 +277,26 @@ def test_degeneracy_is_judged_on_the_composed_map():
     assert synthesize(problem)[2] is False
 
 
+@pytest.mark.parametrize("rho", [1.0, -1.0])
+def test_an_interface_that_reflects_fully_hides_the_terminating_sheet(rho):
+    # rho_1 = +-1 maps every Gamma_2 to rho_1: the step's 1 - rho_1^2, and so
+    # the composed map's determinant, is 0 where the map is still regular
+    walk = (((complex(rho), 0.01 + 0.0j), (0.2 + 0.0j, 0.02 + 0.0j)), -1.0 + 0.0j)
+    with pytest.raises(DegenerateSynthesisError, match="hides the terminating sheet"):
+        reflective_inversion(walk, 200.0, 0.3 + 0.1j)
+
+
+def test_cancellation_is_judged_against_the_magnitudes_q_is_summed_from():
+    # one layer, rho_1 = 0.5j: q = Z^2 (1 - rho_1 Gamma_i) cancels to 1.5e-12
+    # of |Z^2|, while q is summed from magnitudes |Z^2| (1 + |rho_1| |Gamma_i|),
+    # about 2 |Z^2|; so q is degenerate against its own scale, not against 1
+    rho_1 = 0.5j
+    gamma_i = (1.0 - 1.5e-12) / rho_1
+    walk = (((rho_1, 0.01 + 0.0j),), -1.0 + 0.0j)
+    with pytest.raises(DegenerateSynthesisError, match="no terminating sheet produces"):
+        reflective_inversion(walk, 200.0, gamma_i)
+
+
 def test_thick_lossy_layer_makes_reflective_synthesis_degenerate():
     # Z^2 underflows to 0: nothing behind the 3 m layer changes Gamma
     actual = Stack(AIR, (Layer(AIR, 0.1), Layer(Medium(4.0 - 4.0j), 3.0), Layer(AIR, 0.1)), Pec())
@@ -350,6 +371,23 @@ def test_a_reflection_whose_magnitude_overflows_is_a_typed_error():
         _passive(huge)
     with pytest.raises(DomainError):
         sheet_state(Mode.TRANSMISSIVE, (((0.0, 0j),), -1.0), 200.0, huge, 1.0)
+
+
+@pytest.mark.parametrize(
+    "k0,cos_theta,message",
+    [
+        (0.0, 1.0, "k0 must be positive"),
+        (200.0, 0.0, "grazing incidence"),
+        (200.0, complex(math.nan, 0.0), "cos_theta must be finite"),
+    ],
+    ids=["k0-zero", "grazing", "cos-nan"],
+)
+def test_a_front_sheet_state_checks_its_wave_as_the_susceptibility_does(k0, cos_theta, message):
+    walk = angle_walk(builtin_scenario().actual, 0.0)
+    with pytest.raises(ValidationError, match=message):
+        susceptibility_from_reflection(0.5, k0, cos_theta)
+    with pytest.raises(ValidationError, match=message):
+        sheet_state(Mode.TRANSMISSIVE, walk, k0, 0.5, cos_theta)
 
 
 def test_a_front_sheet_inversion_without_layers_is_a_typed_error():
