@@ -15,7 +15,8 @@ planemirage.config, run the sweep loop of planemirage.sweep and write its
 rows through planemirage.output, which writes every command's file.
 
 Exit codes: 0 success; 1 configuration, data, or I/O error; 2 when every
-grid point of a sweep failed; 3 when a grid point raised an exception that
+grid point of a sweep failed, that is when emit wrote as many rows with an
+err tag as the grid has points; 3 when a grid point raised an exception that
 is not a PlanemirageError, a fault of the program: one stderr line names
 the point (f, theta) and the exception, and no output file is written.
 
@@ -188,16 +189,8 @@ def _cmd_sweep(args) -> int:
         mode = config.mode if args.mode is None else Mode(args.mode)
         if mode is None:
             raise ConfigError(_NO_MODE)
-    ok = 0
-
-    def counted(rows):
-        nonlocal ok
-        for row in rows:
-            ok += not row[-1]  # err
-            yield row
-
-    emit(counted(_sweep(config, mode)), mode, config.output_format, Path(out))
-    return 0 if ok else 2  # every axis has a point, so the grid is never empty
+    tagged = emit(_sweep(config, mode), mode, config.output_format, Path(out))
+    return 2 if tagged == config.theta_deg.count * config.freq_ghz.count else 0
 
 
 @cache

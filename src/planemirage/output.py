@@ -2,9 +2,10 @@
 
 emit writes sweep rows in the table of their mode, None for simulate's, as
 CSV, byte-deterministic, or as SVG through planemirage.svg, loaded only
-then. Every file is a run of lines that goes through one writer, which
-spools them to an anonymous temporary file as they are formed and copies
-it into the output path, in place, only after the last line.
+then, and counts the rows it writes with an err tag. Every file is a run
+of lines that goes through one writer, which spools them to an anonymous
+temporary file as they are formed and copies it into the output path, in
+place, only after the last line.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def _cells(values) -> list[str]:
 
 
 def _sweep_table(mode: Mode | None):
-    """Header line and row formatter of the sweep table of mode."""
+    """Header line, row formatter and err row count of the sweep table of
+    mode; the count is a one-item list that the formatter adds to."""
     names = _TABLES[mode]
     synthesis = mode is not None
     header = ["freq_ghz", "theta_deg"]
@@ -66,23 +68,33 @@ def _sweep_table(mode: Mode | None):
     # the passive flag as %s and the empty err as the trailing comma. The
     # freq_ghz cell is formatted once for each run of rows that share one
     # float object, as a frequency's rows from _sweep do; holding the last
-    # object keeps its identity from passing to another float.
-    ok = ",".join(["%s"] + ["%.17g"] * (1 + 2 * len(names)) + ["%s"] * synthesis) + ","
+    # object keeps its identity from passing to another float. Each
+    # theta_deg value is formatted once and kept, but a zero never is: 0.0
+    # and -0.0 are one key and two cells.
+    ok = ",".join(["%s"] * 2 + ["%.17g"] * (2 * len(names)) + ["%s"] * synthesis) + ","
     f_last = f_cell = None
+    theta_cells = {}
+    tagged = [0]
 
     def row_line(r) -> str:
         nonlocal f_last, f_cell
         f, theta, a, t, rho, aux, passive, err = r
         if f is not f_last:
             f_last, f_cell = f, _fmt(f)
+        t_cell = theta_cells.get(theta)
+        if t_cell is None:
+            t_cell = _fmt(theta)
+            if theta:
+                theta_cells[theta] = t_cell
         if not err:
             if not synthesis:
-                return ok % (f_cell, theta, a.real, a.imag, t.real, t.imag)
+                return ok % (f_cell, t_cell, a.real, a.imag, t.real, t.imag)
             return ok % (
-                f_cell, theta, a.real, a.imag, t.real, t.imag,
+                f_cell, t_cell, a.real, a.imag, t.real, t.imag,
                 rho.real, rho.imag, aux.real, aux.imag, "1" if passive else "0",
             )
-        out = [f_cell, _fmt(theta)]
+        tagged[0] += 1
+        out = [f_cell, t_cell]
         for value in (a, t, rho, aux)[: len(names)]:
             out += _pair(value)
         if synthesis:  # _fmt(passive), without its slow float conversion
@@ -90,7 +102,7 @@ def _sweep_table(mode: Mode | None):
         out.append(err)
         return ",".join(out)
 
-    return ",".join(header), row_line
+    return ",".join(header), row_line, tagged
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -109,7 +121,8 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     try:
         with tempfile.TemporaryFile() as spool:
             while batch := list(islice(lines, 256)):
-                spool.write("\n".join([*batch, ""]).encode())
+                batch.append("")  # the last line's newline
+                spool.write("\n".join(batch).encode())
             spool.seek(0)
             with open(path, "wb") as fh:
                 shutil.copyfileobj(spool, fh)
@@ -117,19 +130,21 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         raise WriteError(f"cannot write {path}: {exc}") from None
 
 
-def emit(rows: Iterable[SweepRow], mode: Mode | None, output_format: str, path: Path) -> None:
+def emit(rows: Iterable[SweepRow], mode: Mode | None, output_format: str, path: Path) -> int:
     """Write the sweep table of mode, None for simulate's, to path as CSV
-    (canonical) or SVG (presentation). rows are SweepRows or plain tuples
-    in SweepRow's field order, and may be an iterator: a CSV table formats
-    each row as it comes, an SVG plot keeps only the points it draws, and
-    the file is written once rows are exhausted."""
+    (canonical) or SVG (presentation), and return how many rows had an err
+    tag. rows are SweepRows or plain tuples in SweepRow's field order, and
+    may be an iterator: a CSV table formats each row as it comes, an SVG
+    plot keeps only the points it draws, and the file is written once rows
+    are exhausted."""
     if output_format == "csv":
-        header, line = _sweep_table(mode)
-        lines = chain([header], map(line, rows))
-    elif output_format == "svg":
+        header, line, tagged = _sweep_table(mode)
+        _write_lines(path, chain([header], map(line, rows)))
+        return tagged[0]
+    if output_format == "svg":
         from .svg import _svg_lines
 
-        lines = _svg_lines(rows, mode)
-    else:
-        raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
-    _write_lines(path, lines)
+        lines, tagged = _svg_lines(rows, mode)
+        _write_lines(path, lines)
+        return tagged
+    raise ConfigError(f"output format must be csv or svg, got {output_format!r}")

@@ -16,10 +16,11 @@ _COLORS = {"g_act": "#1f6fb2", "g_tgt": "#c24b3a", "rho_req": "#3a8f5a"}
 _LABELS = {"g_act": "actual", "g_tgt": "target", "rho_req": "required sheet"}
 
 
-def _svg_lines(rows: Iterable[tuple], mode) -> list[str]:
+def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
     """Amplitude and phase panels versus the sweep variable, one polyline
     per series and per value of the other grid axis, as the lines of an SVG
-    file; mode is None for simulate's table. Presentation only.
+    file, and how many rows had an err tag; mode is None for simulate's
+    table. Presentation only.
 
     Each row is read once, as it streams past: only the points it draws are
     kept, as (theta, |value|, phase in degrees) under (series, frequency),
@@ -28,7 +29,10 @@ def _svg_lines(rows: Iterable[tuple], mode) -> list[str]:
     fields = ("g_act", "g_tgt") if mode is None else ("g_act", "g_tgt", "rho_req")
     points: dict[tuple[str, float], list[tuple[float, float, float]]] = {}
     freqs, thetas = set(), set()
+    tagged = 0
     for f, theta, *values in rows:
+        if values[-1]:  # err
+            tagged += 1
         freqs.add(f)
         thetas.add(theta)
         for field, value in zip(fields, values):
@@ -93,4 +97,4 @@ def _svg_lines(rows: Iterable[tuple], mode) -> list[str]:
                 f'<text x="{lx + 18}" y="{_SVG_H - 14}">{_LABELS[field]}</text>'
             )
     lines.append("</svg>")
-    return lines
+    return lines, tagged

@@ -8,8 +8,10 @@ both stacks would be more than MAX_LAYER_ANGLES walk layers to hold.
 run_simulate and run_synthesize return SweepRows from one loop that walks
 each stack once per angle and folds both walks at every point;
 run_synthesize also plans the synthesis of each angle's actual walk once
-(synthesis.sheet_plan) and takes the plan's step at every point. The loop
-yields each row as its point is done, for planemirage.output.emit to write.
+(synthesis.sheet_plan) and takes the plan's step at every point. A point
+with no error pays for those calls alone; only a point where one raised
+is tagged. The loop yields each row as its point is done, for
+planemirage.output.emit to write.
 """
 
 from __future__ import annotations
@@ -214,22 +216,41 @@ class GridPointFault(Exception):
         super().__init__(f"{where}: {type(exc).__name__}: {exc}")
 
 
+def _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan) -> tuple:
+    """The row of a point where a walk, a fold or the synthesis step
+    raised, each failure tagged once, in the order actual, target, step."""
+    errs = []
+    g_act = _gamma(actual, k0, errs)
+    g_tgt = _gamma(target, k0, errs)
+    rho_req = aux = passive = None
+    if plan is not None and g_tgt is not None and (g_act is not None or _round_trips_finite(actual, k0)):
+        try:
+            rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
+        except PlanemirageError as exc:
+            errs.append(_error_tag(exc))
+    return f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)
+
+
 def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     """Both stacks' total reflection at every grid point, (freq, theta)
     order, plus the point's sheet_state when mode is given; each row is
     yielded as soon as its point is done, as a plain tuple in SweepRow's
-    field order, and a frequency's rows share one freq_ghz float.
+    field order, and a frequency's rows share one freq_ghz float and an
+    angle's rows one theta_deg float.
 
     Every medium is non-dispersive, so each stack is walked once per angle
     and each point folds both walks at its k0 with walk_reflection. In a
     synthesis, each angle's actual walk also gives one sheet_plan, and
     each point takes the plan's step. A point gets the same bits as
-    chain_reflection and synthesize. A failed walk is tagged at every
-    frequency of its angle, and has no plan. A point is synthesized when
-    Gamma_i is known and no round trip of the actual walk overflows at k0,
-    even where the actual Gamma failed at its closing division; otherwise
-    each failure is tagged once. Any other exception at a point raises
-    GridPointFault."""
+    chain_reflection and synthesize. A point of an angle whose walks both
+    succeeded makes just those calls; where one raises, or a walk failed,
+    _tagged_row makes the point's row again by the tagging rules, which
+    gives the same bits, as every fold and step is deterministic. A failed
+    walk is tagged at every frequency of its angle, and has no plan. A
+    point is synthesized when Gamma_i is known and no round trip of the
+    actual walk overflows at k0, even where the actual Gamma failed at its
+    closing division; otherwise each failure is tagged once. Any other
+    exception at a point raises GridPointFault."""
     angles = []
     f_ghz = theta_deg = None
     # One guard around both loops: the loop variables name the point that raised.
@@ -238,25 +259,25 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
             theta = math.radians(theta_deg)
             actual = _angle_walk(config.actual, theta)
             target = _angle_walk(config.target, theta)
-            plan = None if mode is None or isinstance(actual, str) else sheet_plan(mode, actual)
-            angles.append((theta_deg, cmath.cos(theta), actual, target, plan))
+            walked = not isinstance(actual, str) and not isinstance(target, str)
+            plan = sheet_plan(mode, actual) if walked and mode is not None else None
+            angles.append((theta_deg, cmath.cos(theta), actual, target, plan, walked))
         for f_ghz in config.freq_ghz.values():
             k0 = PlaneWave(f_ghz * 1e9).k0
-            for theta_deg, cos_theta, actual, target, plan in angles:
-                errs = []
-                g_act = _gamma(actual, k0, errs)
-                g_tgt = _gamma(target, k0, errs)
-                rho_req = aux = passive = None
-                if (
-                    plan is not None
-                    and g_tgt is not None
-                    and (g_act is not None or _round_trips_finite(actual, k0))
-                ):
+            for theta_deg, cos_theta, actual, target, plan, walked in angles:
+                row = None
+                if walked:
                     try:
-                        rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
-                    except PlanemirageError as exc:
-                        errs.append(_error_tag(exc))
-                yield f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)
+                        g_act = walk_reflection(actual, k0)
+                        g_tgt = walk_reflection(target, k0)
+                        if plan is None:
+                            row = f_ghz, theta_deg, g_act, g_tgt, None, None, None, ""
+                        else:
+                            rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
+                            row = f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ""
+                    except PlanemirageError:
+                        pass
+                yield row or _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan)
     except PlanemirageError:
         raise
     except Exception as exc:

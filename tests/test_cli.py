@@ -516,12 +516,16 @@ def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
     # rest walk its angle's plan holds; a reflective step folds nothing
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
-    calls = {"walk": [], "sweep": [], "synthesis": []}
+    calls = {"walk": [], "sweep": [], "synthesis": [], "tagging": []}
     monkeypatch.setattr(sweep, "angle_walk", _counted(calls, "walk", angle_walk))
     monkeypatch.setattr(sweep, "walk_reflection", _counted(calls, "sweep", walk_reflection))
     monkeypatch.setattr(synthesis, "walk_reflection", _counted(calls, "synthesis", walk_reflection))
+    # an error-free point goes straight through: nothing of the tagging rules runs
+    for name in ("_tagged_row", "_gamma", "_round_trips_finite", "_error_tag"):
+        monkeypatch.setattr(sweep, name, _counted(calls, "tagging", getattr(sweep, name)))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
+    assert calls["tagging"] == []
     n_angles = config.theta_deg.count
     assert len(calls["walk"]) == 2 * n_angles
     assert len(calls["sweep"]) == 2 * len(rows)
@@ -738,6 +742,67 @@ def test_a_walk_that_fails_at_one_angle_is_tagged_at_every_frequency(monkeypatch
     assert [r.err for r in rows] == ["", "degenerate-interface", ""] * 2
 
 
+_MIXED_TAGS = {
+    # per frequency, 2, 11 and 20 GHz: the rows at 0, 20, 40, 60 and 80 deg
+    None: [
+        ["", "degenerate-interface", "resonant-singularity", "", ""],
+        ["", "domain;degenerate-interface", "domain", "domain", "domain"],
+        ["domain", "domain;degenerate-interface", "domain", "domain", "domain"],
+    ],
+    Mode.REFLECTIVE: [
+        ["", "degenerate-interface", "resonant-singularity", "", "degenerate-synthesis"],
+        ["degenerate-synthesis", "domain;degenerate-interface"] + ["domain;degenerate-synthesis"] * 3,
+        ["domain", "domain;degenerate-interface", "domain", "domain", "domain"],
+    ],
+    Mode.TRANSMISSIVE: [
+        ["", "degenerate-interface", "resonant-singularity", "", ""],
+        ["degenerate-synthesis", "domain;degenerate-interface", "domain", "domain", "domain"],
+        ["domain", "domain;degenerate-interface", "domain", "domain", "domain"],
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_grid_of_mixed_failures_matches_its_points(monkeypatch, mode):
+    # Error-free points share each frequency and each angle with failing ones:
+    #   * the target's walk fails at 20 deg, at every frequency;
+    #   * at 20 GHz the round trip across the actual stack's 1 m of
+    #     eps = 1 + 4j overflows, at every angle;
+    #   * at 2 GHz and 40 deg the target's fold fails after the actual's
+    #     fold succeeded;
+    #   * from 40 deg up at 11 GHz, the actual Gamma fails only at its
+    #     closing division, so a front sheet is still synthesized; a
+    #     terminating sheet is hidden behind the lossy layer there, and at
+    #     0 deg 11 GHz and 80 deg 2 GHz, where both folds succeed;
+    #   * the target, a quarter wave of air over PEC at 11 GHz and 0 deg,
+    #     reflects 1 there, so a front sheet fails only in the step.
+    # Where a call raised, the sweep makes the row by the tagging rules.
+    actual = Stack(AIR, (Layer(Medium(3 + 1j), 1.0), Layer(Medium(1 + 4j), 1.0)), Pec())
+    target = Stack(AIR, (Layer(AIR, wavecore.C0 / 44e9),), Pec())
+    real_walk, real_fold = wavecore.angle_walk, wavecore.walk_reflection
+    failing_fold = (real_walk(target, math.radians(40.0)), PlaneWave(2e9).k0)
+
+    def angle_walk(stack, theta1):
+        if stack is target and theta1 == math.radians(20.0):
+            raise DegenerateInterfaceError("interface denominator vanished")
+        return real_walk(stack, theta1)
+
+    def walk_reflection(walk, k0):
+        if (walk, k0) == failing_fold:
+            raise ResonantSingularityError("total-reflection denominator vanished")
+        return real_fold(walk, k0)
+
+    for module in (wavecore, sweep, synthesis):
+        monkeypatch.setattr(module, "angle_walk", angle_walk)
+    for module in (wavecore, sweep):
+        monkeypatch.setattr(module, "walk_reflection", walk_reflection)
+    grid = (SweepAxis(2.0, 20.0, 9.0), SweepAxis(0.0, 80.0, 20.0))
+    rows = _sweep_matches_per_point_api(actual, target, mode, *grid)
+    assert [r.err for r in rows] == sum(_MIXED_TAGS[mode], [])
+    if mode is Mode.TRANSMISSIVE:
+        assert [r.rho_req is not None for r in rows[7:10]] == [True] * 3
+
+
 def test_run_synthesize_requires_mode():
     config = builtin_scenario()
     no_mode = ScenarioConfig(config.actual, config.target, None, _small_axis(), SweepAxis(10, 10, 1))
@@ -771,6 +836,21 @@ def test_csv_emission_bytes(tmp_path):
     assert text.endswith("\n")
     emit(rows, None, "csv", tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_each_theta_cell_is_written_from_its_own_value(tmp_path, mode):
+    # theta_deg cells are kept per value, but 0.0 and -0.0 are equal keys
+    # that %.17g writes as two cells; an err row takes the same cells
+    thetas = [0.0, -0.0, 0.0, 12.25, 12.25]
+    sheet = (None,) * 3 if mode is None else (0.5 + 0.5j, 1.0 - 2.0j, True)
+    rows = [(10.0, theta, 0.5 - 0.25j, -1.0 + 0j, *sheet, "") for theta in thetas]
+    rows[3] = SweepRow(10.0, 12.25, None, -1.0 + 0j, err="domain")
+    out = tmp_path / "thetas.csv"
+    assert emit(rows, mode, "csv", out) == 1
+    lines = out.read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in lines] == ["0", "-0", "0", "12.25", "12.25"]
+    assert lines[3].startswith("10,12.25,,,-1,0,") and lines[3].endswith(",domain")
 
 
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
@@ -1179,6 +1259,31 @@ def test_exit_code_2_when_every_point_fails(tmp_path):
     assert len(lines) == 2
     assert lines[1].endswith(",degenerate-synthesis")
     assert ",,," in lines[1]  # sheet state cells left empty
+
+
+@pytest.mark.parametrize("output_format", ["csv", "svg"])
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["synthesize", "--mode", "reflective"], ["synthesize", "--mode", "transmissive"]],
+)
+def test_the_exit_code_counts_the_rows_written_with_an_err(tmp_path, command, output_format):
+    # The gain config: at 0.1 GHz the point is ok, and at 20 GHz the round
+    # trip across 3 m of eps = 4 + 4j overflows, a domain row. One ok row
+    # is enough for 0; a file whose every row has an err exits 2.
+    gain = [{"eps": 1.0, "thickness_mm": 100.0}, {"eps": [4.0, 4.0], "thickness_mm": 3000.0}]
+    doc = _scenario_doc(actual={"layers": gain, "termination": {"kind": "pec"}}, output={"format": output_format})
+    for start, tags, status in ((0.1, ["", "domain"], 0), (20.0, ["domain"], 2)):
+        doc["sweep"] = {
+            "theta_deg": {"start": 0.0, "stop": 0.0, "step": 1.0},
+            "freq_ghz": {"start": start, "stop": 20.0, "step": 19.9},
+        }
+        out = tmp_path / f"gain-{status}.{output_format}"
+        assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == status
+        text = out.read_text()
+        if output_format == "svg":
+            assert text.startswith("<svg ") and text.endswith("</svg>\n")
+        else:
+            assert [line.split(",")[-1] for line in text.splitlines()[1:]] == tags
 
 
 @pytest.mark.parametrize("command", ["simulate", "synthesize"])
