@@ -17,9 +17,13 @@ group them by concern:
   sweep       scenario values and the (theta, frequency) sweep loop
   output      every file a command writes: the CSV/SVG sweep tables and the
               table commands' CSV
-  cli         the planemirage command line (argparse, table commands, exit codes)
+  tables      the table commands (select-cell, coding-set, companion)
+  cli         the planemirage command line (argparse, exit codes, the sweep
+              driver)
 
-unitcell and companions are imported on first use of one of their names.
+unitcell and companions are imported on first use of one of their names;
+cli loads tables only when a table command runs, and config only when a
+command reads a config file.
 """
 
 from .errors import (

@@ -3,8 +3,10 @@
 parse_scenario reads a config in mm / GHz / degrees, checks every key and
 returns the SI ScenarioConfig of planemirage.sweep; a value that a
 constructor refuses becomes a ConfigError that names its place in the
-config. The table commands of planemirage.cli read their JSON configs
+config. The table commands of planemirage.tables read their JSON configs
 through the same helpers, and json is loaded only when a config is read.
+planemirage.cli loads this module only for a command that reads a config,
+so a --scenario builtin sweep never compiles it.
 """
 
 from __future__ import annotations

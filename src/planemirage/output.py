@@ -10,9 +10,9 @@ place, only after the last line.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ConfigError, WriteError
 from .sweep import SweepRow

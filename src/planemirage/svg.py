@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .output import _fmt
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from ._value import Value
 from .errors import ConfigError, PlanemirageError
@@ -114,19 +115,18 @@ class ScenarioConfig(Value):
         super().__init__(actual, target, mode, theta_deg, freq_ghz, output_format, output_path)
 
 
-class SweepRow(NamedTuple):
-    """One grid point; None fields were not computed (see err). The sweep
+# freq_ghz and theta_deg are floats; g_act, g_tgt, rho_req and aux (the
+# normalized impedance or chi_e, by mode) complex or None; passive a bool or
+# None; err a str. A collections.namedtuple, as typing.NamedTuple would load
+# typing on every command.
+SweepRow = namedtuple(
+    "SweepRow",
+    ("freq_ghz", "theta_deg", "g_act", "g_tgt", "rho_req", "aux", "passive", "err"),
+    defaults=(None, None, None, ""),
+)
+SweepRow.__doc__ = """One grid point; None fields were not computed (see err). The sweep
     yields plain tuples in this field order, and the functions that return
     rows wrap them as SweepRow."""
-
-    freq_ghz: float
-    theta_deg: float
-    g_act: complex | None
-    g_tgt: complex | None
-    rho_req: complex | None = None
-    aux: complex | None = None  # normalized impedance or chi_e, by mode
-    passive: bool | None = None
-    err: str = ""
 
 
 def builtin_scenario() -> ScenarioConfig:
@@ -191,10 +191,8 @@ def _gamma(walk, k0: float, errs: list[str]) -> complex | None:
 
 
 def _round_trips_finite(walk, k0: float) -> bool:
-    """Whether an angle walk, not its error tag, has no round trip
-    e^{-j k0 a_n} that is not finite at k0, formed as the inversions form it."""
-    if isinstance(walk, str):
-        return False
+    """Whether every round trip e^{-j k0 a_n} of an angle walk is finite at
+    k0, formed as the inversions form it."""
     jk0 = -1j * k0
     try:
         for _, a in walk[0]:

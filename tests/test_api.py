@@ -1,6 +1,7 @@
 """Package surface: what each command imports, the lazily resolved names,
 and the value semantics shared by every immutable type."""
 
+import argparse
 import ast
 import cmath
 import copy
@@ -66,12 +67,13 @@ import planemirage.cli as cli
 steps["import"] = added()
 cli.builtin_scenario()
 steps["builtin"] = added()
-steps["simulate"] = (cli.main(["simulate", "--scenario", "builtin", "--out", "sim.csv"]), added())
-steps["grating"] = (
-    cli.main(["companion", "grating", "--config", "grating.json", "--out", "grating.csv"]),
-    added(),
-)
-steps["svg"] = (cli.main(["simulate", "--config", "svg.json", "--out", "sim.svg"]), added())
+commands = {
+    "simulate": ["simulate", "--scenario", "builtin", "--out", "sim.csv"],
+    "grating": ["companion", "grating", "--config", "grating.json", "--out", "grating.csv"],
+    "svg": ["simulate", "--config", "svg.json", "--out", "sim.svg"],
+}
+for name in sys.argv[1:]:
+    steps[name] = (cli.main(commands[name]), added())
 import planemirage
 listed = "CodingSet" in dir(planemirage)
 unloaded = "planemirage.unitcell" not in sys.modules
@@ -80,8 +82,9 @@ print(repr(steps))
 """
 
 
-def _footprint(tmp_path):
-    """The modules each step added to a fresh interpreter, in order."""
+def _footprint(tmp_path, order, flags=()):
+    """The modules each step added to a fresh interpreter, run with flags;
+    the commands run in order, each a key of the script's commands."""
     (tmp_path / "grating.json").write_text('{"wavelength_mm": 30.0, "period_mm": 60.0}')
     stack = {"layers": [{"eps": 2.0, "thickness_mm": 10.0}], "termination": {"kind": "pec"}}
     sweep = {
@@ -92,32 +95,81 @@ def _footprint(tmp_path):
     (tmp_path / "svg.json").write_text(json.dumps(doc))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, *flags, "-c", _FOOTPRINT, *order],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout)
 
 
+def _check_builtin_path(steps):
+    """Import, the builtin scenario and a builtin CSV simulate load nothing
+    a sweep never needs, no config reader, no table command and no SVG plot."""
+    assert "planemirage.cli" in steps["import"]
+    rc, after_simulate = steps["simulate"]
+    assert rc == 0
+    for step in (steps["import"], steps["builtin"], after_simulate):
+        assert UNNEEDED.isdisjoint(step)
+        assert {"planemirage.config", "planemirage.tables", "planemirage.svg"}.isdisjoint(step)
+    # dir() lists a lazy name before its module loads; first use loads it
+    assert steps["lazy"] == (True, True, "planemirage.unitcell", True)
+
+
 def test_a_sweep_imports_only_what_it_runs(tmp_path):
-    steps = _footprint(tmp_path)
+    steps = _footprint(tmp_path, ["simulate", "svg", "grating"])
     # the sweep library is usable without the command line
     assert "planemirage.sweep" in steps["sweep"]
     assert {"argparse", "planemirage.cli"}.isdisjoint(steps["sweep"])
-    assert "planemirage.cli" in steps["import"]
-    assert UNNEEDED.isdisjoint(steps["import"])
-    assert UNNEEDED.isdisjoint(steps["builtin"])
-    rc, after_simulate = steps["simulate"]
-    assert rc == 0 and UNNEEDED.isdisjoint(after_simulate)
+    _check_builtin_path(steps)
+    # a --config sweep reads its config, and an SVG sweep loads the SVG plot
+    rc, after_svg = steps["svg"]
+    assert rc == 0
+    assert {"planemirage.config", "json", "planemirage.svg"} <= set(after_svg)
+    assert "planemirage.tables" not in after_svg
     rc, after_grating = steps["grating"]
     assert rc == 0
-    assert {"planemirage.companions", "json"} <= set(after_grating)
+    assert {"planemirage.tables", "planemirage.companions"} <= set(after_grating)
     assert "planemirage.unitcell" not in after_grating
-    # neither a CSV sweep nor a table command loads the SVG emitter; an SVG sweep does
-    assert "planemirage.svg" not in after_grating
+
+
+def test_a_bare_interpreter_sweep_imports_only_what_it_runs(tmp_path):
+    # -S keeps site's .pth files out, which may preload typing and more
+    steps = _footprint(tmp_path, ["simulate", "grating", "svg"], flags=["-S"])
+    _check_builtin_path(steps)
+    assert "typing" not in steps["simulate"][1]
+    # a table command loads its table and config reader, not the SVG plot
+    rc, after_grating = steps["grating"]
+    assert rc == 0
+    assert {"planemirage.tables", "planemirage.config", "planemirage.companions", "json"} <= set(
+        after_grating
+    )
+    assert {"planemirage.unitcell", "planemirage.svg"}.isdisjoint(after_grating)
     rc, after_svg = steps["svg"]
     assert rc == 0 and "planemirage.svg" in after_svg
-    # dir() lists a lazy name before its module loads; first use loads it
-    assert steps["lazy"] == (True, True, "planemirage.unitcell", True)
+
+
+def test_cli_names_the_library_functions_it_runs():
+    from planemirage import cli, config, sweep
+
+    assert cli.parse_scenario is config.parse_scenario
+    assert cli.builtin_scenario is sweep.builtin_scenario
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
+
+
+def test_the_parser_lists_every_table_command_and_submode():
+    from planemirage import cli, tables
+
+    (commands,) = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    listed = {}
+    for name, parser in commands.choices.items():
+        if name not in ("simulate", "synthesize"):
+            submodes = [a.choices for a in parser._actions if a.dest == "submode"]
+            listed[name] = list(submodes[0]) if submodes else None
+    assert listed == {
+        name: list(table) if isinstance(table, dict) else None
+        for name, table in tables._TABLE_COMMANDS.items()
+    }
 
 
 def test_every_public_name_resolves_to_its_submodule_object():
