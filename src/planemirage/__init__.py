@@ -5,8 +5,8 @@ another.
 The public API re-exports the core types and operations; the submodules
 group them by concern:
 
-  wavecore    media, stacks, wave states, the angle walk and the one
-              reflection recursion over it
+  wavecore    media, stacks, the angle walk with its refraction step, and
+              the one reflection recursion over it
   gstc        sheet descriptions of a reflection (impedance, susceptibility)
   synthesis   illusion synthesis (reflective and transmissive), by
               inverting the recursion over the actual stack's angle walk,
@@ -61,7 +61,6 @@ from .wavecore import (
     C0,
     ETA0,
     Layer,
-    LayerWaveState,
     Medium,
     Open,
     Pec,
@@ -70,9 +69,6 @@ from .wavecore import (
     Stack,
     angle_walk,
     chain_reflection,
-    incident_wave_state,
-    interface_reflection,
-    layer_wave_state,
     walk_reflection,
 )
 
@@ -94,7 +90,6 @@ __all__ = [
     "InfeasibleCodingSetError",
     "InvalidMediumError",
     "Layer",
-    "LayerWaveState",
     "MapFormatError",
     "Medium",
     "MissingFrequencyError",
@@ -120,9 +115,6 @@ __all__ = [
     "front_sheet_reflection",
     "grating_angle",
     "impedance_from_reflection",
-    "incident_wave_state",
-    "interface_reflection",
-    "layer_wave_state",
     "load_reflection_map",
     "load_sample_map",
     "pb_phase",

@@ -27,8 +27,9 @@ def _load_json(path: Path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    # JSONDecodeError, text not in UTF-8, an int of over 4,300 digits, or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from None
 
 
 def _require_keys(obj, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
@@ -42,21 +43,29 @@ def _require_keys(obj, where: str, required: tuple[str, ...], optional: tuple[st
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
+def _to_float(make, where: str, *values):
+    """make(*values), where an integer past the float range is a ConfigError."""
+    try:
+        return make(*values)
+    except OverflowError:
+        raise ConfigError(f"{where}: an integer past the float range") from None
+
+
 def _parse_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    return _to_float(float, where, value)
 
 
 def _parse_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return _to_float(complex, where, value)
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(value[0], value[1])
+        return _to_float(complex, where, *value)
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 

@@ -14,7 +14,7 @@ import math
 from .config import _load_json, _parse_complex, _parse_number, _require_keys
 from .errors import ConfigError, EvanescentOrderError
 from .output import _cells, _write_lines
-from .sweep import _error_tag
+from .sweep import MAX_AXIS_POINTS, _error_tag
 
 
 def _load_map_from_config(doc: dict, where: str):
@@ -37,11 +37,15 @@ def _parse_rho_target(value, where: str) -> complex:
     return _parse_complex(value, where)
 
 
-def _parse_samples(doc: dict) -> int:
-    samples = doc.get("samples", 101)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
-        raise ConfigError(f"samples: expected an integer >= 2, got {samples!r}")
-    return samples
+def _parse_count(doc: dict, key: str, default: int, low: int, high: int) -> int:
+    """doc[key], an integer from low to high; past high a table would hold
+    more rows than a sweep axis may have points (MAX_AXIS_POINTS)."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key}: expected an integer >= {low}, got {value!r}")
+    if value > high:
+        raise ConfigError(f"{key}: gives more than {MAX_AXIS_POINTS:,} rows")
+    return value
 
 
 def _select_cell(doc: dict, where: str):
@@ -84,7 +88,7 @@ def _to_map(doc: dict, where: str):
         _parse_number(doc["r2_mm"], "r2_mm") * 1e-3,
         _parse_number(doc["q"], "q"),
     )
-    samples = _parse_samples(doc)
+    samples = _parse_count(doc, "samples", 101, 2, MAX_AXIS_POINTS)
     rows = []
     for i in range(samples):
         r = transform.r2 * i / (samples - 1)
@@ -105,7 +109,7 @@ def _pb_phase(doc: dict, where: str):
         _parse_number(doc["period_mm"], "period_mm") * 1e-3,
         sigma,
     )
-    samples = _parse_samples(doc)
+    samples = _parse_count(doc, "samples", 101, 2, MAX_AXIS_POINTS)
     xs = [profile.period * i / (samples - 1) for i in range(samples)]
     rows = [(x * 1e3, strip_height(profile, x) * 1e3, pb_phase(profile, x)) for x in xs]
     return "x_mm,height_mm,phase_rad", rows
@@ -117,9 +121,7 @@ def _grating(doc: dict, where: str):
     _require_keys(doc, where, ("wavelength_mm", "period_mm"), ("max_order",))
     wavelength = _parse_number(doc["wavelength_mm"], "wavelength_mm") * 1e-3
     period = _parse_number(doc["period_mm"], "period_mm") * 1e-3
-    max_order = doc.get("max_order", 3)
-    if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 0:
-        raise ConfigError(f"max_order: expected an integer >= 0, got {max_order!r}")
+    max_order = _parse_count(doc, "max_order", 3, 0, (MAX_AXIS_POINTS - 1) // 2)
     rows = []
     for m in range(-max_order, max_order + 1):
         try:

@@ -90,10 +90,12 @@ class CodingSet(Value):
             raise ValidationError(f"n_bit must be an integer >= 1, got {n_bit!r}")
         states = tuple(states)
         phases = tuple(float(p) for p in target_phases)
-        count = 2**n_bit
-        if len(states) != count or len(phases) != count:
+        count = len(states)
+        # 2^n_bit is formed only once it is known to be as short as count
+        if count.bit_length() != n_bit + 1 or count != 2**n_bit or len(phases) != count:
             raise ValidationError(
-                f"coding set needs exactly {count} states and phases, got {len(states)}/{len(phases)}"
+                f"coding set needs exactly {_state_count(n_bit)} states and phases, "
+                f"got {len(states)}/{len(phases)}"
             )
         if len({rec.key for rec in states}) != count:
             raise ValidationError("coding set states must be distinct")
@@ -102,6 +104,11 @@ class CodingSet(Value):
             if abs((b - a) - step) > 1e-12:
                 raise ValidationError("target phases must step uniformly by 2*pi/2^n_bit")
         super().__init__(n_bit, states, phases)
+
+
+def _state_count(n_bit: int) -> str:
+    """2^n_bit for a message: in digits up to 64 bits, past that as the power."""
+    return str(2**n_bit) if n_bit <= 64 else f"2^{n_bit}"
 
 
 def wrapped_phase_distance(phi_a: float, phi_b: float) -> float:
@@ -196,12 +203,12 @@ def build_coding_set(
     admissible = [
         rec for rec in reflection_map.records_at(frequency) if abs(rec.rho) >= min_amplitude
     ]
-    count = 2**n_bit
-    if len(admissible) < count:
+    if n_bit >= len(admissible).bit_length():  # 2^n_bit > len(admissible), without forming it
         raise InfeasibleCodingSetError(
-            f"need {count} states with |rho| >= {min_amplitude} at {frequency} GHz, "
+            f"need {_state_count(n_bit)} states with |rho| >= {min_amplitude} at {frequency} GHz, "
             f"found {len(admissible)}"
         )
+    count = 2**n_bit
     anchor = min(admissible, key=lambda rec: (-abs(rec.rho), rec.r_ohm, rec.c_pf))
     phi_0 = cmath.phase(anchor.rho)
     step = 2.0 * math.pi / count

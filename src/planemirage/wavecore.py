@@ -2,16 +2,16 @@
 
 One walk from the incident side per angle (angle_walk) gives each layer's
 interface reflection rho_n and round trip a_n = 2 s l cos, plus the
-termination reflection. It carries s_t and eta*cos from layer to layer as
-plain complex values through the scalar steps under layer_wave_state and
-interface_reflection, starting from the incident wave's without building a
-wave state. Each medium's s = sqrt(eps*mu) and eta are formed once, on
-first use, and kept on the Medium (Medium.wave_constants); per angle the
-walk forms only what depends on s_t. walk_reflection folds that walk into
-the total reflection at one vacuum wavenumber k0 with the Airy/Rouard
-recursion, taking each round-trip factor Z_n^2 = e^{-j k0 a_n} as the fold
-reaches layer n. It is the only forward fold: simulate, both inversions and
-the substitution checks read the same walk through it.
+termination reflection. It carries s_t and n = eta*cos from layer to layer
+as plain complex values: layer_wave_state, the one refraction step, gives
+(s, eta, cos) in each layer and in an Open half-space, and one scalar step
+forms each interface reflection. Each medium's s = sqrt(eps*mu) and eta are
+formed once, on first use, and kept on the Medium (Medium.wave_constants);
+per angle the walk forms only what depends on s_t. walk_reflection folds
+that walk into the total reflection at one vacuum wavenumber k0 with the
+Airy/Rouard recursion, taking each round-trip factor Z_n^2 = e^{-j k0 a_n}
+as the fold reaches layer n. It is the only forward fold: simulate, both
+inversions and the substitution checks read the same walk through it.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -154,18 +154,6 @@ class PlaneWave(Value):
         return 2.0 * math.pi * self.frequency / C0
 
 
-class LayerWaveState(Value):
-    """Wave descriptors inside one region n, with no frequency in them:
-    s_n = sqrt(eps*mu), the wavenumber in units of the vacuum wavenumber k0;
-    s_t = s_n*sin(angle), its transverse part; the impedance eta_n (ohms);
-    and the cosine cos_n of the angle. s_t is the same in every region of a
-    stack, so refraction never needs the angle itself. angle_walk carries
-    these as plain values and builds one only for an Open termination.
-    """
-
-    __slots__ = ("s_n", "s_t", "eta_n", "cos_n")
-
-
 def _incident(medium: Medium, theta1: float) -> tuple[complex, complex, complex, complex]:
     """(s, s_t, eta, cos) of the wave incident at angle theta1 (radians) in medium."""
     s, eta = medium.wave_constants
@@ -173,13 +161,10 @@ def _incident(medium: Medium, theta1: float) -> tuple[complex, complex, complex,
     return s, s * cmath.sin(theta), eta, cmath.cos(theta)
 
 
-def incident_wave_state(medium: Medium, theta1: float) -> LayerWaveState:
-    """State of the wave incident at angle theta1 (radians) in the incident half-space."""
-    return LayerWaveState(*_incident(medium, theta1))
-
-
-def _refract(medium: Medium, s_t: complex) -> tuple[complex, complex, complex]:
-    """(s, eta, cos) of the wave with transverse index s_t inside medium."""
+def layer_wave_state(medium: Medium, s_t: complex) -> tuple[complex, complex, complex]:
+    """(s, eta, cos) inside medium of the wave whose transverse index
+    s_t = s*sin(theta) every region of a stack shares: the walk's one
+    refraction step."""
     s, eta = medium.wave_constants
     sin_t = s_t / s
     cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
@@ -190,27 +175,12 @@ def _refract(medium: Medium, s_t: complex) -> tuple[complex, complex, complex]:
     return s, eta, cos_t
 
 
-def layer_wave_state(medium: Medium, incident_state: LayerWaveState) -> LayerWaveState:
-    """Refract the wave from incident_state's region into medium.
-
-    The transverse part s*sin(theta) is conserved across the interface.
-    """
-    s, eta, cos_t = _refract(medium, incident_state.s_t)
-    return LayerWaveState(s, incident_state.s_t, eta, cos_t)
-
-
 def _reflect(n1: complex, n2: complex) -> complex:
     """(n2 - n1)/(n2 + n1), or DegenerateInterfaceError where the sum vanishes."""
     den = n2 + n1
     if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
         raise DegenerateInterfaceError(f"interface denominator vanished: {den!r}")
     return (n2 - n1) / den
-
-
-def interface_reflection(state_n: LayerWaveState, state_np1: LayerWaveState) -> complex:
-    """Reflection coefficient rho = (n2 - n1)/(n2 + n1) at one interface,
-    with n_i = eta_i*cos(theta_i)."""
-    return _reflect(state_n.eta_n * state_n.cos_n, state_np1.eta_n * state_np1.cos_n)
 
 
 Walk = tuple[tuple[tuple[complex, complex], ...], complex]  # ((rho_n, a_n), ...), rho_T
@@ -237,7 +207,7 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     _, s_t, eta, cos_t = _incident(stack.incident_medium, theta1)
     n = eta * cos_t
     for layer in stack.layers:
-        s, eta, cos_t = _refract(layer.medium, s_t)
+        s, eta, cos_t = layer_wave_state(layer.medium, s_t)
         n_next = eta * cos_t
         rho = _reflect(n, n_next)
         a = s * (2.0 * layer.thickness) * cos_t
@@ -254,8 +224,8 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     elif isinstance(term, Sheet):
         rho_t = term.rho
     else:
-        last = LayerWaveState(s, s_t, eta, cos_t)
-        rho_t = interface_reflection(last, layer_wave_state(term.half_space, last))
+        _, eta_h, cos_h = layer_wave_state(term.half_space, s_t)
+        rho_t = _reflect(n, eta_h * cos_h)
     return tuple(steps), rho_t
 
 

@@ -6,12 +6,18 @@ interface through field continuity, solved as a dense complex system with
 numpy. It shares no propagation, branch, or matrix code with the package;
 agreement is therefore meaningful evidence.
 
+The one-step chain is the object-valued walk the package once exported:
+a wave state per region (incident, each layer, an Open half-space) and the
+interface reflection between two states, in its own arithmetic, imported
+from none of wavecore's steps. Recomposed into one_step_walk, it must give
+angle_walk's output bit for bit, or the same error.
+
 The transfer-matrix section keeps the references the package's reflection
 recursion replaced: the 2x2 segment-matrix chain with its own interface
 transmission and one-way phase, the synthesis oracles that invert its
 fractional-linear map, and the paper's expanded four-product closed forms
-for three-layer actual stacks. They share the package's wave states and
-interface reflection but none of its recursion.
+for three-layer actual stacks. They run on the one-step chain's states but
+share none of the package's recursion.
 
 The sheet-model section keeps what only verifies the package's sheet
 descriptions: the forward susceptibility map whose electric-only inverse
@@ -35,6 +41,7 @@ import numpy as np
 
 from planemirage._value import _require_finite
 from planemirage.errors import (
+    DegenerateInterfaceError,
     DegenerateSynthesisError,
     DomainError,
     PlanemirageError,
@@ -46,7 +53,6 @@ from planemirage.wavecore import (
     AIR,
     ETA0,
     Layer,
-    LayerWaveState,
     Medium,
     Open,
     Pec,
@@ -55,9 +61,6 @@ from planemirage.wavecore import (
     Stack,
     _DENOM_FLOOR,
     angle_walk,
-    incident_wave_state,
-    interface_reflection,
-    layer_wave_state,
 )
 
 C0 = 299792458.0
@@ -156,6 +159,79 @@ def linear_system_reflection(stack: Stack, wave: PlaneWave) -> complex:
     return complex(x[0])
 
 
+# ------------------------------------------------------ one-step chain
+
+
+class WaveState(NamedTuple):
+    """Wave descriptors inside one region, with no frequency in them:
+    s_n = sqrt(eps*mu), the wavenumber in units of k0; s_t = s_n*sin(angle),
+    its transverse part, the same in every region of a stack; the impedance
+    eta_n (ohms); and the cosine cos_n of the angle."""
+
+    s_n: complex
+    s_t: complex
+    eta_n: complex
+    cos_n: complex
+
+
+def _wave_constants(medium: Medium) -> tuple[complex, complex]:
+    return cmath.sqrt(medium.eps_r * medium.mu_r), ETA0 * cmath.sqrt(medium.mu_r / medium.eps_r)
+
+
+def incident_state(medium: Medium, theta1: float) -> WaveState:
+    """State of the wave incident at angle theta1 (radians) in medium."""
+    s, eta = _wave_constants(medium)
+    theta = complex(theta1)
+    return WaveState(s, s * cmath.sin(theta), eta, cmath.cos(theta))
+
+
+def refracted_state(medium: Medium, state: WaveState) -> WaveState:
+    """Refract the wave from state's region into medium, keeping s_t:
+    principal square root, flipped where Re(cos) < 0, and on the Re = 0
+    branch the solution that decays toward the termination."""
+    s, eta = _wave_constants(medium)
+    sin_t = state.s_t / s
+    cos_t = cmath.sqrt(1.0 - sin_t * sin_t)
+    if cos_t.real < 0.0 or (cos_t.real == 0.0 and (s * cos_t).imag > 0.0):
+        cos_t = -cos_t
+    return WaveState(s, state.s_t, eta, cos_t)
+
+
+def interface_reflection(state_n: WaveState, state_np1: WaveState) -> complex:
+    """rho = (n2 - n1)/(n2 + n1) with n_i = eta_i*cos(theta_i), or
+    DegenerateInterfaceError where the sum vanishes."""
+    n1 = state_n.eta_n * state_n.cos_n
+    n2 = state_np1.eta_n * state_np1.cos_n
+    den = n2 + n1
+    if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
+        raise DegenerateInterfaceError(f"interface denominator vanished: {den!r}")
+    return (n2 - n1) / den
+
+
+def one_step_walk(stack: Stack, theta1: float):
+    """angle_walk's ((rho_n, a_n), ...), rho_T recomposed from the states
+    above, with the same expressions and the same errors."""
+    steps = []
+    state = incident_state(stack.incident_medium, theta1)
+    for layer in stack.layers:
+        nxt = refracted_state(layer.medium, state)
+        rho = interface_reflection(state, nxt)
+        a = nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n
+        if not cmath.isfinite(a):
+            decay = (nxt.s_n * nxt.cos_n).imag
+            if not decay < 0.0:
+                raise DomainError("the round trip across a layer leaves the float range")
+            a = complex(0.0, 2.0 * (layer.thickness * decay))
+        steps.append((rho, a))
+        state = nxt
+    term = stack.termination
+    if isinstance(term, Pec):
+        return tuple(steps), -1.0 + 0.0j
+    if isinstance(term, Sheet):
+        return tuple(steps), term.rho
+    return tuple(steps), interface_reflection(state, refracted_state(term.half_space, state))
+
+
 # ------------------------------------- transfer matrices and closed forms
 
 # A 2x2 matrix is the tuple (m11, m12, m21, m22).
@@ -177,7 +253,7 @@ def determinant(m) -> complex:
     return m[0] * m[3] - m[1] * m[2]
 
 
-def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -> tuple[complex, complex]:
+def interface_coefficients(state_n: WaveState, state_np1: WaveState) -> tuple[complex, complex]:
     """Local reflection and transmission coefficients at one interface.
 
     rho = (n2 - n1)/(n2 + n1) and tau = 2*n2/(n2 + n1) with n_i = eta_i*cos(theta_i),
@@ -188,7 +264,7 @@ def interface_coefficients(state_n: LayerWaveState, state_np1: LayerWaveState) -
     return interface_reflection(state_n, state_np1), 2.0 * n2 / (n2 + n1)
 
 
-def propagation_phase(state_n: LayerWaveState, thickness: float, k0: float) -> complex:
+def propagation_phase(state_n: WaveState, thickness: float, k0: float) -> complex:
     """One-way phase/decay factor Z = e^{-j k0 s l cos(theta)} across a layer
     at vacuum wavenumber k0; DomainError where it overflows, as across a
     thick gain layer."""
@@ -213,9 +289,9 @@ def termination_reflection(stack: Stack, wave: PlaneWave) -> complex:
 def segment_triples(stack: Stack, wave: PlaneWave) -> list[tuple[complex, complex, complex]]:
     """Per-layer (rho_n, tau_n, Z_n) with Z_n the one-way phase factor."""
     out = []
-    state = incident_wave_state(stack.incident_medium, wave.theta1)
+    state = incident_state(stack.incident_medium, wave.theta1)
     for layer in stack.layers:
-        nxt = layer_wave_state(layer.medium, state)
+        nxt = refracted_state(layer.medium, state)
         rho, tau = interface_coefficients(state, nxt)
         out.append((rho, tau, propagation_phase(nxt, layer.thickness, wave.k0)))
         state = nxt

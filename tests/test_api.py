@@ -39,7 +39,6 @@ from planemirage.wavecore import (
     AIR,
     ETA0,
     Layer,
-    LayerWaveState,
     Medium,
     Open,
     Pec,
@@ -216,12 +215,6 @@ VALUES = {
         lambda: PlaneWave(10e9, math.pi / 2),
         ValidationError,
     ),
-    LayerWaveState: (
-        lambda: LayerWaveState(1 + 0j, 0.5 + 0j, 376.7 + 0j, 0.8 + 0j),
-        lambda: LayerWaveState(1 + 0j, 0.5 + 0j, 376.7 + 0j, 0.9 + 0j),
-        None,
-        None,
-    ),
     IllusionProblem: (
         lambda: IllusionProblem(_stack(), _stack(2.1), PlaneWave(10e9), Mode.REFLECTIVE),
         lambda: IllusionProblem(_stack(), _stack(2.1), PlaneWave(10e9), Mode.TRANSMISSIVE),
@@ -271,7 +264,7 @@ TYPES = list(VALUES)
 
 
 def test_the_table_covers_every_value_type():
-    assert len(TYPES) == 16 and set(TYPES) == set(Value.__subclasses__())
+    assert len(TYPES) == 15 and set(TYPES) == set(Value.__subclasses__())
 
 
 @pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)

@@ -238,6 +238,18 @@ _REFUSED_VALUES = {
         {"start": 0, "stop": 80, "step": 1e-4},
         "sweep.theta_deg",
     ),
+    # integers that JSON reads but float() and complex() cannot hold
+    "thickness-400-digits": (
+        ("actual", "layers", 0, "thickness_mm"),
+        10**400,
+        "actual.layers[0].thickness_mm",
+    ),
+    "eps-400-digits": (("actual", "layers", 1, "eps"), [10**400, -1], "actual.layers[1].eps"),
+    "rho-400-digits": (
+        ("target", "termination"),
+        {"kind": "sheet", "rho": -(10**400)},
+        "target.termination.rho",
+    ),
 }
 
 
@@ -256,6 +268,19 @@ def test_a_refused_config_value_is_a_config_error_that_names_its_path(
     assert main(["simulate", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"planemirage: config error: {named}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["9" * 5000, "[" * 100_000], ids=["5000-digits", "nested-100000-deep"])
+def test_a_config_that_json_cannot_read_is_a_config_error(tmp_path, capsys, value):
+    # json refuses an integer of more than 4,300 digits with a plain
+    # ValueError, and arrays nested past the recursion limit with RecursionError
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(_scenario_doc()).replace("120.0", value, 1))
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"planemirage: config error: cannot parse config {config}: "), err
     assert not out.exists()
 
 
@@ -452,10 +477,11 @@ def _counted(calls, key, real):
 @pytest.mark.parametrize("stacks", ["builtin", "deep", "sheet"])
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
-    # one walk per stack at each angle, and not again at each frequency; a
-    # walk builds a layer wave state only for the half-space behind an Open
-    # termination, and none for Pec or Sheet, nor one for the incident wave;
-    # each medium's (s, eta) is formed once, whatever the number of angles
+    # one walk per stack at each angle, and not again at each frequency: a
+    # walk refracts once into each layer and once into the half-space behind
+    # an Open termination, none for Pec or Sheet, and takes the incident
+    # wave once; each medium's (s, eta) is formed once, whatever the number
+    # of angles
     actual, target = (_deep_stack(9), _deep_stack(12))
     if stacks == "builtin":
         actual, target = builtin_scenario().actual, builtin_scenario().target
@@ -469,7 +495,7 @@ def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
         vars(m).pop("wave_constants", None)
     constants = Medium.__dict__["wave_constants"]
     monkeypatch.setattr(constants, "func", _counted(calls, "constants", constants.func))
-    for key, name in (("state", "layer_wave_state"), ("incident", "incident_wave_state")):
+    for key, name in (("state", "layer_wave_state"), ("incident", "_incident")):
         monkeypatch.setattr(wavecore, name, _counted(calls, key, getattr(wavecore, name)))
     monkeypatch.setattr(sweep, "angle_walk", _counted(calls, "walk", angle_walk))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
@@ -477,9 +503,9 @@ def test_sweeps_walk_each_stack_once_per_angle(monkeypatch, stacks, mode):
     angles = config.theta_deg.values()
     assert len(angles) == 3
     assert calls["walk"] == [(s, math.radians(t)) for t in angles for s in (actual, target)]
-    per_angle = sum(isinstance(s.termination, Open) for s in (actual, target))
+    per_angle = sum(len(s.layers) + isinstance(s.termination, Open) for s in (actual, target))
     assert len(calls["state"]) == len(angles) * per_angle
-    assert calls["incident"] == []
+    assert len(calls["incident"]) == len(angles) * 2
     assert sorted(id(m) for (m,) in calls["constants"]) == sorted(media)
 
 
@@ -1131,6 +1157,70 @@ def test_table_commands_write_golden_bytes(tmp_path, case):
     out = tmp_path / "table.csv"
     assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 0
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+# Table configs that would crash, or build a row list without bound: each
+# is refused with exit 1, this start of stderr, and no file. The longest
+# table may have MAX_AXIS_POINTS rows, as a sweep axis may have points.
+_REFUSED_TABLES = {
+    "coding-set-n_bit-20000": (
+        ["coding-set"],
+        {"map": "sample", "frequency_ghz": 5.0, "n_bit": 20000},
+        "planemirage: error: need 2^20000 states ",
+    ),
+    "grating-max_order-400-digits": (
+        ["companion", "grating"],
+        {"wavelength_mm": 30.0, "period_mm": 60.0, "max_order": 10**400},
+        "planemirage: config error: max_order: ",
+    ),
+    "grating-max_order-past-the-rows": (
+        ["companion", "grating"],
+        {"wavelength_mm": 30.0, "period_mm": 60.0, "max_order": MAX_AXIS_POINTS // 2},
+        "planemirage: config error: max_order: gives more than 1,000,000 rows",
+    ),
+    "to-map-samples-past-the-rows": (
+        ["companion", "to-map"],
+        {"r1_mm": 50.0, "r2_mm": 300.0, "q": 3.0, "samples": MAX_AXIS_POINTS + 1},
+        "planemirage: config error: samples: gives more than 1,000,000 rows",
+    ),
+    "pb-phase-samples-400-digits": (
+        ["companion", "pb-phase"],
+        {"amplitude": 0.8, "period_mm": 12.0, "samples": 10**400},
+        "planemirage: config error: samples: ",
+    ),
+    "to-map-r2-400-digits": (
+        ["companion", "to-map"],
+        {"r1_mm": 50.0, "r2_mm": 10**400, "q": 3.0},
+        "planemirage: config error: r2_mm: an integer past the float range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_TABLES))
+def test_an_oversized_table_config_is_refused(tmp_path, capsys, case):
+    command, doc, start = _REFUSED_TABLES[case]
+    out = tmp_path / "table.csv"
+    assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(start)
+    assert not out.exists()
+
+
+def test_a_table_may_have_as_many_rows_as_an_axis_points(monkeypatch, tmp_path):
+    from planemirage import tables
+
+    monkeypatch.setattr(tables, "MAX_AXIS_POINTS", 7)
+    cases = (
+        (["companion", "grating"], {"wavelength_mm": 30.0, "period_mm": 60.0}, "max_order", 3),
+        (["companion", "to-map"], {"r1_mm": 50.0, "r2_mm": 300.0, "q": 3.0}, "samples", 7),
+        (["companion", "pb-phase"], {"amplitude": 0.8, "period_mm": 12.0}, "samples", 7),
+    )
+    for command, doc, key, most in cases:
+        for value, code in ((most, 0), (most + 1, 1)):
+            out = tmp_path / f"{command[-1]}-{value}.csv"
+            config = _write_config(tmp_path, {**doc, key: value})
+            assert main(command + ["--config", str(config), "--out", str(out)]) == code
+            assert out.exists() is (code == 0)
+        assert len((tmp_path / f"{command[-1]}-{most}.csv").read_text().splitlines()) == 1 + 7
 
 
 # sha256 of each builtin sweep table (3,381 rows), as written by the sweep

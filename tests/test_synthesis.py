@@ -40,13 +40,12 @@ from planemirage.wavecore import (
     Stack,
     angle_walk,
     chain_reflection,
-    incident_wave_state,
-    interface_reflection,
-    layer_wave_state,
 )
 
 from oracles import (
     chain_matrix,
+    incident_state,
+    interface_reflection,
     random_layers,
     random_lossy_medium,
     random_lossy_stack,
@@ -56,6 +55,7 @@ from oracles import (
     reflective_closed_form,
     reflective_matrix_oracle,
     reflective_products,
+    refracted_state,
     round_trips,
     segment_triples,
     transmissive_closed_form,
@@ -186,8 +186,8 @@ def test_self_illusion_transmissive_returns_the_first_interface():
     )
     problem = IllusionProblem(stack, stack, wave, Mode.TRANSMISSIVE)
     rho_1m = synthesize(problem)[0]
-    inc = incident_wave_state(AIR, wave.theta1)
-    first = layer_wave_state(stack.layers[0].medium, inc)
+    inc = incident_state(AIR, wave.theta1)
+    first = refracted_state(stack.layers[0].medium, inc)
     rho_1 = interface_reflection(inc, first)
     assert abs(rho_1m - rho_1) < 1e-12
     # air-fronted actual: the natural first interface is transparent

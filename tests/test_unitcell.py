@@ -150,7 +150,7 @@ def test_coding_set_validation():
     recs = tuple(_rec(5.0, 10 + k, 0.5, cmath.exp(1j * k)) for k in range(4))
     phases = tuple(k * math.pi / 2.0 for k in range(4))
     CodingSet(n_bit=2, states=recs, target_phases=phases)  # well formed
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="needs exactly 4 states and phases, got 3/4"):
         CodingSet(n_bit=2, states=recs[:3], target_phases=phases)
     with pytest.raises(ValidationError):
         CodingSet(n_bit=2, states=recs, target_phases=(0.0, 1.0, 2.0, 3.0))
@@ -205,12 +205,21 @@ def test_coding_set_amplitude_filter():
 
 def test_coding_set_infeasible():
     m = _ring([10.0 * k for k in range(8)], amplitudes=[1.0] * 7 + [0.1])
-    with pytest.raises(InfeasibleCodingSetError):
+    with pytest.raises(InfeasibleCodingSetError, match=r"^need 8 states .* found 7$"):
         build_coding_set(m, 5.0, n_bit=3)
     with pytest.raises(MissingFrequencyError):
         build_coding_set(m, 6.0, n_bit=1)
     with pytest.raises(ValidationError):
         build_coding_set(m, 5.0, n_bit=0)
+
+
+def test_an_oversized_coding_set_is_refused_without_writing_out_its_count():
+    # 2^(10^6) has some 301,030 digits, past the 4,300 that str() of an int may give
+    with pytest.raises(InfeasibleCodingSetError, match=r"^need 2\^1000000 states .* found 56$"):
+        build_coding_set(load_sample_map(), 5.0, 10**6)
+    recs = tuple(_rec(5.0, 10 + k, 0.5, cmath.exp(1j * k)) for k in range(4))
+    with pytest.raises(ValidationError, match=r"needs exactly 2\^1000000 states and phases, got 4/4"):
+        CodingSet(n_bit=10**6, states=recs, target_phases=(0.0,) * 4)
 
 
 def test_sample_map_contents():

@@ -24,23 +24,24 @@ from planemirage.wavecore import (
     ValidationError,
     angle_walk,
     chain_reflection,
-    incident_wave_state,
-    interface_reflection,
-    layer_wave_state,
     walk_reflection,
 )
 
 from oracles import (
     IDENTITY,
     determinant,
+    incident_state,
     interface_coefficients,
+    interface_reflection,
     linear_system_reflection,
     matmul,
     matrix_reflection,
+    one_step_walk,
     propagation_phase,
     random_lossless_pec_stack,
     random_lossy_stack,
     random_wave,
+    refracted_state,
     round_trips,
     segment_matrix,
     termination_reflection,
@@ -56,8 +57,8 @@ FR4ISH = Medium(3.9 - 0.08j)
 
 
 def _states(medium, wave):
-    inc = incident_wave_state(AIR, wave.theta1)
-    return inc, layer_wave_state(medium, inc)
+    inc = incident_state(AIR, wave.theta1)
+    return inc, refracted_state(medium, inc)
 
 
 def test_normal_incidence_interface_matches_frozen_value():
@@ -103,8 +104,8 @@ def test_double_thickness_squares_the_phase_factor():
 )
 def test_interface_identity_one_plus_rho_equals_tau(re1, tan1, re2, tan2, theta_deg):
     wave = PlaneWave(5e9, math.radians(theta_deg))
-    inc = incident_wave_state(Medium(complex(re1, -re1 * tan1)), wave.theta1)
-    nxt = layer_wave_state(Medium(complex(re2, -re2 * tan2)), inc)
+    inc = incident_state(Medium(complex(re1, -re1 * tan1)), wave.theta1)
+    nxt = refracted_state(Medium(complex(re2, -re2 * tan2)), inc)
     rho, tau = interface_coefficients(inc, nxt)
     assert abs((1.0 + rho) - tau) < 1e-12 * max(1.0, abs(tau))
 
@@ -128,7 +129,7 @@ def test_passive_layer_decays_toward_termination():
 
     # total internal reflection: dense incident medium into air
     dense = Stack(Medium(4.0 + 0j), (Layer(AIR, 0.01),), Pec())
-    state = layer_wave_state(AIR, incident_wave_state(dense.incident_medium, wave.theta1))
+    state = refracted_state(AIR, incident_state(dense.incident_medium, wave.theta1))
     assert state.cos_n.real == 0.0
     assert (state.s_n * state.cos_n).imag < 0.0
     assert abs(propagation_phase(state, 0.01, wave.k0)) < 1.0
@@ -219,7 +220,7 @@ def test_thick_gain_layer_overflow_is_a_domain_error():
     # Im eps > 0 grows toward the termination: e^{2 Im(k) l} passes 1e308 across 3 m at 20 GHz
     gain = Medium(4.0 + 4.0j)
     wave = PlaneWave(20e9)
-    state = layer_wave_state(gain, incident_wave_state(AIR, wave.theta1))
+    state = refracted_state(gain, incident_state(AIR, wave.theta1))
     with pytest.raises(DomainError):
         propagation_phase(state, 3.0, wave.k0)
     with pytest.raises(DomainError):
@@ -291,35 +292,12 @@ def test_angle_walk_shape():
     assert abs(steps[1][0]) > 0.1
     assert rho_t == -1.0
     # (rho_n, a_n): a_n is the round trip across the layer, Z_n^2 = e^{-j k0 a_n}
-    state = incident_wave_state(AIR, wave.theta1)
+    state = incident_state(AIR, wave.theta1)
     for layer, (rho, _), z2 in zip(stack.layers, steps, round_trips(walk, wave.k0)):
-        nxt = layer_wave_state(layer.medium, state)
+        nxt = refracted_state(layer.medium, state)
         assert rho == interface_reflection(state, nxt)
         assert abs(z2 - propagation_phase(nxt, layer.thickness, wave.k0) ** 2) <= 1e-15 * abs(z2)
         state = nxt
-
-
-def _public_walk(stack, theta1):
-    """angle_walk recomposed from the public one-step functions."""
-    steps = []
-    state = incident_wave_state(stack.incident_medium, theta1)
-    for layer in stack.layers:
-        nxt = layer_wave_state(layer.medium, state)
-        rho = interface_reflection(state, nxt)
-        a = nxt.s_n * (2.0 * layer.thickness) * nxt.cos_n
-        if not cmath.isfinite(a):
-            decay = (nxt.s_n * nxt.cos_n).imag
-            if not decay < 0.0:
-                raise DomainError("the round trip across a layer leaves the float range")
-            a = complex(0.0, 2.0 * (layer.thickness * decay))
-        steps.append((rho, a))
-        state = nxt
-    term = stack.termination
-    if isinstance(term, Pec):
-        return tuple(steps), -1.0 + 0.0j
-    if isinstance(term, Sheet):
-        return tuple(steps), term.rho
-    return tuple(steps), interface_reflection(state, layer_wave_state(term.half_space, state))
 
 
 def _outcome(walk, stack, theta1):
@@ -353,10 +331,10 @@ _terminations = st.one_of(
 @given(_incident, _layers, _terminations, st.floats(0.0, math.radians(89.9)))
 @example(Medium(4.0), [Layer(AIR, 0.01), Layer(Medium(4.0 + 0.1j), 1e308)], Open(Medium(2.0, 1.1)), 0.7)
 @example(Medium(4.0), [Layer(AIR, 1e308)], Sheet(0.5j), math.radians(60.0))
-def test_angle_walk_matches_the_public_one_step_chain(incident, layers, termination, theta1):
+def test_angle_walk_matches_the_oracle_one_step_chain(incident, layers, termination, theta1):
     # every (rho_n, a_n) and rho_T bit for bit, or the same error
     stack = Stack(incident, tuple(layers), termination)
-    assert _outcome(angle_walk, stack, theta1) == _outcome(_public_walk, stack, theta1)
+    assert _outcome(angle_walk, stack, theta1) == _outcome(one_step_walk, stack, theta1)
 
 
 def test_validation_rejects_bad_inputs():
