@@ -11,6 +11,7 @@ so a --scenario builtin sweep never compiles it.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from .errors import ConfigError, PlanemirageError
@@ -19,15 +20,27 @@ from .synthesis import Mode
 from .wavecore import AIR, Layer, Medium, Open, Pec, Sheet, Stack
 
 
+def _parse_int(digits: str) -> int:
+    """json's integer parser, whose refusal says what the config holds.
+
+    int() refuses more digits than sys.get_int_max_str_digits() (4,300 by
+    default), and its message advises a call a CLI user cannot make.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"an integer of more than {sys.get_int_max_str_digits():,} digits") from None
+
+
 def _load_json(path: Path):
     import json
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    # JSONDecodeError, text not in UTF-8, an int of over 4,300 digits, or arrays nested too deep
+    # JSONDecodeError, text not in UTF-8, an int of too many digits, or arrays nested too deep
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
 

@@ -19,6 +19,7 @@ construction, calls the kernels directly.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from ._value import _require_finite
@@ -44,8 +45,8 @@ def _susceptibility(rho: complex, k0: float, cos_theta: complex) -> complex:
     if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
         raise SheetResonanceError("rho = 1 admits no finite electric susceptibility")
     chi_e = rho / den
-    _require_finite("chi_e", chi_e)
-    return chi_e
+    # _require_finite is called only where it raises: a kernel runs at every synthesized point
+    return chi_e if cmath.isfinite(chi_e) else _require_finite("chi_e", chi_e)
 
 
 def susceptibility_from_reflection(rho: complex, k0: float, cos_theta: complex) -> complex:
@@ -66,8 +67,7 @@ def _impedance(rho: complex) -> complex:
     if math.hypot(den.real, den.imag) < _DENOM_FLOOR:
         raise OpenCircuitError("rho = 1: open circuit, impedance unbounded")
     eta_n = (1.0 + rho) / den
-    _require_finite("eta_n", eta_n)
-    return eta_n
+    return eta_n if cmath.isfinite(eta_n) else _require_finite("eta_n", eta_n)
 
 
 def impedance_from_reflection(rho: complex) -> complex:

@@ -8,9 +8,10 @@ both stacks would be more than MAX_LAYER_ANGLES walk layers to hold.
 run_simulate and run_synthesize return SweepRows from one loop that walks
 each stack once per angle and folds both walks at every point;
 run_synthesize also plans the synthesis of each angle's actual walk once
-(synthesis.sheet_plan) and takes the plan's step at every point. A point
-with no error pays for those calls alone; only a point where one raised
-is tagged. The loop yields each row as its point is done, for
+(synthesis.sheet_plan) and takes the plan's step at every point; a
+transmissive step also gives the actual stack's Gamma, from the same fold.
+A point with no error pays for those calls alone; only a point where one
+raised is tagged. The loop yields each row as its point is done, for
 planemirage.output.emit to write.
 """
 
@@ -24,7 +25,7 @@ from collections.abc import Iterator
 
 from ._value import Value
 from .errors import ConfigError, PlanemirageError
-from .synthesis import Mode, _sheet_step, sheet_plan
+from .synthesis import Mode, _front_step, _sheet_step, sheet_plan
 from .wavecore import (
     AIR,
     Layer,
@@ -239,8 +240,10 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     Every medium is non-dispersive, so each stack is walked once per angle
     and each point folds both walks at its k0 with walk_reflection. In a
     synthesis, each angle's actual walk also gives one sheet_plan, and
-    each point takes the plan's step. A point gets the same bits as
-    chain_reflection and synthesize. A point of an angle whose walks both
+    each point takes the plan's step. A transmissive point folds the actual
+    walk inside that step, _front_step, which gives its Gamma and the front
+    sheet from one fold. A point gets the same bits as chain_reflection
+    and synthesize. A point of an angle whose walks both
     succeeded makes just those calls; where one raises, or a walk failed,
     _tagged_row makes the point's row again by the tagging rules, which
     gives the same bits, as every fold and step is deterministic. A failed
@@ -250,6 +253,7 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     closing division; otherwise each failure is tagged once. Any other
     exception at a point raises GridPointFault."""
     angles = []
+    transmissive = mode is Mode.TRANSMISSIVE
     f_ghz = theta_deg = None
     # One guard around both loops: the loop variables name the point that raised.
     try:
@@ -266,13 +270,18 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
                 row = None
                 if walked:
                     try:
-                        g_act = walk_reflection(actual, k0)
-                        g_tgt = walk_reflection(target, k0)
-                        if plan is None:
-                            row = f_ghz, theta_deg, g_act, g_tgt, None, None, None, ""
-                        else:
-                            rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
+                        if transmissive:
+                            g_tgt = walk_reflection(target, k0)
+                            g_act, rho_req, aux, passive = _front_step(plan, k0, g_tgt, cos_theta)
                             row = f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ""
+                        else:
+                            g_act = walk_reflection(actual, k0)
+                            g_tgt = walk_reflection(target, k0)
+                            if plan is None:
+                                row = f_ghz, theta_deg, g_act, g_tgt, None, None, None, ""
+                            else:
+                                rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
+                                row = f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ""
                     except PlanemirageError:
                         pass
                 yield row or _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan)

@@ -22,7 +22,9 @@ sheet_plan takes what depends on the angle only from the walk, and the
 per-point step _sheet_step gives the inversion, its sheet description from
 the gstc kernels and the passivity verdict. A sweep plans once per angle
 and steps at every point; the inversions, sheet_state and synthesize are
-plan then step. The substitution checks fold the same walk with
+plan then step. At an error-free point a transmissive sweep takes the
+step _front_step instead, which gives the actual stack's own Gamma and the
+front sheet from one fold. The substitution checks fold the same walk with
 walk_reflection, the synthesized value in place.
 """
 
@@ -35,7 +37,7 @@ from functools import cached_property
 from ._value import Value, _require_finite
 from .errors import DegenerateSynthesisError, DomainError, ValidationError
 from .gstc import _impedance, _incidence, _susceptibility
-from .wavecore import PlaneWave, Sheet, Stack, Walk, angle_walk, chain_reflection, walk_reflection
+from .wavecore import PlaneWave, Sheet, Stack, Walk, _close, angle_walk, chain_reflection, walk_reflection
 
 _DEGENERACY_RTOL = 1e-12
 # abs() of a finite complex past the float range raises OverflowError, and so
@@ -107,10 +109,10 @@ def sheet_plan(mode: Mode, walk: Walk) -> tuple:
     invert(inverse, k0, gamma_i) is the mode's inversion at one point.
 
     Reflective: per layer (rho_n, a_n, |rho_n|, 1 - rho_n^2), which depend on
-    the angle only. Transmissive: a_1 and the walk of layers 2..N, (steps[1:],
-    rho_T). Building a plan never raises: where |rho_n| overflows, or the walk
-    has no layer to put a front sheet on, inverse is None and invert raises
-    what the inversion would.
+    the angle only. Transmissive: rho_1, a_1 and the walk of layers 2..N,
+    (steps[1:], rho_T). Building a plan never raises: where |rho_n|
+    overflows, or the walk has no layer to put a front sheet on, inverse is
+    None and invert raises what the inversion would.
     """
     steps, rho_t = walk
     if mode is Mode.REFLECTIVE:
@@ -118,7 +120,7 @@ def sheet_plan(mode: Mode, walk: Walk) -> tuple:
             return _terminating_sheet, tuple((rho, a, abs(rho), 1.0 - rho * rho) for rho, a in steps)
         except OverflowError:
             return _terminating_sheet, None
-    return _front_sheet, ((steps[0][1], (steps[1:], rho_t)) if steps else None)
+    return _front_sheet, ((*steps[0], (steps[1:], rho_t)) if steps else None)
 
 
 def _terminating_sheet(layers: tuple | None, k0: float, gamma_i: complex) -> complex:
@@ -141,20 +143,26 @@ def _terminating_sheet(layers: tuple | None, k0: float, gamma_i: complex) -> com
 
 
 def _front_sheet(front: tuple | None, k0: float, gamma_i: complex) -> complex:
-    """rho_1m from a transmissive plan's (a_1, rest walk); see transmissive_inversion."""
+    """rho_1m from a transmissive plan's (rho_1, a_1, rest walk); see
+    transmissive_inversion. The sheet takes rho_1's place, so rho_1 is not read."""
     if front is None:
         raise ValidationError("the front-sheet inversion needs at least one layer")
-    a_1, rest = front
+    _, a_1, rest = front
     try:
-        x = cmath.exp(-1j * k0 * a_1) * walk_reflection(rest, k0)
-        gx = gamma_i * x
-        rho_1m = _solve(gamma_i - x, 1.0 - gx, 1.0 + abs(gx), 1.0 - x * x, "front sheet")
-        if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
-            raise DegenerateSynthesisError(
-                "required front reflection is 1: no finite susceptibility realizes it"
-            )
+        return _front_rho(gamma_i, cmath.exp(-1j * k0 * a_1) * walk_reflection(rest, k0))
     except (OverflowError, ValueError):
         raise DomainError(_NOT_FINITE.format("front sheet")) from None
+
+
+def _front_rho(gamma_i: complex, x: complex) -> complex:
+    """rho_1m = (Gamma_i - X)/(1 - Gamma_i X) from X = Z_1^2 Gamma_2; the
+    caller turns an OverflowError or ValueError into DomainError."""
+    gx = gamma_i * x
+    rho_1m = _solve(gamma_i - x, 1.0 - gx, 1.0 + abs(gx), 1.0 - x * x, "front sheet")
+    if abs(1.0 - rho_1m) <= _DEGENERACY_RTOL * max(1.0, abs(rho_1m)):
+        raise DegenerateSynthesisError(
+            "required front reflection is 1: no finite susceptibility realizes it"
+        )
     return rho_1m
 
 
@@ -222,6 +230,32 @@ def _sheet_step(
         sheet = _susceptibility(rho, k0, cos_theta)
         eta_n = _impedance(rho)
     return rho, sheet, abs(rho) <= 1.0 and eta_n.real >= 0.0
+
+
+def _front_step(
+    plan: tuple, k0: float, gamma_i: complex, cos_theta: complex
+) -> tuple[complex, complex, complex, bool]:
+    """(g_act, rho_1m, chi_e, passive) at a transmissive sweep point, from
+    one fold of the actual stack and the walk's transmissive sheet_plan.
+
+    The unclosed pair p/q of layers N..2 and Z_1^2 give both the actual
+    Gamma, one more forward step, and X = Z_1^2 Gamma_2. The same bits as
+    walk_reflection of the actual walk and _sheet_step, and a
+    PlanemirageError wherever either would raise, which the sweep then tags
+    by its own rules.
+    """
+    _, (rho_1, a_1, rest) = plan
+    p, q = walk_reflection(rest, k0, _pair=True)
+    try:
+        z2 = cmath.exp(-1j * k0 * a_1)
+        w = z2 * p
+        g_act = _close(rho_1 * q + w, q + rho_1 * w)
+        rho = _front_rho(gamma_i, z2 * _close(p, q))
+        chi_e = _susceptibility(rho, k0, cos_theta)
+        eta_n = _impedance(rho)
+        return g_act, rho, chi_e, abs(rho) <= 1.0 and eta_n.real >= 0.0
+    except (OverflowError, ValueError):
+        raise DomainError(_NOT_FINITE.format("front sheet")) from None
 
 
 def sheet_state(

@@ -229,7 +229,7 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     return tuple(steps), rho_t
 
 
-def walk_reflection(walk: Walk, k0: float) -> complex:
+def walk_reflection(walk: Walk, k0: float, *, _pair: bool = False) -> complex:
     """Total reflection of an angle walk at vacuum wavenumber k0.
 
     Folds the Airy/Rouard recursion from the back,
@@ -254,6 +254,20 @@ def walk_reflection(walk: Walk, k0: float) -> complex:
             p, q = rho * q + w, q + rho * w
     except (OverflowError, ValueError):
         raise DomainError("the propagation factor of a round trip is not finite") from None
+    if _pair:  # private: the unclosed (p, q), for a caller that folds one more layer in front
+        return p, q
+    # _close's own first case, inline: a finite quotient over the floor needs no call
+    if math.hypot(q.real, q.imag) >= _DENOM_FLOOR:
+        gamma = p / q
+        if cmath.isfinite(gamma):
+            return gamma
+    return _close(p, q)
+
+
+def _close(p: complex, q: complex) -> complex:
+    """The total reflection p/q of a folded pair, by the fold's one close
+    rule: a q under the floor raises ResonantSingularityError, and a total
+    that is not finite raises DomainError."""
     # hypot, unlike abs, gives inf instead of raising when gain layers push |q| past the float range
     if math.hypot(q.real, q.imag) < _DENOM_FLOOR:
         raise ResonantSingularityError("total-reflection denominator vanished")

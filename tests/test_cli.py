@@ -1,6 +1,7 @@
 """CLI: config parsing, sweep tables, emission determinism, exit codes."""
 
 import argparse
+import cmath
 import errno
 import hashlib
 import json
@@ -282,6 +283,10 @@ def test_a_config_that_json_cannot_read_is_a_config_error(tmp_path, capsys, valu
     err = capsys.readouterr().err
     assert err.startswith(f"planemirage: config error: cannot parse config {config}: "), err
     assert not out.exists()
+    # the config's own content, not advice to call sys.set_int_max_str_digits()
+    assert "set_int_max_str_digits" not in err
+    if value.isdigit():
+        assert err.endswith(": an integer of more than 4,300 digits\n"), err
 
 
 def _main_exit(capsys, argv):
@@ -467,9 +472,12 @@ def _media(stack):
 
 
 def _counted(calls, key, real):
-    def fn(*args):
-        calls[key].append(args)
-        return real(*args)
+    """real, recording each call's arguments in calls[key]; keyword
+    arguments, where given, as one dict after the positional ones."""
+
+    def fn(*args, **kwargs):
+        calls[key].append(args + (kwargs,) if kwargs else args)
+        return real(*args, **kwargs)
 
     return fn
 
@@ -537,9 +545,12 @@ def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode
 
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
-    # the sweep folds both walks at every point; a transmissive step folds
-    # the walk of the actual stack's layers 2..N once more, from the one
-    # rest walk its angle's plan holds; a reflective step folds nothing
+    # every point folds each stack's walk once. A simulate or reflective
+    # point folds both in the sweep, and a reflective step folds nothing. A
+    # transmissive point folds the target in the sweep, and its step folds
+    # the actual stack's layers 2..N into an unclosed pair, from the one
+    # rest walk its angle's plan holds, then adds layer 1 itself: nothing
+    # folds the rest walk a second time
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
     calls = {"walk": [], "sweep": [], "synthesis": [], "tagging": []}
@@ -554,17 +565,59 @@ def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
     assert calls["tagging"] == []
     n_angles = config.theta_deg.count
     assert len(calls["walk"]) == 2 * n_angles
-    assert len(calls["sweep"]) == 2 * len(rows)
+    thetas = [math.radians(t) for t in _small_axis().values()]
+    walks = [(angle_walk(config.actual, t), angle_walk(config.target, t)) for t in thetas]
+    k0s = [PlaneWave(r.freq_ghz * 1e9).k0 for r in rows]
     if mode is Mode.TRANSMISSIVE:
-        # each point folds the actual walk first, then the target's
-        actual = [walk for walk, _ in calls["sweep"][::2]]
-        rests = [walk for walk, _ in calls["synthesis"]]
-        assert rests == [(steps[1:], rho_t) for steps, rho_t in actual]
+        assert calls["sweep"] == [(walks[i % n_angles][1], k0) for i, k0 in enumerate(k0s)]
+        actual = [walks[i % n_angles][0] for i in range(len(rows))]
+        assert [(rest, k0) for rest, k0, _ in calls["synthesis"]] == [
+            ((steps[1:], rho_t), k0) for (steps, rho_t), k0 in zip(actual, k0s)
+        ]
+        assert all(kwargs == {"_pair": True} for *_, kwargs in calls["synthesis"])
         # one rest walk per angle, the same object at every frequency
+        rests = [rest for rest, *_ in calls["synthesis"]]
         assert len({id(rest) for rest in rests}) == n_angles
         assert all(rest is rests[i % n_angles] for i, rest in enumerate(rests))
     else:
+        assert calls["sweep"] == [(walk, k0) for i, k0 in enumerate(k0s) for walk in walks[i % n_angles]]
         assert calls["synthesis"] == []
+
+
+class _CountedCmath:
+    """The cmath module, with each call of exp, a round trip Z_n^2 =
+    e^{-j k0 a_n}, counted."""
+
+    def __init__(self):
+        self.exps = 0
+
+    def __getattr__(self, name):
+        return getattr(cmath, name)
+
+    def exp(self, z):
+        self.exps += 1
+        return cmath.exp(z)
+
+
+@pytest.mark.parametrize("stacks", ["builtin", "deep"])
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_sweep_forms_each_round_trip_once_per_point(monkeypatch, stacks, mode):
+    # an error-free point forms each layer's round trip once per fold or
+    # inversion that reads it: simulate and a transmissive synthesis fold
+    # each stack once; a reflective one also runs Gamma_i back through the
+    # actual stack
+    actual, target = (_deep_stack(9), _deep_stack(5))
+    if stacks == "builtin":
+        actual, target = builtin_scenario().actual, builtin_scenario().target
+    config = ScenarioConfig(actual, target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
+    counted = _CountedCmath()
+    for module in (wavecore, synthesis, sweep):
+        monkeypatch.setattr(module, "cmath", counted)
+    rows = run_simulate(config) if mode is None else run_synthesize(config)
+    assert [r.err for r in rows] == [""] * 6
+    n_act, n_tgt = len(actual.layers), len(target.layers)
+    per_point = (2 if mode is Mode.REFLECTIVE else 1) * n_act + n_tgt
+    assert counted.exps == per_point * len(rows)
 
 
 def test_a_synthesis_sweep_plans_each_angle_once(monkeypatch):
@@ -687,10 +740,24 @@ def test_a_one_layer_actual_stack_is_synthesized_as_its_points_are(mode, termina
     # Gamma_2 is the termination's rho_T
     config = builtin_scenario()
     actual = Stack(AIR, config.actual.layers[1:2], termination)
-    assert len(synthesis.sheet_plan(Mode.TRANSMISSIVE, angle_walk(actual, 0.0))[1][1][0]) == 0
+    assert len(synthesis.sheet_plan(Mode.TRANSMISSIVE, angle_walk(actual, 0.0))[1][2][0]) == 0
     rows = _sweep_matches_per_point_api(actual, config.target, mode, SweepAxis(10.0, 10.1, 0.1))
     assert [r.err for r in rows] == [""] * 6
     assert all(r.rho_req is not None for r in rows)
+
+
+@pytest.mark.parametrize(
+    "termination", [Pec(), Open(Medium(2.0 - 0.1j)), Sheet(0.3 - 0.4j)], ids=["pec", "open", "sheet"]
+)
+@pytest.mark.parametrize("mode", [Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_40_layer_lossy_actual_wall_is_synthesized_as_its_points_are(mode, termination):
+    # drawn stacks stop at 6 layers; a transmissive step here folds 39
+    # layers into its pair before it adds the first, and a reflective one
+    # runs Gamma_i back through all 40
+    actual = Stack(AIR, _deep_stack(40).layers, termination)
+    grid = (SweepAxis(1.0, 21.0, 10.0), SweepAxis(0.0, 80.0, 40.0))
+    rows = _sweep_matches_per_point_api(actual, builtin_scenario().target, mode, *grid)
+    assert [r.err for r in rows] == [""] * 9
 
 
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
@@ -813,14 +880,13 @@ def test_a_grid_of_mixed_failures_matches_its_points(monkeypatch, mode):
             raise DegenerateInterfaceError("interface denominator vanished")
         return real_walk(stack, theta1)
 
-    def walk_reflection(walk, k0):
+    def walk_reflection(walk, k0, *, _pair=False):
         if (walk, k0) == failing_fold:
             raise ResonantSingularityError("total-reflection denominator vanished")
-        return real_fold(walk, k0)
+        return real_fold(walk, k0, _pair=_pair)
 
     for module in (wavecore, sweep, synthesis):
         monkeypatch.setattr(module, "angle_walk", angle_walk)
-    for module in (wavecore, sweep):
         monkeypatch.setattr(module, "walk_reflection", walk_reflection)
     grid = (SweepAxis(2.0, 20.0, 9.0), SweepAxis(0.0, 80.0, 20.0))
     rows = _sweep_matches_per_point_api(actual, target, mode, *grid)
