@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from pathlib import Path
 
 from .errors import ConfigError, PlanemirageError
 from .output import emit
@@ -75,7 +74,7 @@ def _cmd_sweep(args) -> int:
         mode = config.mode if args.mode is None else Mode(args.mode)
         if mode is None:
             raise ConfigError(_NO_MODE)
-    tagged = emit(_sweep(config, mode), mode, config.output_format, Path(out))
+    tagged = emit(_sweep(config, mode), mode, config.output_format, out)
     return 2 if tagged == config.theta_deg.count * config.freq_ghz.count else 0
 
 
@@ -100,11 +99,11 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_sweep_parser(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=Path, help="JSON scenario config")
+        p.add_argument("--config", help="JSON scenario config")
         p.add_argument(
             "--scenario", choices=["builtin"], help="use the bundled demonstration scenario"
         )
-        p.add_argument("--out", type=Path, help="output file (csv or svg per config)")
+        p.add_argument("--out", help="output file (csv or svg per config)")
         return p
 
     add_sweep_parser("simulate", "total reflection of both stacks over the sweep grid")
@@ -119,8 +118,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if submodes:
             p.add_argument("submode", choices=submodes)
-        p.add_argument("--config", type=Path, required=True)
-        p.add_argument("--out", type=Path, required=True)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
     return parser
 
 

@@ -12,7 +12,6 @@ so a --scenario builtin sweep never compiles it.
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
 from .errors import ConfigError, PlanemirageError
 from .sweep import ScenarioConfig, SweepAxis
@@ -32,7 +31,7 @@ def _parse_int(digits: str) -> int:
         raise ValueError(f"an integer of more than {sys.get_int_max_str_digits():,} digits") from None
 
 
-def _load_json(path: Path):
+def _load_json(path: str):
     import json
 
     try:
@@ -137,10 +136,10 @@ def _parse_axis(obj, where: str) -> SweepAxis:
     return _build(where, SweepAxis, *bounds)
 
 
-def parse_scenario(path: Path) -> ScenarioConfig:
+def parse_scenario(path: str) -> ScenarioConfig:
     """Read and validate a sweep scenario config (simulate/synthesize)."""
     doc = _load_json(path)
-    _require_keys(doc, str(path), ("actual", "target", "sweep"), ("mode", "output"))
+    _require_keys(doc, path, ("actual", "target", "sweep"), ("mode", "output"))
     actual = _parse_stack(doc["actual"], "actual")
     target = _parse_stack(doc["target"], "target")
     mode = None

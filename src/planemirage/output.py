@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import chain, islice
-from pathlib import Path
 
 from .errors import ConfigError, WriteError
 from .sweep import SweepRow
@@ -105,7 +104,7 @@ def _sweep_table(mode: Mode | None):
     return ",".join(header), row_line, tagged
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     """Every output file, tables and SVG alike: each of lines, ended by a
     newline. Any OSError of the spool or of path is a WriteError that names
     path; the lines raise none, as a sweep's own faults are GridPointFaults."""
@@ -130,13 +129,15 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
         raise WriteError(f"cannot write {path}: {exc}") from None
 
 
-def emit(rows: Iterable[SweepRow], mode: Mode | None, output_format: str, path: Path) -> int:
+def emit(rows: Iterable[SweepRow], mode: Mode | None, output_format: str, path: str) -> int:
     """Write the sweep table of mode, None for simulate's, to path as CSV
     (canonical) or SVG (presentation), and return how many rows had an err
     tag. rows are SweepRows or plain tuples in SweepRow's field order, and
     may be an iterator: a CSV table formats each row as it comes, an SVG
     plot keeps only the points it draws, and the file is written once rows
     are exhausted."""
+    if mode is not None and not isinstance(mode, Mode):
+        raise ConfigError(f"mode must be a Mode or None, got {mode!r}")
     if output_format == "csv":
         header, line, tagged = _sweep_table(mode)
         _write_lines(path, chain([header], map(line, rows)))

@@ -34,6 +34,7 @@ from .wavecore import (
     Pec,
     PlaneWave,
     Stack,
+    _close,
     angle_walk,
     walk_reflection,
 )
@@ -111,6 +112,8 @@ class ScenarioConfig(Value):
                 f"{len(target.layers)} stack layers is more than the {MAX_LAYER_ANGLES:,} "
                 "walk layers a sweep may hold"
             )
+        if mode is not None and not isinstance(mode, Mode):
+            raise ConfigError(f"mode must be a Mode or None, got {mode!r}")
         if output_format not in ("csv", "svg"):
             raise ConfigError(f"output format must be csv or svg, got {output_format!r}")
         super().__init__(actual, target, mode, theta_deg, freq_ghz, output_format, output_path)
@@ -178,29 +181,21 @@ def _angle_walk(stack: Stack, theta: float):
         return _error_tag(exc)
 
 
-def _gamma(walk, k0: float, errs: list[str]) -> complex | None:
-    """Gamma of one stack at k0 from its angle walk, or None with the
-    failure's tag, the walk's own included, in errs."""
+def _gamma(walk, k0: float, errs: list[str]) -> tuple[complex | None, bool]:
+    """(Gamma, folded) of one stack at k0 from its angle walk: Gamma is None
+    where the walk, its fold or its close failed, with the failure's tag in
+    errs, and folded is whether the fold got through, every round trip finite."""
     if isinstance(walk, str):
         errs.append(walk)
-        return None
+        return None, False
+    folded = False
     try:
-        return walk_reflection(walk, k0)
+        pair = walk_reflection(walk, k0, _pair=True)
+        folded = True
+        return _close(*pair), True
     except PlanemirageError as exc:
         errs.append(_error_tag(exc))
-        return None
-
-
-def _round_trips_finite(walk, k0: float) -> bool:
-    """Whether every round trip e^{-j k0 a_n} of an angle walk is finite at
-    k0, formed as the inversions form it."""
-    jk0 = -1j * k0
-    try:
-        for _, a in walk[0]:
-            cmath.exp(jk0 * a)
-    except (OverflowError, ValueError):
-        return False
-    return True
+        return None, folded
 
 
 class GridPointFault(Exception):
@@ -219,10 +214,10 @@ def _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan) -> tuple:
     """The row of a point where a walk, a fold or the synthesis step
     raised, each failure tagged once, in the order actual, target, step."""
     errs = []
-    g_act = _gamma(actual, k0, errs)
-    g_tgt = _gamma(target, k0, errs)
+    g_act, folded = _gamma(actual, k0, errs)
+    g_tgt, _ = _gamma(target, k0, errs)
     rho_req = aux = passive = None
-    if plan is not None and g_tgt is not None and (g_act is not None or _round_trips_finite(actual, k0)):
+    if plan is not None and g_tgt is not None and folded:
         try:
             rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
         except PlanemirageError as exc:
@@ -248,10 +243,10 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     _tagged_row makes the point's row again by the tagging rules, which
     gives the same bits, as every fold and step is deterministic. A failed
     walk is tagged at every frequency of its angle, and has no plan. A
-    point is synthesized when Gamma_i is known and no round trip of the
-    actual walk overflows at k0, even where the actual Gamma failed at its
-    closing division; otherwise each failure is tagged once. Any other
-    exception at a point raises GridPointFault."""
+    point is synthesized when Gamma_i is known and the fold of the actual
+    walk got through, even where the actual Gamma failed at its close;
+    otherwise each failure is tagged once. Any other exception at a point
+    raises GridPointFault."""
     angles = []
     transmissive = mode is Mode.TRANSMISSIVE
     f_ghz = theta_deg = None

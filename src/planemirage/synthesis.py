@@ -277,6 +277,8 @@ def sheet_state(
     transmissive mode k0 and cos_theta are checked first, as
     susceptibility_from_reflection checks them.
     """
+    if not isinstance(mode, Mode):
+        raise ValidationError(f"mode must be a Mode, got {mode!r}")
     if mode is Mode.TRANSMISSIVE:
         cos_theta = _incidence(k0, cos_theta)
     return _sheet_step(sheet_plan(mode, walk), k0, gamma_i, cos_theta)

@@ -146,6 +146,6 @@ def _cmd_table(args) -> int:
     table = _TABLE_COMMANDS[args.command]
     if isinstance(table, dict):
         table = table[args.submode]
-    header, rows = table(_load_json(args.config), str(args.config))
+    header, rows = table(_load_json(args.config), args.config)
     _write_lines(args.out, [header, *map(",".join, map(_cells, rows))])
     return 0

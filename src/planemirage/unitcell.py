@@ -146,7 +146,7 @@ def load_reflection_map(path) -> ReflectionMap:
     """Read a reflection-map CSV (header `f_ghz,r_ohm,c_pf,rho_re,rho_im`)."""
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
-    return _parse_map(text, str(path))
+    return _parse_map(text, path)
 
 
 def load_sample_map() -> ReflectionMap:

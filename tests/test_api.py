@@ -145,6 +145,9 @@ def test_a_bare_interpreter_sweep_imports_only_what_it_runs(tmp_path):
     assert {"planemirage.unitcell", "planemirage.svg"}.isdisjoint(after_grating)
     rc, after_svg = steps["svg"]
     assert rc == 0 and "planemirage.svg" in after_svg
+    # a path stays the str it was given, so no command loads pathlib
+    for name in ("simulate", "grating", "svg"):
+        assert "pathlib" not in steps[name][1], name
 
 
 def test_cli_names_the_library_functions_it_runs():
@@ -311,6 +314,15 @@ def test_copy_and_pickle_round_trip(kind):
     value = VALUES[kind][0]()
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is kind and twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("kind", TYPES, ids=lambda t: t.__name__)
+def test_a_value_refuses_a_state_of_the_wrong_length(kind):
+    # an unpickled state with one field too many writes no field
+    value = VALUES[kind][0]()
+    with pytest.raises(TypeError, match=rf"^{kind.__qualname__}\(\) takes {len(kind._fields)} values$"):
+        value.__setstate__(value.__getstate__() + (None,))
+    assert value == VALUES[kind][0]()
 
 
 @pytest.mark.parametrize("kind", [t for t in TYPES if VALUES[t][2] is not None], ids=lambda t: t.__name__)

@@ -169,6 +169,14 @@ def test_scenario_config_validation():
         )
 
 
+def test_a_scenario_config_refuses_a_mode_that_is_not_a_mode():
+    # sheet_plan reads every mode but Mode.REFLECTIVE as transmissive, so a
+    # mode of "reflective" would synthesize the transmissive row
+    config = builtin_scenario()
+    with pytest.raises(ConfigError, match="^mode must be a Mode or None, got 'reflective'$"):
+        ScenarioConfig(config.actual, config.target, "reflective", config.theta_deg, config.freq_ghz)
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["synthesize"]])
 def test_a_frequency_past_the_float_range_stops_the_run_before_any_point(
     monkeypatch, tmp_path, capsys, command
@@ -251,6 +259,11 @@ _REFUSED_VALUES = {
         {"kind": "sheet", "rho": -(10**400)},
         "target.termination.rho",
     ),
+    # values of the wrong kind, and an axis bound that JSON reads as inf
+    "thickness-a-string": (("actual", "layers", 0, "thickness_mm"), "120", "actual.layers[0].thickness_mm"),
+    "no-layers": (("actual", "layers"), [], "actual.layers"),
+    "output-path-a-number": (("output",), {"path": 5}, "output.path"),
+    "freq-stop-infinite": (("sweep", "freq_ghz", "stop"), math.inf, "sweep.freq_ghz"),
 }
 
 
@@ -558,7 +571,7 @@ def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
     monkeypatch.setattr(sweep, "walk_reflection", _counted(calls, "sweep", walk_reflection))
     monkeypatch.setattr(synthesis, "walk_reflection", _counted(calls, "synthesis", walk_reflection))
     # an error-free point goes straight through: nothing of the tagging rules runs
-    for name in ("_tagged_row", "_gamma", "_round_trips_finite", "_error_tag"):
+    for name in ("_tagged_row", "_gamma", "_close", "_error_tag"):
         monkeypatch.setattr(sweep, name, _counted(calls, "tagging", getattr(sweep, name)))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
@@ -983,6 +996,16 @@ def test_sweep_lines_follow_the_cell_rule(tmp_path, mode):
         ).read_bytes()
 
 
+@pytest.mark.parametrize("output_format", ["csv", "svg"])
+def test_emit_refuses_an_unknown_mode_as_an_unknown_format(tmp_path, output_format):
+    out = tmp_path / f"rows.{output_format}"
+    with pytest.raises(ConfigError, match="^mode must be a Mode or None, got 'reflective'$"):
+        emit([], "reflective", output_format, out)
+    with pytest.raises(ConfigError, match="^output format must be csv or svg"):
+        emit([], Mode.REFLECTIVE, "pdf", out)
+    assert not out.exists()
+
+
 def test_csv_empty_table_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     emit([], Mode.REFLECTIVE, "csv", out)
@@ -1225,9 +1248,11 @@ def test_table_commands_write_golden_bytes(tmp_path, case):
     assert out.read_bytes() == expected.encode("utf-8")
 
 
-# Table configs that would crash, or build a row list without bound: each
-# is refused with exit 1, this start of stderr, and no file. The longest
-# table may have MAX_AXIS_POINTS rows, as a sweep axis may have points.
+# Table configs that would crash, build a row list without bound, or hold
+# a value of the wrong kind, and a synthesis with no mode: each is refused
+# with exit 1, this start of stderr, where {config} is the config path as
+# given, and no file. The longest table may have MAX_AXIS_POINTS rows, as a
+# sweep axis may have points.
 _REFUSED_TABLES = {
     "coding-set-n_bit-20000": (
         ["coding-set"],
@@ -1259,15 +1284,53 @@ _REFUSED_TABLES = {
         {"r1_mm": 50.0, "r2_mm": 10**400, "q": 3.0},
         "planemirage: config error: r2_mm: an integer past the float range",
     ),
+    "select-cell-map-a-number": (
+        ["select-cell"],
+        {"map": 5, "frequency_ghz": 4.5, "rho_target": 0.5},
+        "planemirage: config error: {config}.map: expected 'sample' or a file path",
+    ),
+    # a map path is opened as given, relative to the working directory
+    "select-cell-map-file-missing": (
+        ["select-cell"],
+        {"map": "missing-map.csv", "frequency_ghz": 4.5, "rho_target": 0.5},
+        "planemirage: error: [Errno 2] No such file or directory: 'missing-map.csv'",
+    ),
+    "select-cell-phase_only-a-string": (
+        ["select-cell"],
+        {"map": "sample", "frequency_ghz": 4.5, "rho_target": 0.5, "phase_only": "yes"},
+        "planemirage: config error: phase_only: expected true or false",
+    ),
+    "coding-set-n_bit-a-float": (
+        ["coding-set"],
+        {"map": "sample", "frequency_ghz": 5.0, "n_bit": 2.5},
+        "planemirage: config error: n_bit: expected an integer, got 2.5",
+    ),
+    "coding-set-min_amplitude-below-0": (
+        ["coding-set"],
+        {"map": "sample", "frequency_ghz": 5.0, "n_bit": 2, "min_amplitude": -0.1},
+        "planemirage: error: min_amplitude must be >= 0, got -0.1",
+    ),
+    "pb-phase-sigma-2": (
+        ["companion", "pb-phase"],
+        {"amplitude": 0.8, "period_mm": 12.0, "sigma": 2},
+        "planemirage: config error: sigma: expected 1 or -1, got 2",
+    ),
+    "synthesize-without-a-mode": (
+        ["synthesize"],
+        {key: value for key, value in _scenario_doc().items() if key != "mode"},
+        "planemirage: config error: synthesize needs a mode (reflective or transmissive)",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSED_TABLES))
-def test_an_oversized_table_config_is_refused(tmp_path, capsys, case):
+def test_an_oversized_table_config_is_refused(monkeypatch, tmp_path, capsys, case):
+    monkeypatch.chdir(tmp_path)
     command, doc, start = _REFUSED_TABLES[case]
+    config = _write_config(tmp_path, doc)
     out = tmp_path / "table.csv"
-    assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(start)
+    assert main(command + ["--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(start.format(config=config))
     assert not out.exists()
 
 

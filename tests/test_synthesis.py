@@ -417,6 +417,19 @@ def test_mode_and_problem_validation():
         IllusionProblem(scenario.actual, scenario.target, wave, "reflective")
 
 
+@pytest.mark.parametrize(
+    "mode,cos_theta", [("reflective", math.cos(math.radians(10.0))), (None, 0.0)], ids=["string", "none"]
+)
+def test_sheet_state_refuses_a_mode_that_is_not_a_mode(mode, cos_theta):
+    # sheet_plan reads every mode but Mode.REFLECTIVE as transmissive, so a
+    # value that is not a Mode would skip the transmissive check of the wave:
+    # "reflective" would give the front sheet, and None with a grazing
+    # cos_theta would divide by zero
+    walk = angle_walk(builtin_scenario().actual, math.radians(10.0))
+    with pytest.raises(ValidationError, match="^mode must be a Mode, got "):
+        sheet_state(mode, walk, PlaneWave(10e9).k0, 0.2, cos_theta)
+
+
 def test_termination_independence_of_transmissive_front():
     # front substitution at the natural rho_1 returns the natural reflection
     scenario = builtin_scenario()
