@@ -21,147 +21,99 @@ group them by concern:
   cli         the planemirage command line (argparse, exit codes, the sweep
               driver)
 
-unitcell and companions are imported on first use of one of their names;
-cli loads tables only when a table command runs, and config only when a
-command reads a config file.
+`import planemirage` loads no submodule. Each public name, and each
+submodule that re-exports names, is imported on its first use; cli loads
+tables only when a table command runs, and config only when a command reads
+a config file.
 """
-
-from .errors import (
-    ConfigError,
-    DegenerateInterfaceError,
-    DegenerateSynthesisError,
-    DomainError,
-    DuplicateStateError,
-    EmptyMapError,
-    EvanescentOrderError,
-    InfeasibleCodingSetError,
-    InvalidMediumError,
-    MapFormatError,
-    MissingFrequencyError,
-    OpenCircuitError,
-    PlanemirageError,
-    ResonantSingularityError,
-    SheetResonanceError,
-    ValidationError,
-    WriteError,
-)
-from .gstc import impedance_from_reflection, susceptibility_from_reflection
-from .synthesis import (
-    IllusionProblem,
-    Mode,
-    front_sheet_reflection,
-    reflective_inversion,
-    sheet_state,
-    sheet_terminated_reflection,
-    synthesize,
-    transmissive_inversion,
-)
-from .wavecore import (
-    AIR,
-    C0,
-    ETA0,
-    Layer,
-    Medium,
-    Open,
-    Pec,
-    PlaneWave,
-    Sheet,
-    Stack,
-    angle_walk,
-    chain_reflection,
-    walk_reflection,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AIR",
-    "C0",
-    "ETA0",
-    "CodingSet",
-    "ConfigError",
-    "DegenerateInterfaceError",
-    "DegenerateSynthesisError",
-    "DomainError",
-    "DuplicateStateError",
-    "EmptyMapError",
-    "EvanescentOrderError",
-    "IllusionProblem",
-    "InfeasibleCodingSetError",
-    "InvalidMediumError",
-    "Layer",
-    "MapFormatError",
-    "Medium",
-    "MissingFrequencyError",
-    "Mode",
-    "Open",
-    "OpenCircuitError",
-    "Pec",
-    "PlaneWave",
-    "PlanemirageError",
-    "RadialTransform",
-    "ReflectionMap",
-    "ResonantSingularityError",
-    "Sheet",
-    "SheetResonanceError",
-    "Stack",
-    "StripProfile",
-    "UnitCellRecord",
-    "ValidationError",
-    "WriteError",
-    "angle_walk",
-    "build_coding_set",
-    "chain_reflection",
-    "front_sheet_reflection",
-    "grating_angle",
-    "impedance_from_reflection",
-    "load_reflection_map",
-    "load_sample_map",
-    "pb_phase",
-    "radial_forward",
-    "radial_inverse",
-    "reflective_inversion",
-    "select_state",
-    "sheet_state",
-    "sheet_terminated_reflection",
-    "strip_height",
-    "susceptibility_from_reflection",
-    "synthesize",
-    "transmissive_inversion",
-    "walk_reflection",
-]
-
-
-# No sweep needs these two modules, so the package imports them on first use
-# of one of their names (PEP 562).
-_LAZY = {
-    "CodingSet": "unitcell",
-    "ReflectionMap": "unitcell",
-    "UnitCellRecord": "unitcell",
-    "build_coding_set": "unitcell",
-    "load_reflection_map": "unitcell",
-    "load_sample_map": "unitcell",
-    "select_state": "unitcell",
-    "RadialTransform": "companions",
-    "StripProfile": "companions",
-    "grating_angle": "companions",
-    "pb_phase": "companions",
-    "radial_forward": "companions",
-    "radial_inverse": "companions",
-    "strip_height": "companions",
+# Each submodule and the public names the package re-exports from it, the one
+# listing of those names: __all__, dir() and __getattr__ all read it.
+_EXPORTS = {
+    "errors": (
+        "ConfigError",
+        "DegenerateInterfaceError",
+        "DegenerateSynthesisError",
+        "DomainError",
+        "DuplicateStateError",
+        "EmptyMapError",
+        "EvanescentOrderError",
+        "InfeasibleCodingSetError",
+        "InvalidMediumError",
+        "MapFormatError",
+        "MissingFrequencyError",
+        "OpenCircuitError",
+        "PlanemirageError",
+        "ResonantSingularityError",
+        "SheetResonanceError",
+        "ValidationError",
+        "WriteError",
+    ),
+    "wavecore": (
+        "AIR",
+        "C0",
+        "ETA0",
+        "Layer",
+        "Medium",
+        "Open",
+        "Pec",
+        "PlaneWave",
+        "Sheet",
+        "Stack",
+        "angle_walk",
+        "chain_reflection",
+        "walk_reflection",
+    ),
+    "gstc": (
+        "impedance_from_reflection",
+        "susceptibility_from_reflection",
+    ),
+    "synthesis": (
+        "IllusionProblem",
+        "Mode",
+        "front_sheet_reflection",
+        "reflective_inversion",
+        "sheet_state",
+        "sheet_terminated_reflection",
+        "synthesize",
+        "transmissive_inversion",
+    ),
+    "unitcell": (
+        "CodingSet",
+        "ReflectionMap",
+        "UnitCellRecord",
+        "build_coding_set",
+        "load_reflection_map",
+        "load_sample_map",
+        "select_state",
+    ),
+    "companions": (
+        "RadialTransform",
+        "StripProfile",
+        "grating_angle",
+        "pb_phase",
+        "radial_forward",
+        "radial_inverse",
+        "strip_height",
+    ),
 }
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
+    # PEP 562: a name's submodule is imported on first use, which binds the
+    # submodule here (importlib would also load warnings); the name is kept.
+    module = _HOME.get(name, name if name in _EXPORTS else None)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)
+    return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_HOME, *_EXPORTS})

@@ -7,7 +7,7 @@ import cmath
 import math
 from collections.abc import Iterable
 
-from .output import _fmt
+from .output import _TABLES, _fmt
 
 # Fixed plot geometry; coordinates rounded to 0.01 px for determinism.
 _SVG_W, _SVG_H = 860, 620
@@ -26,7 +26,7 @@ def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
     kept, as (theta, |value|, phase in degrees) under (series, frequency),
     and they move under (series, angle) once frequency turns out to be the
     x axis."""
-    fields = ("g_act", "g_tgt") if mode is None else ("g_act", "g_tgt", "rho_req")
+    fields = _TABLES[mode][:3]  # the series before eta_n or chi_e
     points: dict[tuple[str, float], list[tuple[float, float, float]]] = {}
     freqs, thetas = set(), set()
     tagged = 0

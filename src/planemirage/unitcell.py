@@ -145,7 +145,10 @@ def _parse_map(text: str, source: str) -> ReflectionMap:
 def load_reflection_map(path) -> ReflectionMap:
     """Read a reflection-map CSV (header `f_ghz,r_ohm,c_pf,rho_re,rho_im`)."""
     with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MapFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return _parse_map(text, path)
 
 

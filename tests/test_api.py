@@ -186,6 +186,43 @@ def test_every_public_name_resolves_to_its_submodule_object():
         assert name in listed, name
 
 
+def _bare(script):
+    """The literal a script prints in a fresh interpreter run with -S."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+_ADDED_BY = "import sys; bare = set(sys.modules); {}; print(sorted(set(sys.modules) - bare))"
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _bare(_ADDED_BY.format("import planemirage")) == ["planemirage"]
+    # the submodules re-exporting names still resolve as attributes
+    resolved = "import planemirage, sys; print([getattr(planemirage, m).__name__ for m in {!r}])"
+    modules = list(planemirage._EXPORTS)
+    assert _bare(resolved.format(modules)) == [f"planemirage.{m}" for m in modules]
+
+
+@pytest.mark.parametrize("module", sorted(planemirage._EXPORTS))
+def test_the_first_use_of_a_name_loads_only_its_submodule(module):
+    name = planemirage._EXPORTS[module][0]
+    used = _bare(_ADDED_BY.format(f"import planemirage; planemirage.{name}"))
+    assert used == _bare(_ADDED_BY.format(f"import planemirage.{module}"))
+    assert f"planemirage.{module}" in used
+
+
+def test_a_star_import_binds_every_public_name():
+    names = {}
+    exec("from planemirage import *", names)
+    del names["__builtins__"]
+    assert len(names) == len(planemirage.__all__) == 54
+    assert all(names[name] is getattr(planemirage, name) for name in planemirage.__all__)
+    # each name is listed under one submodule only
+    assert sum(map(len, planemirage._EXPORTS.values())) == 54
+
+
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         planemirage.no_such_name  # noqa: B018

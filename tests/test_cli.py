@@ -1310,6 +1310,17 @@ _REFUSED_TABLES = {
         {"map": "sample", "frequency_ghz": 5.0, "n_bit": 2, "min_amplitude": -0.1},
         "planemirage: error: min_amplitude must be >= 0, got -0.1",
     ),
+    # the test writes this map, whose first byte is not UTF-8
+    "select-cell-map-not-utf8": (
+        ["select-cell"],
+        {"map": "not-utf8.csv", "frequency_ghz": 4.5, "rho_target": 0.5},
+        "planemirage: error: not-utf8.csv: not UTF-8 text (invalid start byte at byte 0)\n",
+    ),
+    "coding-set-map-not-utf8": (
+        ["coding-set"],
+        {"map": "not-utf8.csv", "frequency_ghz": 5.0, "n_bit": 2},
+        "planemirage: error: not-utf8.csv: not UTF-8 text (invalid start byte at byte 0)\n",
+    ),
     "pb-phase-sigma-2": (
         ["companion", "pb-phase"],
         {"amplitude": 0.8, "period_mm": 12.0, "sigma": 2},
@@ -1326,6 +1337,7 @@ _REFUSED_TABLES = {
 @pytest.mark.parametrize("case", sorted(_REFUSED_TABLES))
 def test_an_oversized_table_config_is_refused(monkeypatch, tmp_path, capsys, case):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "not-utf8.csv").write_bytes(b"\xff\xfe not utf-8\n")
     command, doc, start = _REFUSED_TABLES[case]
     config = _write_config(tmp_path, doc)
     out = tmp_path / "table.csv"

@@ -54,6 +54,14 @@ def test_load_rejects_wrong_header(tmp_path):
         load_reflection_map(path)
 
 
+def test_load_refuses_a_map_that_is_not_utf8(tmp_path):
+    path = tmp_path / "map.csv"
+    path.write_bytes(b"\xff" + MAP_HEADER.encode() + b"\n5.0,10,0.5,0.1,0.2\n")
+    with pytest.raises(MapFormatError) as raised:
+        load_reflection_map(str(path))
+    assert str(raised.value) == f"{path}: not UTF-8 text (invalid start byte at byte 0)"
+
+
 def test_load_reports_malformed_line_numbers(tmp_path):
     path = tmp_path / "map.csv"
     path.write_text(MAP_HEADER + "\n5.0,10,0.5,0.1,0.2\n5.0,10,0.5,0.1\n")

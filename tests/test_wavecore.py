@@ -22,6 +22,8 @@ from planemirage.wavecore import (
     Sheet,
     Stack,
     ValidationError,
+    _DENOM_FLOOR,
+    _reflect,
     angle_walk,
     chain_reflection,
     walk_reflection,
@@ -118,6 +120,15 @@ def test_matched_interface_is_transparent():
     assert abs(tau - 1.0) < 1e-15
     inc, same = _states(AIR, PlaneWave(8e9, 0.0))
     assert interface_coefficients(inc, same) == (0.0, 1.0)
+
+
+def test_an_interface_whose_impedances_sum_below_the_floor_is_degenerate():
+    # |n1 + n2| is 1e-301, then 0, both below the floor; at the floor it passes
+    with pytest.raises(DegenerateInterfaceError, match="interface denominator vanished"):
+        _reflect(1.0 + 0j, -1.0 + 1e-301j)
+    with pytest.raises(DegenerateInterfaceError):
+        _reflect(2.0 - 1j, -2.0 + 1j)
+    assert _reflect(1.0 + 0j, -1.0 + _DENOM_FLOOR * 1j) == (-2.0 + _DENOM_FLOOR * 1j) / (_DENOM_FLOOR * 1j)
 
 
 def test_passive_layer_decays_toward_termination():
