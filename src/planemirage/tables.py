@@ -24,7 +24,10 @@ def _load_map_from_config(doc: dict, where: str):
     if source == "sample":
         return load_sample_map()
     if isinstance(source, str):
-        return load_reflection_map(source)
+        try:
+            return load_reflection_map(source)
+        except OSError as exc:
+            raise ConfigError(f"{where}.map: cannot read {source}: {exc}") from None
     raise ConfigError(f"{where}.map: expected 'sample' or a file path")
 
 

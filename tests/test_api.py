@@ -5,6 +5,7 @@ import argparse
 import ast
 import cmath
 import copy
+import gc
 import importlib
 import json
 import math
@@ -229,6 +230,71 @@ def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(planemirage, "no_such_name")
     with pytest.raises(ImportError):
         from planemirage import no_such_name  # noqa: F401
+
+
+# Runs the module named by its first argument as python -m does, with the
+# rest as its arguments, and prints the freeze count that exit sees.
+_AT_EXIT = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module(sys.argv.pop(1), run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("module", ["planemirage", "planemirage.cli"])
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        pytest.param(["simulate", "--scenario", "builtin", "--out", "out.csv"], 0, "", id="ok"),
+        pytest.param(
+            ["simulate", "--config", "nope.json", "--out", "out.csv"], 1,
+            "planemirage: config error: cannot read config nope.json: ", id="config-error",
+        ),
+        pytest.param(
+            ["simulate", "--no-such-option"], 2,
+            "planemirage: error: unrecognized arguments: --no-such-option", id="unknown-option",
+        ),
+    ],
+)
+def test_a_process_exits_with_the_commands_code_and_a_frozen_heap(tmp_path, module, argv, code, stderr):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _AT_EXIT, module, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == code, done.stderr
+    *lines, last = done.stderr.splitlines()
+    assert stderr in "\n".join(lines) and "Traceback" not in done.stderr
+    assert int(last.removeprefix("freeze count ")) > 0
+    assert (tmp_path / "out.csv").exists() is (code == 0)
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    from planemirage import cli
+
+    config = tmp_path / "grating.json"
+    config.write_text('{"wavelength_mm": 30.0, "period_mm": 60.0}')
+    before = gc.get_freeze_count()
+    argv = ["companion", "grating", "--config", str(config), "--out", str(tmp_path / "grating.csv")]
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_every_way_to_start_a_process_calls_one_entry():
+    main_py = ast.parse((SRC / "planemirage" / "__main__.py").read_text(encoding="utf-8"))
+    (imported,) = (node for node in main_py.body if isinstance(node, ast.ImportFrom))
+    assert (imported.module, imported.level) == ("cli", 1)
+    (called,) = (alias.name for alias in imported.names)
+    assert [ast.unparse(node) for node in main_py.body if isinstance(node, ast.Expr)] == [f"{called}()"]
+    # cli's own __main__ guard calls the same function and nothing else
+    cli_py = ast.parse((SRC / "planemirage" / "cli.py").read_text(encoding="utf-8"))
+    (guard,) = (node for node in cli_py.body if isinstance(node, ast.If))
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == [f"{called}()"]
+    # the installed script, read as text: tomllib is 3.11 and later
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n", 1)[0]
+    assert scripts == f'planemirage = "planemirage.cli:{called}"'
 
 
 def _stack(eps=3.9 - 0.08j, termination=None):
