@@ -5,8 +5,9 @@ another.
 The public API re-exports the core types and operations; the submodules
 group them by concern:
 
-  wavecore    media, stacks, the angle walk with its refraction step, and
-              the one reflection recursion over it
+  wavecore    media, stacks, the sheet placements (Mode), the angle walk
+              with its refraction step, and the one reflection recursion
+              over walks, folded a frequency at a time
   gstc        sheet descriptions of a reflection (impedance, susceptibility)
   synthesis   illusion synthesis (reflective and transmissive), by
               inverting the recursion over the actual stack's angle walk,
@@ -57,6 +58,7 @@ _EXPORTS = {
         "ETA0",
         "Layer",
         "Medium",
+        "Mode",
         "Open",
         "Pec",
         "PlaneWave",
@@ -65,6 +67,7 @@ _EXPORTS = {
         "angle_walk",
         "chain_reflection",
         "walk_reflection",
+        "walk_reflections",
     ),
     "gstc": (
         "impedance_from_reflection",
@@ -72,7 +75,6 @@ _EXPORTS = {
     ),
     "synthesis": (
         "IllusionProblem",
-        "Mode",
         "front_sheet_reflection",
         "reflective_inversion",
         "sheet_state",

@@ -19,7 +19,9 @@ Exit codes: 0 success; 1 configuration, data, or I/O error; 2 when every
 grid point of a sweep failed, that is when emit wrote as many rows with an
 err tag as the grid has points; 3 when a grid point raised an exception that
 is not a PlanemirageError, a fault of the program: one stderr line names
-the point (f, theta) and the exception, and no output file is written.
+the point (f, theta), or only f where a frequency's batch of folds raised
+and no point of it raises alone, and the exception, and no output file is
+written.
 
 main builds its argparse parser on its first call and reuses it in later
 calls from the same process. A command imports only what it runs:
@@ -42,7 +44,7 @@ from functools import cache
 from .errors import ConfigError, PlanemirageError
 from .output import emit
 from .sweep import _NO_MODE, GridPointFault, _sweep, builtin_scenario
-from .synthesis import Mode
+from .wavecore import Mode
 
 
 def __getattr__(name: str):

@@ -15,8 +15,7 @@ import sys
 
 from .errors import ConfigError, PlanemirageError
 from .sweep import ScenarioConfig, SweepAxis
-from .synthesis import Mode
-from .wavecore import AIR, Layer, Medium, Open, Pec, Sheet, Stack
+from .wavecore import AIR, Layer, Medium, Mode, Open, Pec, Sheet, Stack
 
 
 def _parse_int(digits: str) -> int:

@@ -15,7 +15,7 @@ from itertools import chain, islice
 
 from .errors import ConfigError, WriteError
 from .sweep import SweepRow
-from .synthesis import Mode
+from .wavecore import Mode
 
 
 # The complex columns of each table, by mode (None: simulate's), carried by

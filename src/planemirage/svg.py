@@ -58,16 +58,19 @@ def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
     if points:
-        x_min = min(p[0] for pts in points.values() for p in pts)
-        x_max = max(p[0] for pts in points.values() for p in pts)
+        px, pw, ph = _PANEL["x0"], _PANEL["w"], _PANEL["h"]
+        # one of each equal x, the first met, so x_min and x_max are what
+        # min and max over every point give; each is placed once
+        xs = {p[0] for pts in points.values() for p in pts}
+        x_min, x_max = min(xs), max(xs)
         x_span = (x_max - x_min) or 1.0
+        x_at = {x: f"{px + pw * (x - x_min) / x_span:.2f}," for x in xs}
         a_max = max(max(p[1] for pts in points.values() for p in pts), 1.0)
         panels = [
-            ("amplitude", 40, lambda p: p[1], 0.0, a_max),
-            ("phase, degrees", 330, lambda p: p[2], -180.0, 180.0),
+            ("amplitude", 40, 1, 0.0, a_max),
+            ("phase, degrees", 330, 2, -180.0, 180.0),
         ]
-        for title, y0, pick, lo, hi in panels:
-            px, pw, ph = _PANEL["x0"], _PANEL["w"], _PANEL["h"]
+        for title, y0, k, lo, hi in panels:
             span = hi - lo
             lines.append(
                 f'<rect x="{px}" y="{y0}" width="{pw}" height="{ph}" fill="none" stroke="#999"/>'
@@ -81,13 +84,16 @@ def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
                 f'<text x="{px - 64}" y="{y0 + ph}">{lo:.3g}</text>'
             )
             for (field, _group), pts in sorted(points.items()):
-                coords = " ".join(
-                    f"{px + pw * (p[0] - x_min) / x_span:.2f},"
-                    f"{y0 + ph - ph * (min(max(pick(p), lo), hi) - lo) / span:.2f}"
-                    for p in pts
-                )
+                coords = []
+                for p in pts:
+                    y = p[k]  # clamped to [lo, hi]
+                    if y < lo:
+                        y = lo
+                    elif y > hi:
+                        y = hi
+                    coords.append(f"{x_at[p[0]]}{y0 + ph - ph * (y - lo) / span:.2f}")
                 lines.append(
-                    f'<polyline points="{coords}" fill="none" '
+                    f'<polyline points="{" ".join(coords)}" fill="none" '
                     f'stroke="{_COLORS[field]}" stroke-width="1" opacity="0.75"/>'
                 )
         for i, field in enumerate(fields):

@@ -6,13 +6,16 @@ before its first point if it would leave the float range, an axis would
 have more than MAX_AXIS_POINTS points, or its angles times the layers of
 both stacks would be more than MAX_LAYER_ANGLES walk layers to hold.
 run_simulate and run_synthesize return SweepRows from one loop that walks
-each stack once per angle and folds both walks at every point;
-run_synthesize also plans the synthesis of each angle's actual walk once
-(synthesis.sheet_plan) and takes the plan's step at every point; a
-transmissive step also gives the actual stack's Gamma, from the same fold.
-A point with no error pays for those calls alone; only a point where one
-raised is tagged. The loop yields each row as its point is done, for
-planemirage.output.emit to write.
+each stack once per angle and, at each frequency, folds every angle's
+walks in one wavecore.walk_reflections call; run_synthesize also plans the
+synthesis of each angle's actual walk once (synthesis.sheet_plan) and
+takes the plan's step at every point; a transmissive step also gives the
+actual stack's Gamma, from a second batch that folds the plans' walks of
+layers 2..N. A point with no error pays for its share of the batch and its
+step alone; only a point where a walk, a fold or the step failed goes to
+the tagging rules. The loop yields each row as its point is done, for
+planemirage.output.emit to write. Synthesis code is loaded only for a
+synthesis.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ from collections.abc import Iterator
 
 from ._value import Value
 from .errors import ConfigError, PlanemirageError
-from .synthesis import Mode, _front_step, _sheet_step, sheet_plan
 from .wavecore import (
     AIR,
     Layer,
     Medium,
+    Mode,
     Open,
     Pec,
     PlaneWave,
@@ -37,6 +40,7 @@ from .wavecore import (
     _close,
     angle_walk,
     walk_reflection,
+    walk_reflections,
 )
 
 _GRID_NUDGE = 1e-9  # absorbs float noise in (stop - start)/step
@@ -201,28 +205,41 @@ def _gamma(walk, k0: float, errs: list[str]) -> tuple[complex | None, bool]:
 class GridPointFault(Exception):
     """A sweep point raised an exception that is not a PlanemirageError: a
     fault of the program, not of the point's input, so the sweep stops
-    instead of tagging the point. f_ghz is None when the angle walk raised."""
+    instead of tagging the point. f_ghz is None when the angle walk raised,
+    and theta_deg is None when a frequency's batch raised and no point of
+    it raised again on its own."""
 
-    def __init__(self, f_ghz: float | None, theta_deg: float, exc: Exception) -> None:
-        where = f"theta = {theta_deg!r} deg"
+    def __init__(self, f_ghz: float | None, theta_deg: float | None, exc: Exception) -> None:
+        where = []
         if f_ghz is not None:
-            where = f"f = {f_ghz!r} GHz, " + where
-        super().__init__(f"{where}: {type(exc).__name__}: {exc}")
+            where.append(f"f = {f_ghz!r} GHz")
+        if theta_deg is not None:
+            where.append(f"theta = {theta_deg!r} deg")
+        super().__init__(f"{', '.join(where)}: {type(exc).__name__}: {exc}")
 
 
 def _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan) -> tuple:
     """The row of a point where a walk, a fold or the synthesis step
-    raised, each failure tagged once, in the order actual, target, step."""
+    failed, each failure tagged once, in the order actual, target, step."""
     errs = []
     g_act, folded = _gamma(actual, k0, errs)
     g_tgt, _ = _gamma(target, k0, errs)
     rho_req = aux = passive = None
     if plan is not None and g_tgt is not None and folded:
+        from .synthesis import _sheet_step
+
         try:
             rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
         except PlanemirageError as exc:
             errs.append(_error_tag(exc))
     return f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)
+
+
+def _spread(folds: list, walked: list[bool], width: int) -> list:
+    """A batch's results, width per walked angle, as width per angle of the
+    sweep: None for each of an angle whose walks failed."""
+    folds = iter(folds)
+    return [next(folds) if ok else None for ok in walked for _ in range(width)]
 
 
 def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
@@ -232,22 +249,31 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     field order, and a frequency's rows share one freq_ghz float and an
     angle's rows one theta_deg float.
 
-    Every medium is non-dispersive, so each stack is walked once per angle
-    and each point folds both walks at its k0 with walk_reflection. In a
-    synthesis, each angle's actual walk also gives one sheet_plan, and
-    each point takes the plan's step. A transmissive point folds the actual
-    walk inside that step, _front_step, which gives its Gamma and the front
-    sheet from one fold. A point gets the same bits as chain_reflection
-    and synthesize. A point of an angle whose walks both
-    succeeded makes just those calls; where one raises, or a walk failed,
-    _tagged_row makes the point's row again by the tagging rules, which
-    gives the same bits, as every fold and step is deterministic. A failed
-    walk is tagged at every frequency of its angle, and has no plan. A
-    point is synthesized when Gamma_i is known and the fold of the actual
-    walk got through, even where the actual Gamma failed at its close;
-    otherwise each failure is tagged once. Any other exception at a point
-    raises GridPointFault."""
-    angles = []
+    Every medium is non-dispersive, so each stack is walked once per angle,
+    and each frequency folds the actual and target walk of every walked
+    angle in one walk_reflections call. In a synthesis, each angle's actual
+    walk also gives one sheet_plan, and each point takes the plan's step.
+    A transmissive sweep folds the target walks in one call and the plans'
+    walks of layers 2..N, into unclosed pairs, in a second; its step,
+    _front_step, closes both the actual Gamma and the front sheet from the
+    pair. A point gets the same bits as chain_reflection and synthesize.
+
+    A point whose folds and step succeeded makes no other call. A point
+    whose walk failed, whose fold came back None or whose step raised goes
+    to _tagged_row, which makes its row again by the tagging rules with the
+    one-walk walk_reflection; every fold and step is deterministic, so the
+    bits are the same. A failed walk is tagged at every frequency of its
+    angle, and has no plan. A point is synthesized when Gamma_i is known
+    and the fold of the actual walk got through, even where the actual
+    Gamma failed at its close; otherwise each failure is tagged once. Any
+    other exception at a point raises GridPointFault; one inside a batch
+    is named by the first point of that frequency whose own row raises it."""
+    if mode is not None:
+        from .synthesis import _front_step, _sheet_step, sheet_plan
+    angles, walked = [], []
+    # the walks of the walked angles that each frequency folds, in angle order:
+    # transmissive, the target walks, then the plans' walks of layers 2..N
+    walks, rests = [], []
     transmissive = mode is Mode.TRANSMISSIVE
     f_ghz = theta_deg = None
     # One guard around both loops: the loop variables name the point that raised.
@@ -256,27 +282,47 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
             theta = math.radians(theta_deg)
             actual = _angle_walk(config.actual, theta)
             target = _angle_walk(config.target, theta)
-            walked = not isinstance(actual, str) and not isinstance(target, str)
-            plan = sheet_plan(mode, actual) if walked and mode is not None else None
-            angles.append((theta_deg, cmath.cos(theta), actual, target, plan, walked))
+            ok = not isinstance(actual, str) and not isinstance(target, str)
+            plan = sheet_plan(mode, actual) if ok and mode is not None else None
+            angles.append((theta_deg, cmath.cos(theta), actual, target, plan))
+            walked.append(ok)
+            if ok and transmissive:
+                walks.append(target)
+                rests.append(plan[1][2])
+            elif ok:
+                walks += actual, target
+        every = all(walked)
         for f_ghz in config.freq_ghz.values():
             k0 = PlaneWave(f_ghz * 1e9).k0
-            for theta_deg, cos_theta, actual, target, plan, walked in angles:
+            theta_deg = None
+            try:
+                folds = walk_reflections(walks, k0)
+                if not every:
+                    folds = _spread(folds, walked, 1 if transmissive else 2)
+                acts = g_tgts = iter(folds)
+                if transmissive:
+                    acts = walk_reflections(rests, k0, _pairs=True)
+                    if not every:
+                        acts = _spread(acts, walked, 1)
+            except Exception:
+                # a fault inside a batch: the first point whose own row raises it names it
+                for theta_deg, cos_theta, actual, target, plan in angles:
+                    _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan)
+                theta_deg = None
+                raise
+            # act: the actual Gamma, or in transmissive mode the pair that the step closes
+            for (theta_deg, cos_theta, actual, target, plan), act, g_tgt in zip(angles, acts, g_tgts):
                 row = None
-                if walked:
+                if act is not None and g_tgt is not None:
                     try:
-                        if transmissive:
-                            g_tgt = walk_reflection(target, k0)
-                            g_act, rho_req, aux, passive = _front_step(plan, k0, g_tgt, cos_theta)
-                            row = f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ""
+                        if plan is None:
+                            row = f_ghz, theta_deg, act, g_tgt, None, None, None, ""
                         else:
-                            g_act = walk_reflection(actual, k0)
-                            g_tgt = walk_reflection(target, k0)
-                            if plan is None:
-                                row = f_ghz, theta_deg, g_act, g_tgt, None, None, None, ""
+                            if transmissive:
+                                act, rho_req, aux, passive = _front_step(plan, k0, g_tgt, cos_theta, act)
                             else:
                                 rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
-                                row = f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ""
+                            row = f_ghz, theta_deg, act, g_tgt, rho_req, aux, passive, ""
                     except PlanemirageError:
                         pass
                 yield row or _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan)

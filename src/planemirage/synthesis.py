@@ -24,31 +24,26 @@ the gstc kernels and the passivity verdict. A sweep plans once per angle
 and steps at every point; the inversions, sheet_state and synthesize are
 plan then step. At an error-free point a transmissive sweep takes the
 step _front_step instead, which gives the actual stack's own Gamma and the
-front sheet from one fold. The substitution checks fold the same walk with
+front sheet from one fold of the plan's layers 2..N, made by the sweep in
+its batch of the frequency. The substitution checks fold the same walk with
 walk_reflection, the synthesized value in place.
 """
 
 from __future__ import annotations
 
 import cmath
-from enum import Enum
 from functools import cached_property
 
 from ._value import Value, _require_finite
 from .errors import DegenerateSynthesisError, DomainError, ValidationError
 from .gstc import _impedance, _incidence, _susceptibility
-from .wavecore import PlaneWave, Sheet, Stack, Walk, _close, angle_walk, chain_reflection, walk_reflection
+from .wavecore import Mode, PlaneWave, Sheet, Stack, Walk, _close, angle_walk, chain_reflection, walk_reflection
 
 _DEGENERACY_RTOL = 1e-12
 # abs() of a finite complex past the float range raises OverflowError, and so
 # does a round trip e^{-j k0 a} that leaves it; one whose phase k0 Re(a)
 # overflows raises ValueError
 _NOT_FINITE = "the {} inversion is not finite at this point"
-
-
-class Mode(Enum):
-    REFLECTIVE = "reflective"
-    TRANSMISSIVE = "transmissive"
 
 
 class IllusionProblem(Value):
@@ -233,19 +228,19 @@ def _sheet_step(
 
 
 def _front_step(
-    plan: tuple, k0: float, gamma_i: complex, cos_theta: complex
+    plan: tuple, k0: float, gamma_i: complex, cos_theta: complex, pair: tuple[complex, complex]
 ) -> tuple[complex, complex, complex, bool]:
     """(g_act, rho_1m, chi_e, passive) at a transmissive sweep point, from
-    one fold of the actual stack and the walk's transmissive sheet_plan.
+    the walk's transmissive sheet_plan and pair, the unclosed fold p/q of
+    the plan's walk of layers N..2 at k0 (walk_reflections in pairs mode).
 
-    The unclosed pair p/q of layers N..2 and Z_1^2 give both the actual
-    Gamma, one more forward step, and X = Z_1^2 Gamma_2. The same bits as
-    walk_reflection of the actual walk and _sheet_step, and a
-    PlanemirageError wherever either would raise, which the sweep then tags
-    by its own rules.
+    The pair and Z_1^2 give both the actual Gamma, one more forward step,
+    and X = Z_1^2 Gamma_2. The same bits as walk_reflection of the actual
+    walk and _sheet_step, and a PlanemirageError wherever either would
+    raise, which the sweep then tags by its own rules.
     """
-    _, (rho_1, a_1, rest) = plan
-    p, q = walk_reflection(rest, k0, _pair=True)
+    _, (rho_1, a_1, _) = plan
+    p, q = pair
     try:
         z2 = cmath.exp(-1j * k0 * a_1)
         w = z2 * p

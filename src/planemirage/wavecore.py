@@ -7,11 +7,14 @@ as plain complex values: layer_wave_state, the one refraction step, gives
 (s, eta, cos) in each layer and in an Open half-space, and one scalar step
 forms each interface reflection. Each medium's s = sqrt(eps*mu) and eta are
 formed once, on first use, and kept on the Medium (Medium.wave_constants);
-per angle the walk forms only what depends on s_t. walk_reflection folds
-that walk into the total reflection at one vacuum wavenumber k0 with the
-Airy/Rouard recursion, taking each round-trip factor Z_n^2 = e^{-j k0 a_n}
-as the fold reaches layer n. It is the only forward fold: simulate, both
-inversions and the substitution checks read the same walk through it.
+per angle the walk forms only what depends on s_t. walk_reflections folds
+a list of walks into their total reflections at one vacuum wavenumber k0
+with the Airy/Rouard recursion, taking each round-trip factor
+Z_n^2 = e^{-j k0 a_n} as the fold reaches layer n, and gives None for a
+walk whose fold or close fails. It is the only forward fold loop: a sweep
+folds every walk of a frequency with one call, and walk_reflection, its
+one-walk form that raises the failure's typed error, serves the tagging
+rules, both inversions' front step and the substitution checks.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from enum import Enum
 from functools import cached_property
 
 from ._value import Value, _positive, _require_finite
@@ -116,6 +120,14 @@ class Sheet(Value):
 
 
 Termination = Pec | Open | Sheet
+
+
+class Mode(Enum):
+    """Where a synthesized sheet sits: in place of the actual stack's
+    termination (reflective) or ahead of its first interface (transmissive)."""
+
+    REFLECTIVE = "reflective"
+    TRANSMISSIVE = "transmissive"
 
 
 class Stack(Value):
@@ -229,39 +241,68 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
     return tuple(steps), rho_t
 
 
-def walk_reflection(walk: Walk, k0: float, *, _pair: bool = False) -> complex:
-    """Total reflection of an angle walk at vacuum wavenumber k0.
+def walk_reflections(
+    walks: list[Walk] | tuple[Walk, ...], k0: float, _pairs: bool = False
+) -> list[complex | tuple[complex, complex] | None]:
+    """The total reflection of each angle walk at vacuum wavenumber k0, in
+    order: a list with walk_reflection's value for each walk, or None where
+    walk_reflection raises. It is the fold's one loop; a sweep folds every
+    walk of a frequency in one call.
 
-    Folds the Airy/Rouard recursion from the back,
+    Each walk is folded by the Airy/Rouard recursion from the back,
 
         Gamma_n = (rho_n + Z_n^2 Gamma_{n+1}) / (1 + rho_n Z_n^2 Gamma_{n+1}),
 
-    starting from Gamma_{N+1} = rho_T, and takes each round trip
+    starting from Gamma_{N+1} = rho_T, taking each round trip
     Z_n^2 = e^{-j k0 a_n} when the fold reaches layer n. Gamma is carried
     as a pair p/q, so an infinite intermediate value passes through and
     only the total can be singular. Only Z^2 appears, never 1/Z, so a layer
     thick enough for Z^2 to underflow simply hides everything behind it.
-    Gain layers can make a round trip or the pair overflow, and a round
-    trip whose phase k0 Re(a_n) overflows has no value; either, or a total
-    that is not finite, raises DomainError.
+    A walk fails where a round trip overflows or has no value (gain layers,
+    or a phase k0 Re(a_n) past the float range), and where its total fails
+    _close. What fails is not said; walk_reflection of that walk raises it.
     """
-    steps, p = walk
-    q = 1.0
+    exp, hypot, isfinite = cmath.exp, math.hypot, cmath.isfinite
     jk0 = -1j * k0
-    try:
-        for rho, a in reversed(steps):
-            w = cmath.exp(jk0 * a) * p
-            p, q = rho * q + w, q + rho * w
-    except (OverflowError, ValueError):
-        raise DomainError("the propagation factor of a round trip is not finite") from None
+    out = []
+    for steps, p in walks:
+        q = 1.0
+        try:
+            for rho, a in reversed(steps):
+                w = exp(jk0 * a) * p
+                p, q = rho * q + w, q + rho * w
+        except (OverflowError, ValueError):
+            out.append(None)
+            continue
+        if _pairs:  # private: the unclosed (p, q), for a caller that folds one more layer in front
+            out.append((p, q))
+            continue
+        # _close's own first case, inline: a finite quotient over the floor needs no call
+        if hypot(q.real, q.imag) >= _DENOM_FLOOR:
+            gamma = p / q
+            if isfinite(gamma):
+                out.append(gamma)
+                continue
+        try:
+            out.append(_close(p, q))
+        except (ResonantSingularityError, DomainError):
+            out.append(None)
+    return out
+
+
+def walk_reflection(walk: Walk, k0: float, *, _pair: bool = False) -> complex:
+    """Total reflection of an angle walk at vacuum wavenumber k0: the one
+    walk of walk_reflections, with the failure named. A round trip that
+    overflows or has no value, or a total that is not finite, raises
+    DomainError; a total whose denominator vanishes raises
+    ResonantSingularityError.
+    """
+    (pair,) = walk_reflections((walk,), k0, _pairs=True)
+    if pair is None:
+        raise DomainError("the propagation factor of a round trip is not finite")
     if _pair:  # private: the unclosed (p, q), for a caller that folds one more layer in front
-        return p, q
-    # _close's own first case, inline: a finite quotient over the floor needs no call
-    if math.hypot(q.real, q.imag) >= _DENOM_FLOOR:
-        gamma = p / q
-        if cmath.isfinite(gamma):
-            return gamma
-    return _close(p, q)
+        return pair
+    return _close(*pair)
 
 
 def _close(p: complex, q: complex) -> complex:

@@ -71,6 +71,7 @@ commands = {
     "simulate": ["simulate", "--scenario", "builtin", "--out", "sim.csv"],
     "grating": ["companion", "grating", "--config", "grating.json", "--out", "grating.csv"],
     "svg": ["simulate", "--config", "svg.json", "--out", "sim.svg"],
+    "synthesize": ["synthesize", "--scenario", "builtin", "--out", "syn.csv"],
 }
 for name in sys.argv[1:]:
     steps[name] = (cli.main(commands[name]), added())
@@ -102,21 +103,32 @@ def _footprint(tmp_path, order, flags=()):
     return ast.literal_eval(done.stdout)
 
 
+# The synthesis code, which only a synthesis loads.
+SYNTHESIS = {"planemirage.synthesis", "planemirage.gstc"}
+
+
 def _check_builtin_path(steps):
     """Import, the builtin scenario and a builtin CSV simulate load nothing
-    a sweep never needs, no config reader, no table command and no SVG plot."""
+    a sweep never needs, no config reader, no table command, no SVG plot and
+    no synthesis code. A --config SVG simulate, run before any synthesize,
+    loads no synthesis code either; a synthesize loads it."""
     assert "planemirage.cli" in steps["import"]
     rc, after_simulate = steps["simulate"]
     assert rc == 0
     for step in (steps["import"], steps["builtin"], after_simulate):
         assert UNNEEDED.isdisjoint(step)
         assert {"planemirage.config", "planemirage.tables", "planemirage.svg"}.isdisjoint(step)
+        assert SYNTHESIS.isdisjoint(step)
+    rc, after_svg = steps["svg"]
+    assert rc == 0 and SYNTHESIS.isdisjoint(after_svg)
+    rc, after_synthesize = steps["synthesize"]
+    assert rc == 0 and SYNTHESIS <= set(after_synthesize)
     # dir() lists a lazy name before its module loads; first use loads it
     assert steps["lazy"] == (True, True, "planemirage.unitcell", True)
 
 
 def test_a_sweep_imports_only_what_it_runs(tmp_path):
-    steps = _footprint(tmp_path, ["simulate", "svg", "grating"])
+    steps = _footprint(tmp_path, ["simulate", "svg", "grating", "synthesize"])
     # the sweep library is usable without the command line
     assert "planemirage.sweep" in steps["sweep"]
     assert {"argparse", "planemirage.cli"}.isdisjoint(steps["sweep"])
@@ -134,7 +146,7 @@ def test_a_sweep_imports_only_what_it_runs(tmp_path):
 
 def test_a_bare_interpreter_sweep_imports_only_what_it_runs(tmp_path):
     # -S keeps site's .pth files out, which may preload typing and more
-    steps = _footprint(tmp_path, ["simulate", "grating", "svg"], flags=["-S"])
+    steps = _footprint(tmp_path, ["simulate", "grating", "svg", "synthesize"], flags=["-S"])
     _check_builtin_path(steps)
     assert "typing" not in steps["simulate"][1]
     # a table command loads its table and config reader, not the SVG plot
@@ -218,10 +230,10 @@ def test_a_star_import_binds_every_public_name():
     names = {}
     exec("from planemirage import *", names)
     del names["__builtins__"]
-    assert len(names) == len(planemirage.__all__) == 54
+    assert len(names) == len(planemirage.__all__) == 55
     assert all(names[name] is getattr(planemirage, name) for name in planemirage.__all__)
     # each name is listed under one submodule only
-    assert sum(map(len, planemirage._EXPORTS.values())) == 54
+    assert sum(map(len, planemirage._EXPORTS.values())) == 55
 
 
 def test_an_unknown_name_is_an_attribute_error():

@@ -561,43 +561,45 @@ def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode
 
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
-    # every point folds each stack's walk once. A simulate or reflective
-    # point folds both in the sweep, and a reflective step folds nothing. A
-    # transmissive point folds the target in the sweep, and its step folds
-    # the actual stack's layers 2..N into an unclosed pair, from the one
-    # rest walk its angle's plan holds, then adds layer 1 itself: nothing
-    # folds the rest walk a second time
+    # a sweep folds every walk of a frequency in one walk_reflections call.
+    # A simulate or reflective sweep folds the actual and target walk of
+    # each angle, in angle order, and a reflective step folds nothing. A
+    # transmissive sweep folds the target walks in one call, then, into
+    # unclosed pairs, the actual stack's layers 2..N from the one rest walk
+    # each angle's plan holds; its step adds layer 1 itself. So each walk
+    # is folded once per point, and an error-free point makes no one-walk
+    # fold and runs nothing of the tagging rules
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
-    calls = {"walk": [], "sweep": [], "synthesis": [], "tagging": []}
+    calls = {"walk": [], "batch": [], "one": [], "tagging": []}
     monkeypatch.setattr(sweep, "angle_walk", _counted(calls, "walk", angle_walk))
-    monkeypatch.setattr(sweep, "walk_reflection", _counted(calls, "sweep", walk_reflection))
-    monkeypatch.setattr(synthesis, "walk_reflection", _counted(calls, "synthesis", walk_reflection))
-    # an error-free point goes straight through: nothing of the tagging rules runs
-    for name in ("_tagged_row", "_gamma", "_close", "_error_tag"):
+    monkeypatch.setattr(sweep, "walk_reflections", _counted(calls, "batch", wavecore.walk_reflections))
+    for module in (wavecore, sweep, synthesis):
+        monkeypatch.setattr(module, "walk_reflection", _counted(calls, "one", walk_reflection))
+    for name in ("_tagged_row", "_gamma", "_close", "_error_tag", "_spread"):
         monkeypatch.setattr(sweep, name, _counted(calls, "tagging", getattr(sweep, name)))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
-    assert calls["tagging"] == []
+    assert calls["tagging"] == [] and calls["one"] == []
     n_angles = config.theta_deg.count
     assert len(calls["walk"]) == 2 * n_angles
     thetas = [math.radians(t) for t in _small_axis().values()]
     walks = [(angle_walk(config.actual, t), angle_walk(config.target, t)) for t in thetas]
-    k0s = [PlaneWave(r.freq_ghz * 1e9).k0 for r in rows]
+    k0s = [PlaneWave(f * 1e9).k0 for f in config.freq_ghz.values()]
+    assert len(k0s) == 2
     if mode is Mode.TRANSMISSIVE:
-        assert calls["sweep"] == [(walks[i % n_angles][1], k0) for i, k0 in enumerate(k0s)]
-        actual = [walks[i % n_angles][0] for i in range(len(rows))]
-        assert [(rest, k0) for rest, k0, _ in calls["synthesis"]] == [
-            ((steps[1:], rho_t), k0) for (steps, rho_t), k0 in zip(actual, k0s)
+        rests = [(steps[1:], rho_t) for (steps, rho_t), _ in walks]
+        assert calls["batch"] == [
+            call for k0 in k0s for call in (([t for _, t in walks], k0), (rests, k0, {"_pairs": True}))
         ]
-        assert all(kwargs == {"_pair": True} for *_, kwargs in calls["synthesis"])
         # one rest walk per angle, the same object at every frequency
-        rests = [rest for rest, *_ in calls["synthesis"]]
-        assert len({id(rest) for rest in rests}) == n_angles
-        assert all(rest is rests[i % n_angles] for i, rest in enumerate(rests))
+        pairs = calls["batch"][1::2]
+        assert len({id(rest) for batch, *_ in pairs for rest in batch}) == n_angles
+        assert all(batch is pairs[0][0] for batch, *_ in pairs)
     else:
-        assert calls["sweep"] == [(walk, k0) for i, k0 in enumerate(k0s) for walk in walks[i % n_angles]]
-        assert calls["synthesis"] == []
+        assert calls["batch"] == [([w for both in walks for w in both], k0) for k0 in k0s]
+    folded = sum(len(batch) for batch, *_ in calls["batch"])
+    assert folded == 2 * len(rows)
 
 
 class _CountedCmath:
@@ -641,7 +643,8 @@ def test_a_synthesis_sweep_plans_each_angle_once(monkeypatch):
     # of frequencies; simulate plans nothing
     config = builtin_scenario()
     calls = {"plan": []}
-    monkeypatch.setattr(sweep, "sheet_plan", _counted(calls, "plan", synthesis.sheet_plan))
+    # a sweep takes the synthesis steps from their module when a synthesis starts
+    monkeypatch.setattr(synthesis, "sheet_plan", _counted(calls, "plan", synthesis.sheet_plan))
     for mode in (None, Mode.REFLECTIVE, Mode.TRANSMISSIVE):
         small = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.2, 0.1))
         rows = run_simulate(small) if mode is None else run_synthesize(small)
@@ -877,8 +880,9 @@ def test_a_grid_of_mixed_failures_matches_its_points(monkeypatch, mode):
     #   * the target's walk fails at 20 deg, at every frequency;
     #   * at 20 GHz the round trip across the actual stack's 1 m of
     #     eps = 1 + 4j overflows, at every angle;
-    #   * at 2 GHz and 40 deg the target's fold fails after the actual's
-    #     fold succeeded;
+    #   * at 2 GHz and 40 deg the target's total is singular, between the
+    #     actual walk's fold, which succeeds, and the next angle's in the
+    #     frequency's batch;
     #   * from 40 deg up at 11 GHz, the actual Gamma fails only at its
     #     closing division, so a front sheet is still synthesized; a
     #     terminating sheet is hidden behind the lossy layer there, and at
@@ -888,7 +892,7 @@ def test_a_grid_of_mixed_failures_matches_its_points(monkeypatch, mode):
     # Where a call raised, the sweep makes the row by the tagging rules.
     actual = Stack(AIR, (Layer(Medium(3 + 1j), 1.0), Layer(Medium(1 + 4j), 1.0)), Pec())
     target = Stack(AIR, (Layer(AIR, wavecore.C0 / 44e9),), Pec())
-    real_walk, real_fold = wavecore.angle_walk, wavecore.walk_reflection
+    real_walk, real_folds = wavecore.angle_walk, wavecore.walk_reflections
     failing_fold = (real_walk(target, math.radians(40.0)), PlaneWave(2e9).k0)
 
     def angle_walk(stack, theta1):
@@ -896,14 +900,19 @@ def test_a_grid_of_mixed_failures_matches_its_points(monkeypatch, mode):
             raise DegenerateInterfaceError("interface denominator vanished")
         return real_walk(stack, theta1)
 
-    def walk_reflection(walk, k0, *, _pair=False):
-        if (walk, k0) == failing_fold:
-            raise ResonantSingularityError("total-reflection denominator vanished")
-        return real_fold(walk, k0, _pair=_pair)
+    def walk_reflections(walks, k0, _pairs=False):
+        # the failing fold gets through to a pair whose total is singular
+        folds = real_folds(walks, k0, _pairs)
+        singular = (1.0 + 0j, 0j) if _pairs else None
+        return [singular if (walk, k0) == failing_fold else fold for walk, fold in zip(walks, folds)]
 
+    # the sweep, chain_reflection and IllusionProblem each call angle_walk by
+    # their own name; every fold, the sweep's batches and walk_reflection's
+    # one walk, goes through walk_reflections
     for module in (wavecore, sweep, synthesis):
         monkeypatch.setattr(module, "angle_walk", angle_walk)
-        monkeypatch.setattr(module, "walk_reflection", walk_reflection)
+    for module in (wavecore, sweep):
+        monkeypatch.setattr(module, "walk_reflections", walk_reflections)
     grid = (SweepAxis(2.0, 20.0, 9.0), SweepAxis(0.0, 80.0, 20.0))
     rows = _sweep_matches_per_point_api(actual, target, mode, *grid)
     assert [r.err for r in rows] == sum(_MIXED_TAGS[mode], [])
@@ -1466,21 +1475,49 @@ def test_regime_sweeps_write_golden_bytes(tmp_path, command):
 # that still kept every row; libm rounding of x86-64 Linux. The builtin grid
 # puts the incidence angle on the x axis; one angle over 41 frequencies puts
 # frequency there.
+# A gain stack, 100 mm of air over 3 m of eps = 4 + 4j over PEC: the round
+# trip across the gain layer overflows above about 6 GHz, so those rows are
+# tagged domain and draw no actual Gamma and no sheet.
+_GAIN_STACK = {
+    "layers": [{"eps": 1.0, "thickness_mm": 100.0}, {"eps": [4.0, 4.0], "thickness_mm": 3000.0}],
+    "termination": {"kind": "pec"},
+}
+
+# id -> (command, (theta, freq) axes, actual stack or None for the builtin one, sha256)
 _SVG_GOLDEN_SHA256 = {
     "simulate": (
+        "simulate",
         ((0.0, 80.0, 0.5), (10.0, 12.0, 0.1)),
+        None,
         "1901855e974e013ad35e1e341dd64a98f22abd942229868bdd597674a8074f37",
     ),
     "synthesize --mode transmissive": (
+        "synthesize --mode transmissive",
         ((30.0, 30.0, 0.5), (10.0, 12.0, 0.05)),
+        None,
         "a841dbe378f6d141f812345b90df296ef6e02efc24542c325536465367846c84",
+    ),
+    "synthesize --mode reflective": (
+        "synthesize --mode reflective",
+        ((0.0, 80.0, 2.0), (10.0, 12.0, 0.25)),
+        None,
+        "6e29cb94395bfe589e20e99cdd7a9770f7c4b10b338d426ac853ba10b86b54ad",
+    ),
+    "gain-stack-tagged": (
+        "synthesize --mode reflective",
+        ((0.0, 80.0, 10.0), (0.1, 20.0, 1.0)),
+        _GAIN_STACK,
+        "96166eaf4fc32d686a1e00d84dce98bc99adf1be5d1b38496db1675fdccbbe07",
     ),
 }
 
 
-def _svg_doc(theta, freq):
-    """The builtin stacks over the given (start, stop, step) axes, as SVG."""
+def _svg_doc(theta, freq, actual=None):
+    """The builtin stacks, or actual over the builtin target, over the given
+    (start, stop, step) axes, as SVG."""
     doc = _builtin_stacks_doc(12.0)
+    if actual is not None:
+        doc["actual"] = actual
     doc["sweep"] = {
         name: dict(zip(("start", "stop", "step"), axis))
         for name, axis in (("theta_deg", theta), ("freq_ghz", freq))
@@ -1489,10 +1526,10 @@ def _svg_doc(theta, freq):
     return doc
 
 
-@pytest.mark.parametrize("command", sorted(_SVG_GOLDEN_SHA256))
-def test_svg_plots_write_golden_bytes(tmp_path, command):
-    axes, digest = _SVG_GOLDEN_SHA256[command]
-    config, out = _write_config(tmp_path, _svg_doc(*axes)), tmp_path / "plot.svg"
+@pytest.mark.parametrize("case", sorted(_SVG_GOLDEN_SHA256))
+def test_svg_plots_write_golden_bytes(tmp_path, case):
+    command, axes, actual, digest = _SVG_GOLDEN_SHA256[case]
+    config, out = _write_config(tmp_path, _svg_doc(*axes, actual)), tmp_path / "plot.svg"
     assert main(command.split() + ["--config", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -1563,15 +1600,17 @@ def test_the_exit_code_counts_the_rows_written_with_an_err(tmp_path, command, ou
 def test_a_fault_at_a_grid_point_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys, command):
     # an exception that is no PlanemirageError is a fault of the program:
     # it names the point and stops the run instead of becoming an err tag
-    real = sweep.walk_reflection
+    real = wavecore.walk_reflections
     bad_k0 = PlaneWave(11e9).k0
 
-    def walk_reflection(walk, k0):
+    def walk_reflections(walks, k0, _pairs=False):
         if k0 == bad_k0:
             raise ZeroDivisionError("complex division by zero")
-        return real(walk, k0)
+        return real(walks, k0, _pairs)
 
-    monkeypatch.setattr(sweep, "walk_reflection", walk_reflection)
+    # the sweep's batch raises, and the first point whose own fold raises names the fault
+    for module in (wavecore, sweep):
+        monkeypatch.setattr(module, "walk_reflections", walk_reflections)
     out = tmp_path / "sweep.csv"
     assert main([command, "--scenario", "builtin", "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
@@ -1587,7 +1626,7 @@ def test_a_fault_at_the_last_grid_point_leaves_the_out_path_as_it_was(
     monkeypatch, tmp_path, capsys, command, old
 ):
     # every other row is formed by then; none of them may reach the file
-    real_walk, real_reflection = sweep.angle_walk, sweep.walk_reflection
+    real_walk, real_folds = sweep.angle_walk, wavecore.walk_reflections
     last_walks = []
     last_k0 = PlaneWave(12e9).k0
 
@@ -1597,13 +1636,14 @@ def test_a_fault_at_the_last_grid_point_leaves_the_out_path_as_it_was(
             last_walks.append(walk)
         return walk
 
-    def walk_reflection(walk, k0):
-        if k0 == last_k0 and any(walk is w for w in last_walks):
+    def walk_reflections(walks, k0, _pairs=False):
+        if k0 == last_k0 and any(walk is w for walk in walks for w in last_walks):
             raise ZeroDivisionError("complex division by zero")
-        return real_reflection(walk, k0)
+        return real_folds(walks, k0, _pairs)
 
     monkeypatch.setattr(sweep, "angle_walk", angle_walk)
-    monkeypatch.setattr(sweep, "walk_reflection", walk_reflection)
+    for module in (wavecore, sweep):
+        monkeypatch.setattr(module, "walk_reflections", walk_reflections)
     out = tmp_path / "sweep.csv"
     if old is not None:
         out.write_bytes(old)
@@ -1612,6 +1652,27 @@ def test_a_fault_at_the_last_grid_point_leaves_the_out_path_as_it_was(
         "planemirage: internal error at f = 12.0 GHz, theta = 80.0 deg: ZeroDivisionError"
     )
     assert (out.read_bytes() if out.exists() else None) == old
+
+
+def test_a_fault_that_only_a_batch_raises_names_its_frequency(monkeypatch, tmp_path, capsys):
+    # a batch of the whole frequency raises, but no point's own fold does:
+    # the fault is named by its frequency alone
+    real = wavecore.walk_reflections
+    bad_k0 = PlaneWave(11e9).k0
+
+    def walk_reflections(walks, k0, _pairs=False):
+        if k0 == bad_k0 and len(walks) > 1:
+            raise ZeroDivisionError("complex division by zero")
+        return real(walks, k0, _pairs)
+
+    for module in (wavecore, sweep):
+        monkeypatch.setattr(module, "walk_reflections", walk_reflections)
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--scenario", "builtin", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "planemirage: internal error at f = 11.0 GHz: ZeroDivisionError: complex division by zero\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "synthesize"])
@@ -1651,7 +1712,7 @@ def test_a_sweep_holds_one_copy_of_its_output(tmp_path, command):
 def test_an_svg_sweep_does_not_keep_its_rows(tmp_path):
     # the plot holds the points it draws, read from each row as it streams
     # past, and no list of the rows they came from
-    config = _write_config(tmp_path, _svg_doc(*_SVG_GOLDEN_SHA256["simulate"][0]))
+    config = _write_config(tmp_path, _svg_doc(*_SVG_GOLDEN_SHA256["simulate"][1]))
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sweep.svg")]
     assert main(argv) == 0  # imports and first-use caches are not the sweep's
     tracemalloc.start()

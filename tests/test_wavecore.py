@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planemirage.errors import DegenerateInterfaceError, DomainError
+from planemirage.errors import DegenerateInterfaceError, DomainError, ResonantSingularityError
 from planemirage.wavecore import (
     AIR,
     ETA0,
@@ -27,6 +27,7 @@ from planemirage.wavecore import (
     angle_walk,
     chain_reflection,
     walk_reflection,
+    walk_reflections,
 )
 
 from oracles import (
@@ -346,6 +347,48 @@ def test_angle_walk_matches_the_oracle_one_step_chain(incident, layers, terminat
     # every (rho_n, a_n) and rho_T bit for bit, or the same error
     stack = Stack(incident, tuple(layers), termination)
     assert _outcome(angle_walk, stack, theta1) == _outcome(one_step_walk, stack, theta1)
+
+
+def _one_fold(walk, k0, pair):
+    """repr of walk_reflection's value for one walk, or None where it raises."""
+    try:
+        return repr(walk_reflection(walk, k0, _pair=pair))
+    except (DomainError, ResonantSingularityError):
+        return None
+
+
+# Two walks that fail at every k0 >= 1: a gain round trip past the float
+# range, and a pair whose total is singular (rho = -1 over rho_T = 1), which
+# pairs mode still returns.
+_OVERFLOWING = (((0.5 + 0j, 1000j),), -1.0 + 0j)
+_SINGULAR = (((-1.0 + 0j, 0j),), 1.0 + 0j)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_incident, _layers, _terminations, st.floats(0.0, math.radians(89.9))), max_size=5),
+    st.floats(1.0, 1e5),
+)
+@example([(AIR, [Layer(Medium(4.0 + 4.0j), 3.0)], Pec(), 0.0), (AIR, [Layer(AIR, 0.1)], Pec(), 0.0)], 2000.0)
+def test_a_batch_folds_each_walk_as_walk_reflection_does(drawn, k0):
+    # the batch gives walk_reflection's value for each walk, by repr, and
+    # None exactly where walk_reflection raises, closed or in pairs mode;
+    # a walk that fails between two others leaves their values as they are
+    walks = []
+    for incident, layers, termination, theta1 in drawn:
+        try:
+            walks.append(angle_walk(Stack(incident, tuple(layers), termination), theta1))
+        except (DomainError, DegenerateInterfaceError):
+            pass
+    for pair in (False, True):
+        alone = [_one_fold(walk, k0, pair) for walk in walks]
+        batch = walk_reflections(walks, k0, pair)
+        assert [None if g is None else repr(g) for g in batch] == alone
+        mixed = [w for walk in walks for w in (_OVERFLOWING, walk, _SINGULAR)]
+        folds = walk_reflections(mixed, k0, pair)
+        assert [None if g is None else repr(g) for g in folds[1::3]] == alone
+        assert folds[::3] == [None] * len(walks)
+        assert folds[2::3] == [(0j, 0j) if pair else None] * len(walks)
 
 
 def test_validation_rejects_bad_inputs():
