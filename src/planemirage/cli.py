@@ -20,8 +20,8 @@ grid point of a sweep failed, that is when emit wrote as many rows with an
 err tag as the grid has points; 3 when a grid point raised an exception that
 is not a PlanemirageError, a fault of the program: one stderr line names
 the point (f, theta), or only f where a frequency's batch of folds raised
-and no point of it raises alone, and the exception, and no output file is
-written.
+and no walk of it, folded alone, raises, and the exception, and no output
+file is written.
 
 main builds its argparse parser on its first call and reuses it in later
 calls from the same process. A command imports only what it runs:

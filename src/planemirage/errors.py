@@ -8,7 +8,15 @@ from __future__ import annotations
 
 
 class PlanemirageError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. A class's tag names it in a
+    sweep's err column: its name without the Error suffix, in lower case,
+    with a hyphen before each capital but the first."""
+
+    tag = "planemirage"
+
+    def __init_subclass__(cls) -> None:
+        name = cls.__name__.removesuffix("Error")
+        cls.tag = "".join("-" + c if i and "A" <= c <= "Z" else c for i, c in enumerate(name)).lower()
 
 
 class ValidationError(PlanemirageError):

@@ -12,8 +12,8 @@ synthesis of each angle's actual walk once (synthesis.sheet_plan) and
 takes the plan's step at every point; a transmissive step also gives the
 actual stack's Gamma, from a second batch that folds the plans' walks of
 layers 2..N. A point with no error pays for its share of the batch and its
-step alone; only a point where a walk, a fold or the step failed goes to
-the tagging rules. The loop yields each row as its point is done, for
+step alone; a point where a walk, a fold or the step failed is tagged from
+its batch entries. The loop yields each row as its point is done, for
 planemirage.output.emit to write. Synthesis code is loaded only for a
 synthesis.
 """
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 from collections import namedtuple
 from collections.abc import Iterator
 
 from ._value import Value
-from .errors import ConfigError, PlanemirageError
+from .errors import ConfigError, DomainError, PlanemirageError
 from .wavecore import (
     AIR,
     Layer,
@@ -37,9 +36,7 @@ from .wavecore import (
     Pec,
     PlaneWave,
     Stack,
-    _close,
     angle_walk,
-    walk_reflection,
     walk_reflections,
 )
 
@@ -170,44 +167,20 @@ def builtin_scenario() -> ScenarioConfig:
 # ------------------------------------------------------------------- sweeps
 
 
-def _error_tag(exc: Exception) -> str:
-    name = type(exc).__name__
-    if name.endswith("Error"):
-        name = name[:-5]
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
-
-
 def _angle_walk(stack: Stack, theta: float):
-    """The stack's angle walk at theta, or the error tag of the walk if it raised."""
+    """The stack's angle walk at theta, or the error the walk raised."""
     try:
         return angle_walk(stack, theta)
     except PlanemirageError as exc:
-        return _error_tag(exc)
-
-
-def _gamma(walk, k0: float, errs: list[str]) -> tuple[complex | None, bool]:
-    """(Gamma, folded) of one stack at k0 from its angle walk: Gamma is None
-    where the walk, its fold or its close failed, with the failure's tag in
-    errs, and folded is whether the fold got through, every round trip finite."""
-    if isinstance(walk, str):
-        errs.append(walk)
-        return None, False
-    folded = False
-    try:
-        pair = walk_reflection(walk, k0, _pair=True)
-        folded = True
-        return _close(*pair), True
-    except PlanemirageError as exc:
-        errs.append(_error_tag(exc))
-        return None, folded
+        return exc.with_traceback(None)
 
 
 class GridPointFault(Exception):
     """A sweep point raised an exception that is not a PlanemirageError: a
     fault of the program, not of the point's input, so the sweep stops
     instead of tagging the point. f_ghz is None when the angle walk raised,
-    and theta_deg is None when a frequency's batch raised and no point of
-    it raised again on its own."""
+    and theta_deg is None when a frequency's batch raised and no walk of
+    it, folded alone, raised again."""
 
     def __init__(self, f_ghz: float | None, theta_deg: float | None, exc: Exception) -> None:
         where = []
@@ -218,28 +191,30 @@ class GridPointFault(Exception):
         super().__init__(f"{', '.join(where)}: {type(exc).__name__}: {exc}")
 
 
-def _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan) -> tuple:
+def _tagged_row(f_ghz, k0, theta_deg, cos_theta, plan, act, g_tgt) -> tuple:
     """The row of a point where a walk, a fold or the synthesis step
-    failed, each failure tagged once, in the order actual, target, step."""
-    errs = []
-    g_act, folded = _gamma(actual, k0, errs)
-    g_tgt, _ = _gamma(target, k0, errs)
+    failed, from its actual and target batch entries: None is tagged
+    domain and an error by its own tag, in the order actual, target, step.
+    A step is tried where there is a plan, the actual fold got through and
+    Gamma_i is a value."""
+    errs = [DomainError.tag if e is None else e.tag for e in (act, g_tgt) if type(e) is not complex]
     rho_req = aux = passive = None
-    if plan is not None and g_tgt is not None and folded:
+    if plan is not None and act is not None and type(g_tgt) is complex:
         from .synthesis import _sheet_step
 
         try:
             rho_req, aux, passive = _sheet_step(plan, k0, g_tgt, cos_theta)
         except PlanemirageError as exc:
-            errs.append(_error_tag(exc))
-    return f_ghz, theta_deg, g_act, g_tgt, rho_req, aux, passive, ";".join(errs)
+            errs.append(exc.tag)
+    act, g_tgt = (e if type(e) is complex else None for e in (act, g_tgt))
+    return f_ghz, theta_deg, act, g_tgt, rho_req, aux, passive, ";".join(errs)
 
 
-def _spread(folds: list, walked: list[bool], width: int) -> list:
-    """A batch's results, width per walked angle, as width per angle of the
-    sweep: None for each of an angle whose walks failed."""
+def _entries(folds: list, slots: list) -> list:
+    """A batch's entries, one per slot: the fold of each slot that holds a
+    walk, in turn, and the error of each walk that failed."""
     folds = iter(folds)
-    return [next(folds) if ok else None for ok in walked for _ in range(width)]
+    return [next(folds) if type(s) is tuple else s for s in slots]
 
 
 def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
@@ -250,31 +225,36 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     angle's rows one theta_deg float.
 
     Every medium is non-dispersive, so each stack is walked once per angle,
-    and each frequency folds the actual and target walk of every walked
-    angle in one walk_reflections call. In a synthesis, each angle's actual
-    walk also gives one sheet_plan, and each point takes the plan's step.
-    A transmissive sweep folds the target walks in one call and the plans'
-    walks of layers 2..N, into unclosed pairs, in a second; its step,
-    _front_step, closes both the actual Gamma and the front sheet from the
-    pair. A point gets the same bits as chain_reflection and synthesize.
+    and each frequency folds every walk that succeeded in one
+    walk_reflections call. In a synthesis, each actual walk also gives one
+    sheet_plan, and each point takes the plan's step. A transmissive sweep
+    folds the target walks in one call and the plans' walks of layers 2..N,
+    into unclosed pairs, in a second; its step, _front_step, closes both the
+    actual Gamma and the front sheet from the pair. A point gets the same
+    bits as chain_reflection and synthesize.
 
-    A point whose folds and step succeeded makes no other call. A point
-    whose walk failed, whose fold came back None or whose step raised goes
-    to _tagged_row, which makes its row again by the tagging rules with the
-    one-walk walk_reflection; every fold and step is deterministic, so the
-    bits are the same. A failed walk is tagged at every frequency of its
-    angle, and has no plan. A point is synthesized when Gamma_i is known
-    and the fold of the actual walk got through, even where the actual
-    Gamma failed at its close; otherwise each failure is tagged once. Any
-    other exception at a point raises GridPointFault; one inside a batch
-    is named by the first point of that frequency whose own row raises it."""
+    A point whose entries are values and whose step succeeded makes no
+    other call. Any other point goes to _tagged_row, which makes its row
+    from its two entries: a walk that failed keeps its error in its slot,
+    so it is tagged at every frequency of its angle, and a fold gives None
+    or the error of its close. Only a transmissive point folds its actual
+    walk once more, closed, as its entry is the unclosed pair. A point is
+    synthesized when Gamma_i is known and the fold of the actual walk got
+    through, even where the actual Gamma failed at its close; otherwise
+    each failure is tagged once. Any other exception at a point raises
+    GridPointFault; one inside a batch is named by the first angle of that
+    frequency whose walks, each folded alone, raise it."""
     if mode is not None:
         from .synthesis import _front_step, _sheet_step, sheet_plan
-    angles, walked = [], []
-    # the walks of the walked angles that each frequency folds, in angle order:
-    # transmissive, the target walks, then the plans' walks of layers 2..N
-    walks, rests = [], []
+    angles = []
+    # each frequency's batches in angle order, one slot per walk: the actual
+    # and target walk of each angle, or, transmissive, the target walks and
+    # the plans' walks of layers 2..N. A walk that failed keeps its error in
+    # its slot; a batch folds only the walks.
+    slots, rest_slots = [], []
     transmissive = mode is Mode.TRANSMISSIVE
+    # the type of an actual entry that got through: a Gamma, or transmissive the pair that the step closes
+    through = tuple if transmissive else complex
     f_ghz = theta_deg = None
     # One guard around both loops: the loop variables name the point that raised.
     try:
@@ -282,38 +262,38 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
             theta = math.radians(theta_deg)
             actual = _angle_walk(config.actual, theta)
             target = _angle_walk(config.target, theta)
-            ok = not isinstance(actual, str) and not isinstance(target, str)
-            plan = sheet_plan(mode, actual) if ok and mode is not None else None
+            plan = sheet_plan(mode, actual) if mode is not None and type(actual) is tuple else None
             angles.append((theta_deg, cmath.cos(theta), actual, target, plan))
-            walked.append(ok)
-            if ok and transmissive:
-                walks.append(target)
-                rests.append(plan[1][2])
-            elif ok:
-                walks += actual, target
-        every = all(walked)
+            if transmissive:
+                slots.append(target)
+                rest_slots.append(actual if plan is None else plan[1][2])
+            else:
+                slots += actual, target
+        walks = [s for s in slots if type(s) is tuple]
+        rests = [s for s in rest_slots if type(s) is tuple]
         for f_ghz in config.freq_ghz.values():
             k0 = PlaneWave(f_ghz * 1e9).k0
             theta_deg = None
             try:
                 folds = walk_reflections(walks, k0)
-                if not every:
-                    folds = _spread(folds, walked, 1 if transmissive else 2)
+                if len(folds) < len(slots):
+                    folds = _entries(folds, slots)
                 acts = g_tgts = iter(folds)
                 if transmissive:
                     acts = walk_reflections(rests, k0, _pairs=True)
-                    if not every:
-                        acts = _spread(acts, walked, 1)
+                    if len(acts) < len(rest_slots):
+                        acts = _entries(acts, rest_slots)
             except Exception:
-                # a fault inside a batch: the first point whose own row raises it names it
-                for theta_deg, cos_theta, actual, target, plan in angles:
-                    _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan)
+                # a fault inside a batch: the first angle whose walks, each folded alone, raise it names it
+                for theta_deg, _, actual, target, _ in angles:
+                    for walk in (actual, target):
+                        if type(walk) is tuple:
+                            walk_reflections((walk,), k0)
                 theta_deg = None
                 raise
-            # act: the actual Gamma, or in transmissive mode the pair that the step closes
-            for (theta_deg, cos_theta, actual, target, plan), act, g_tgt in zip(angles, acts, g_tgts):
+            for (theta_deg, cos_theta, actual, _, plan), act, g_tgt in zip(angles, acts, g_tgts):
                 row = None
-                if act is not None and g_tgt is not None:
+                if act.__class__ is through and g_tgt.__class__ is complex:
                     try:
                         if plan is None:
                             row = f_ghz, theta_deg, act, g_tgt, None, None, None, ""
@@ -325,7 +305,11 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
                             row = f_ghz, theta_deg, act, g_tgt, rho_req, aux, passive, ""
                     except PlanemirageError:
                         pass
-                yield row or _tagged_row(f_ghz, k0, theta_deg, cos_theta, actual, target, plan)
+                if row is None:
+                    if transmissive and plan is not None:  # act is the pair: fold the whole walk, closed
+                        (act,) = walk_reflections((actual,), k0)
+                    row = _tagged_row(f_ghz, k0, theta_deg, cos_theta, plan, act, g_tgt)
+                yield row
     except PlanemirageError:
         raise
     except Exception as exc:

@@ -14,7 +14,7 @@ import math
 from .config import _load_json, _parse_complex, _parse_number, _require_keys
 from .errors import ConfigError, EvanescentOrderError
 from .output import _cells, _write_lines
-from .sweep import MAX_AXIS_POINTS, _error_tag
+from .sweep import MAX_AXIS_POINTS
 
 
 def _load_map_from_config(doc: dict, where: str):
@@ -130,7 +130,7 @@ def _grating(doc: dict, where: str):
         try:
             rows.append((m, math.degrees(grating_angle(m, wavelength, period)), None))
         except EvanescentOrderError as exc:
-            rows.append((m, None, _error_tag(exc)))
+            rows.append((m, None, exc.tag))
     return "m,theta_deg,err", rows
 
 

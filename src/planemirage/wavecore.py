@@ -10,11 +10,12 @@ formed once, on first use, and kept on the Medium (Medium.wave_constants);
 per angle the walk forms only what depends on s_t. walk_reflections folds
 a list of walks into their total reflections at one vacuum wavenumber k0
 with the Airy/Rouard recursion, taking each round-trip factor
-Z_n^2 = e^{-j k0 a_n} as the fold reaches layer n, and gives None for a
-walk whose fold or close fails. It is the only forward fold loop: a sweep
-folds every walk of a frequency with one call, and walk_reflection, its
-one-walk form that raises the failure's typed error, serves the tagging
-rules, both inversions' front step and the substitution checks.
+Z_n^2 = e^{-j k0 a_n} as the fold reaches layer n; it gives None for a
+walk whose fold fails and the typed error of one whose close fails. It is
+the only forward fold loop: a sweep folds every walk of a frequency with
+one call and tags a failed point from those entries, and walk_reflection,
+its batch of one that raises the failure, serves both inversions' front
+step and the substitution checks.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -243,11 +244,13 @@ def angle_walk(stack: Stack, theta1: float) -> Walk:
 
 def walk_reflections(
     walks: list[Walk] | tuple[Walk, ...], k0: float, _pairs: bool = False
-) -> list[complex | tuple[complex, complex] | None]:
+) -> list[complex | tuple[complex, complex] | Exception | None]:
     """The total reflection of each angle walk at vacuum wavenumber k0, in
-    order: a list with walk_reflection's value for each walk, or None where
-    walk_reflection raises. It is the fold's one loop; a sweep folds every
-    walk of a frequency in one call.
+    order, one entry per walk: Gamma where the walk folds and closes; None
+    where a round trip fails; and where only the close fails, the
+    ResonantSingularityError or DomainError that _close raised, without
+    its traceback, so that a batch holds no frames. It is the fold's one
+    loop; a sweep folds every walk of a frequency in one call.
 
     Each walk is folded by the Airy/Rouard recursion from the back,
 
@@ -258,9 +261,9 @@ def walk_reflections(
     as a pair p/q, so an infinite intermediate value passes through and
     only the total can be singular. Only Z^2 appears, never 1/Z, so a layer
     thick enough for Z^2 to underflow simply hides everything behind it.
-    A walk fails where a round trip overflows or has no value (gain layers,
-    or a phase k0 Re(a_n) past the float range), and where its total fails
-    _close. What fails is not said; walk_reflection of that walk raises it.
+    A round trip fails where it overflows or has no value (gain layers, or
+    a phase k0 Re(a_n) past the float range). walk_reflection of a walk
+    raises what its entry says.
     """
     exp, hypot, isfinite = cmath.exp, math.hypot, cmath.isfinite
     jk0 = -1j * k0
@@ -285,24 +288,24 @@ def walk_reflections(
                 continue
         try:
             out.append(_close(p, q))
-        except (ResonantSingularityError, DomainError):
-            out.append(None)
+        except (ResonantSingularityError, DomainError) as exc:
+            out.append(exc.with_traceback(None))
     return out
 
 
-def walk_reflection(walk: Walk, k0: float, *, _pair: bool = False) -> complex:
-    """Total reflection of an angle walk at vacuum wavenumber k0: the one
-    walk of walk_reflections, with the failure named. A round trip that
-    overflows or has no value, or a total that is not finite, raises
+def walk_reflection(walk: Walk, k0: float) -> complex:
+    """Total reflection of an angle walk at vacuum wavenumber k0: the batch
+    of one walk of walk_reflections, whose failure is raised. A round trip
+    that overflows or has no value, or a total that is not finite, raises
     DomainError; a total whose denominator vanishes raises
     ResonantSingularityError.
     """
-    (pair,) = walk_reflections((walk,), k0, _pairs=True)
-    if pair is None:
+    (gamma,) = walk_reflections((walk,), k0)
+    if gamma is None:
         raise DomainError("the propagation factor of a round trip is not finite")
-    if _pair:  # private: the unclosed (p, q), for a caller that folds one more layer in front
-        return pair
-    return _close(*pair)
+    if isinstance(gamma, Exception):
+        raise gamma
+    return gamma
 
 
 def _close(p: complex, q: complex) -> complex:

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from importlib.resources import files
@@ -24,7 +25,6 @@ from planemirage.sweep import (
     ScenarioConfig,
     SweepAxis,
     SweepRow,
-    _error_tag,
     builtin_scenario,
     run_simulate,
     run_synthesize,
@@ -39,7 +39,7 @@ from planemirage.errors import (
     ResonantSingularityError,
     ValidationError,
 )
-from planemirage import cli, gstc, sweep, synthesis, wavecore
+from planemirage import cli, errors, gstc, sweep, synthesis, wavecore
 from planemirage.synthesis import IllusionProblem, Mode, synthesize
 from planemirage.wavecore import (
     AIR,
@@ -437,9 +437,18 @@ def test_parse_scenario_bad_json(tmp_path):
 
 
 def test_error_tags():
-    assert _error_tag(DegenerateSynthesisError("x")) == "degenerate-synthesis"
-    assert _error_tag(ResonantSingularityError("x")) == "resonant-singularity"
-    assert _error_tag(EvanescentOrderError("x")) == "evanescent-order"
+    # each class's tag is its name without the Error suffix, a hyphen put
+    # before every capital but the first, in lower case
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, PlanemirageError)]
+    assert PlanemirageError in classes and EvanescentOrderError in classes
+    for cls in classes:
+        name = cls.__name__
+        if name.endswith("Error"):
+            name = name[:-5]
+        assert cls.tag == re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
+    assert DegenerateSynthesisError.tag == "degenerate-synthesis"
+    assert ResonantSingularityError.tag == "resonant-singularity"
+    assert EvanescentOrderError.tag == "evanescent-order"
 
 
 def test_run_simulate_grid_order():
@@ -574,9 +583,9 @@ def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
     calls = {"walk": [], "batch": [], "one": [], "tagging": []}
     monkeypatch.setattr(sweep, "angle_walk", _counted(calls, "walk", angle_walk))
     monkeypatch.setattr(sweep, "walk_reflections", _counted(calls, "batch", wavecore.walk_reflections))
-    for module in (wavecore, sweep, synthesis):
+    for module in (wavecore, synthesis):
         monkeypatch.setattr(module, "walk_reflection", _counted(calls, "one", walk_reflection))
-    for name in ("_tagged_row", "_gamma", "_close", "_error_tag", "_spread"):
+    for name in ("_tagged_row", "_entries"):
         monkeypatch.setattr(sweep, name, _counted(calls, "tagging", getattr(sweep, name)))
     rows = run_simulate(config) if mode is None else run_synthesize(config)
     assert [r.err for r in rows] == [""] * 6
@@ -600,6 +609,40 @@ def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
         assert calls["batch"] == [([w for both in walks for w in both], k0) for k0 in k0s]
     folded = sum(len(batch) for batch, *_ in calls["batch"])
     assert folded == 2 * len(rows)
+
+
+@pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
+def test_a_tagged_point_folds_only_what_its_entries_lack(monkeypatch, mode):
+    # the mixed-failure grid's stacks, with no failure put in: at 20 GHz a
+    # round trip of the actual stack overflows at every angle; at 11 GHz its
+    # total fails at the close from 20 deg up, and at 0 deg a sheet fails in
+    # the step. A tagged simulate or reflective point is made from its
+    # frequency's batch entries alone. A tagged transmissive point's actual
+    # entry is the unclosed pair of layers 2..N, so the sweep folds its
+    # actual walk once more, closed, and _front_sheet folds layers 2..N
+    # again where a synthesis is tried: at most two one-walk folds.
+    actual = Stack(AIR, (Layer(Medium(3 + 1j), 1.0), Layer(Medium(1 + 4j), 1.0)), Pec())
+    target = Stack(AIR, (Layer(AIR, wavecore.C0 / 44e9),), Pec())
+    config = ScenarioConfig(actual, target, mode, SweepAxis(0.0, 80.0, 20.0), SweepAxis(2.0, 20.0, 9.0))
+    calls = {"sweep": [], "one": []}
+    monkeypatch.setattr(sweep, "walk_reflections", _counted(calls, "sweep", wavecore.walk_reflections))
+    # walk_reflection, which _front_sheet calls, folds through wavecore's own name
+    monkeypatch.setattr(wavecore, "walk_reflections", _counted(calls, "one", wavecore.walk_reflections))
+    rows = run_simulate(config) if mode is None else run_synthesize(config)
+    assert not any(r.err for r in rows[:4]) and all(r.err for r in rows[6:])
+    k0s = [PlaneWave(f * 1e9).k0 for f in config.freq_ghz.values()]
+    walks = {t: angle_walk(actual, math.radians(t)) for t in config.theta_deg.values()}
+    batches = [call for call in calls["sweep"] if len(call[0]) > 1]
+    assert [k0 for _, k0, *_ in batches] == [k0 for k0 in k0s for _ in range(1 + (mode is Mode.TRANSMISSIVE))]
+    tagged = [(walks[r.theta_deg], PlaneWave(r.freq_ghz * 1e9).k0) for r in rows if r.err]
+    if mode is not Mode.TRANSMISSIVE:
+        assert calls["sweep"] == batches and calls["one"] == []
+        return
+    assert [call for call in calls["sweep"] if len(call[0]) == 1] == [((walk,), k0) for walk, k0 in tagged]
+    # a synthesis is tried at 11 GHz, where both folds got through
+    tried = [(walk, k0) for walk, k0 in tagged if k0 == k0s[1]]
+    assert len(tagged) == 10 and len(tried) == 5
+    assert calls["one"] == [(((steps[1:], rho_t),), k0) for (steps, rho_t), k0 in tried]
 
 
 class _CountedCmath:
@@ -684,16 +727,16 @@ def _per_point_row(actual, target, mode, f_ghz, theta_deg):
         walk = problem.actual_walk
         g_act = walk_reflection(walk, wave.k0)
     except PlanemirageError as exc:
-        errs.append(_error_tag(exc))
+        errs.append(exc.tag)
     try:
         g_tgt = problem.gamma_i
     except PlanemirageError as exc:
-        errs.append(_error_tag(exc))
+        errs.append(exc.tag)
     if mode and walk is not None and g_tgt is not None and _round_trips_are_floats(walk, wave.k0):
         try:
             rho, aux, passive = synthesize(problem)
         except PlanemirageError as exc:
-            errs.append(_error_tag(exc))
+            errs.append(exc.tag)
     return SweepRow(f_ghz, theta_deg, g_act, g_tgt, rho, aux, passive, ";".join(errs))
 
 
@@ -901,9 +944,10 @@ def test_a_grid_of_mixed_failures_matches_its_points(monkeypatch, mode):
         return real_walk(stack, theta1)
 
     def walk_reflections(walks, k0, _pairs=False):
-        # the failing fold gets through to a pair whose total is singular
+        # the failing fold gets through to a pair whose total is singular:
+        # closed, its entry is the error that _close raises
         folds = real_folds(walks, k0, _pairs)
-        singular = (1.0 + 0j, 0j) if _pairs else None
+        singular = (1.0 + 0j, 0j) if _pairs else ResonantSingularityError("total-reflection denominator vanished")
         return [singular if (walk, k0) == failing_fold else fold for walk, fold in zip(walks, folds)]
 
     # the sweep, chain_reflection and IllusionProblem each call angle_walk by
@@ -1531,6 +1575,45 @@ def test_svg_plots_write_golden_bytes(tmp_path, case):
     command, axes, actual, digest = _SVG_GOLDEN_SHA256[case]
     config, out = _write_config(tmp_path, _svg_doc(*axes, actual)), tmp_path / "plot.svg"
     assert main(command.split() + ["--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 and err-tag counts of each sweep table of the gain stack over the
+# builtin target on 161 x 191 points, 0-80 deg by 0.5 and 0.1-19.1 GHz by
+# 0.1, as written by the sweep that folded each tagged point's walks again
+# one by one; libm rounding of x86-64 Linux. 21,246 of the 30,751 points
+# take the tagging rules.
+_GAIN_GRID_GOLDEN = {
+    "simulate": (
+        "cc21d558f885087b6c2f6130827c56c93d686189f526833fe274a71e724791ea",
+        {"": 9505, "domain": 21246},
+    ),
+    "synthesize --mode reflective": (
+        "6bbda9e9af6aef55fcc1304aa099d92290f5ec2ee80216eb639acc15692f0a81",
+        {"": 9503, "domain": 21243, "domain;domain": 3, "degenerate-synthesis": 2},
+    ),
+    "synthesize --mode transmissive": (
+        "a2f176ae4aa94bb66152f920aa52a6d989dae187de969301ecca7e5b32174ad0",
+        {"": 9505, "domain": 21246},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GAIN_GRID_GOLDEN))
+def test_a_grid_of_tagged_points_writes_golden_bytes(tmp_path, command):
+    doc = _builtin_stacks_doc(19.1)
+    doc["actual"] = _GAIN_STACK
+    doc["sweep"]["freq_ghz"]["start"] = 0.1
+    config, out = _write_config(tmp_path, doc), tmp_path / "sweep.csv"
+    assert main(command.split() + ["--config", str(config), "--out", str(out)]) == 0
+    digest, tags = _GAIN_GRID_GOLDEN[command]
+    lines = out.read_text().splitlines()[1:]
+    assert len(lines) == 161 * 191
+    counts = {}
+    for line in lines:
+        tag = line.rsplit(",", 1)[1]
+        counts[tag] = counts.get(tag, 0) + 1
+    assert counts == tags
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

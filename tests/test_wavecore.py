@@ -23,6 +23,7 @@ from planemirage.wavecore import (
     Stack,
     ValidationError,
     _DENOM_FLOOR,
+    _close,
     _reflect,
     angle_walk,
     chain_reflection,
@@ -349,12 +350,40 @@ def test_angle_walk_matches_the_oracle_one_step_chain(incident, layers, terminat
     assert _outcome(angle_walk, stack, theta1) == _outcome(one_step_walk, stack, theta1)
 
 
-def _one_fold(walk, k0, pair):
-    """repr of walk_reflection's value for one walk, or None where it raises."""
+def _one_fold(walk, k0):
+    """walk_reflection's outcome for one walk, as its closed batch entry
+    should read: repr of the value, so that signed zeros count; None where a
+    round trip fails; and the class and message of any other error."""
     try:
-        return repr(walk_reflection(walk, k0, _pair=pair))
-    except (DomainError, ResonantSingularityError):
+        return repr(walk_reflection(walk, k0))
+    except (DomainError, ResonantSingularityError) as exc:
+        return None if str(exc) == "the propagation factor of a round trip is not finite" else (type(exc), str(exc))
+
+
+def _read(entry):
+    """A closed batch entry as _one_fold reads an outcome; an error entry
+    carries no traceback."""
+    if isinstance(entry, Exception):
+        assert entry.__traceback__ is None
+        return type(entry), str(entry)
+    return None if entry is None else repr(entry)
+
+
+def _read_pair(pair):
+    """A pairs-mode entry as _one_fold reads an outcome: None, or the
+    outcome of closing the pair."""
+    if pair is None:
         return None
+    try:
+        return repr(_close(*pair))
+    except (DomainError, ResonantSingularityError) as exc:
+        return type(exc), str(exc)
+
+
+def _exact(pair):
+    """A pairs-mode entry by repr, unclosed, so that signed zeros and the
+    scale of each part count."""
+    return None if pair is None else repr(pair)
 
 
 # Two walks that fail at every k0 >= 1: a gain round trip past the float
@@ -370,25 +399,35 @@ _SINGULAR = (((-1.0 + 0j, 0j),), 1.0 + 0j)
     st.floats(1.0, 1e5),
 )
 @example([(AIR, [Layer(Medium(4.0 + 4.0j), 3.0)], Pec(), 0.0), (AIR, [Layer(AIR, 0.1)], Pec(), 0.0)], 2000.0)
+# a total that overflows at its close (the sweep tests' 60 deg, 10 GHz point)
+@example([(AIR, [Layer(Medium(3 + 1j), 1.0), Layer(Medium(1 + 4j), 1.0)], Pec(), math.radians(60.0))], 209.58)
 def test_a_batch_folds_each_walk_as_walk_reflection_does(drawn, k0):
-    # the batch gives walk_reflection's value for each walk, by repr, and
-    # None exactly where walk_reflection raises, closed or in pairs mode;
-    # a walk that fails between two others leaves their values as they are
+    # closed, the batch gives walk_reflection's value for each walk, by repr;
+    # None exactly where walk_reflection raises the round trip's
+    # DomainError; and where only the close fails, an error of the class and
+    # message that walk_reflection raises, without a traceback. In pairs
+    # mode each entry equals the walk's own batch of one, by repr, and
+    # closes to the same outcome. A walk that fails between two others
+    # leaves their entries as they are.
     walks = []
     for incident, layers, termination, theta1 in drawn:
         try:
             walks.append(angle_walk(Stack(incident, tuple(layers), termination), theta1))
         except (DomainError, DegenerateInterfaceError):
             pass
-    for pair in (False, True):
-        alone = [_one_fold(walk, k0, pair) for walk in walks]
-        batch = walk_reflections(walks, k0, pair)
-        assert [None if g is None else repr(g) for g in batch] == alone
+    alone = [_one_fold(walk, k0) for walk in walks]
+    pairs_alone = [_exact(walk_reflections((walk,), k0, True)[0]) for walk in walks]
+    for pair, read in ((False, _read), (True, _read_pair)):
+        assert [read(g) for g in walk_reflections(walks, k0, pair)] == alone
         mixed = [w for walk in walks for w in (_OVERFLOWING, walk, _SINGULAR)]
         folds = walk_reflections(mixed, k0, pair)
-        assert [None if g is None else repr(g) for g in folds[1::3]] == alone
+        assert [read(g) for g in folds[1::3]] == alone
         assert folds[::3] == [None] * len(walks)
-        assert folds[2::3] == [(0j, 0j) if pair else None] * len(walks)
+        assert [read(g) for g in folds[2::3]] == [(ResonantSingularityError, "total-reflection denominator vanished")] * len(walks)
+        if pair:
+            assert [_exact(g) for g in walk_reflections(walks, k0, True)] == pairs_alone
+            assert [_exact(g) for g in folds[1::3]] == pairs_alone
+            assert folds[2::3] == [(0j, 0j)] * len(walks)
 
 
 def test_validation_rejects_bad_inputs():
