@@ -9,7 +9,7 @@ library's class decorator for such records does the same, but importing it
 loads inspect and ast, and it compiles code for every class it decorates,
 which was about half of the command line's import time. _require_finite and
 _positive are the finite and positive checks the types and their functions
-share, each with its one message.
+share, each with its one message, and _modulus the |z| that cannot raise.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ def _positive(name: str, x) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise ValidationError(f"{name} must be positive, got {x!r}")
     return x
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where a finite z's modulus is past the float range,
+    where abs raises OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 class Value:

@@ -46,7 +46,7 @@ class StripProfile(Value):
     """Sinusoidal strip of amplitude coefficient A and period P.
 
     sigma is the circular-polarization handedness (+1 or -1) that sets the
-    sign of the geometric phase.
+    sign of the geometric phase. The peak height A*(P/2pi) must be a float.
     """
 
     __slots__ = ("amplitude", "period", "sigma")
@@ -55,6 +55,10 @@ class StripProfile(Value):
         amplitude, period = _positive("amplitude", amplitude), _positive("period", period)
         if sigma not in (1, -1):
             raise ValidationError(f"sigma must be +1 or -1, got {sigma!r}")
+        if not math.isfinite(amplitude * (period / (2.0 * math.pi))):
+            raise ValidationError(
+                f"peak height A*(P/2pi) is past the float range: amplitude {amplitude!r}, period {period!r}"
+            )
         super().__init__(amplitude, period, int(sigma))
 
 

@@ -41,8 +41,9 @@ def _pair(value: complex | None) -> list[str]:
 def _cells(values) -> list[str]:
     """The one CSV cell rule: a number is written %.17g (a bool too, as 1
     or 0), a complex value takes two cells, None is an empty cell and a
-    string is written as it is. Sweep rows, whose column types are fixed,
-    follow the same rule where _sweep_table builds them."""
+    string is written as it is. Sweep rows do not come here: _sweep_table
+    writes them by its own rule, where a missing complex column is two
+    empty cells, not one."""
     cells = []
     for value in values:
         if isinstance(value, complex):

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Iterable
 
+from ._value import _modulus
 from .output import _TABLES, _fmt
 
 # Fixed plot geometry; coordinates rounded to 0.01 px for determinism.
@@ -25,7 +27,8 @@ def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
     Each row is read once, as it streams past: only the points it draws are
     kept, as (theta, |value|, phase in degrees) under (series, frequency),
     and they move under (series, angle) once frequency turns out to be the
-    x axis."""
+    x axis. An |value| past the float range is inf; the amplitude panel's
+    top stays finite, and such a point is drawn there."""
     fields = _TABLES[mode][:3]  # the series before eta_n or chi_e
     points: dict[tuple[str, float], list[tuple[float, float, float]]] = {}
     freqs, thetas = set(), set()
@@ -38,7 +41,7 @@ def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
         for field, value in zip(fields, values):
             if value is not None:
                 points.setdefault((field, f), []).append(
-                    (theta, abs(value), math.degrees(cmath.phase(value)))
+                    (theta, _modulus(value), math.degrees(cmath.phase(value)))
                 )
     if len(thetas) > 1 or len(freqs) <= 1:
         x_label = "incidence angle, degrees"
@@ -65,7 +68,7 @@ def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
         x_min, x_max = min(xs), max(xs)
         x_span = (x_max - x_min) or 1.0
         x_at = {x: f"{px + pw * (x - x_min) / x_span:.2f}," for x in xs}
-        a_max = max(max(p[1] for pts in points.values() for p in pts), 1.0)
+        a_max = min(max(max(p[1] for pts in points.values() for p in pts), 1.0), sys.float_info.max)
         panels = [
             ("amplitude", 40, 1, 0.0, a_max),
             ("phase, degrees", 330, 2, -180.0, 180.0),
@@ -86,12 +89,11 @@ def _svg_lines(rows: Iterable[tuple], mode) -> tuple[list[str], int]:
             for (field, _group), pts in sorted(points.items()):
                 coords = []
                 for p in pts:
-                    y = p[k]  # clamped to [lo, hi]
-                    if y < lo:
-                        y = lo
-                    elif y > hi:
+                    y = p[k]
+                    if y > hi:  # an amplitude of inf, at the panel's top
                         y = hi
-                    coords.append(f"{x_at[p[0]]}{y0 + ph - ph * (y - lo) / span:.2f}")
+                    # the fraction of the span first, so ph times it cannot overflow
+                    coords.append(f"{x_at[p[0]]}{y0 + ph - ph * ((y - lo) / span):.2f}")
                 lines.append(
                     f'<polyline points="{" ".join(coords)}" fill="none" '
                     f'stroke="{_COLORS[field]}" stroke-width="1" opacity="0.75"/>'

@@ -6,16 +6,16 @@ before its first point if it would leave the float range, an axis would
 have more than MAX_AXIS_POINTS points, or its angles times the layers of
 both stacks would be more than MAX_LAYER_ANGLES walk layers to hold.
 run_simulate and run_synthesize return SweepRows from one loop that walks
-each stack once per angle and, at each frequency, folds every angle's
-walks in one wavecore.walk_reflections call; run_synthesize also plans the
-synthesis of each angle's actual walk once (synthesis.sheet_plan) and
-takes the plan's step at every point; a transmissive step also gives the
-actual stack's Gamma, from a second batch that folds the plans' walks of
-layers 2..N. A point with no error pays for its share of the batch and its
-step alone; a point where a walk, a fold or the step failed is tagged from
-its batch entries. The loop yields each row as its point is done, for
-planemirage.output.emit to write. Synthesis code is loaded only for a
-synthesis.
+each stack once per angle and, at each frequency, folds the actual walks
+in one wavecore.walk_reflections call and the target walks in a second;
+run_synthesize also plans the synthesis of each angle's actual walk once
+(synthesis.sheet_plan) and takes the plan's step at every point, where a
+transmissive batch holds the plans' walks of layers 2..N and the step
+also gives the actual Gamma. A point with no error pays for its share of
+the batches and its step alone; a point where a walk, a fold or the step
+failed is tagged from its batch entries. The loop yields each row as its
+point is done, for planemirage.output.emit to write. Synthesis code is
+loaded only for a synthesis.
 """
 
 from __future__ import annotations
@@ -225,13 +225,12 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     angle's rows one theta_deg float.
 
     Every medium is non-dispersive, so each stack is walked once per angle,
-    and each frequency folds every walk that succeeded in one
-    walk_reflections call. In a synthesis, each actual walk also gives one
-    sheet_plan, and each point takes the plan's step. A transmissive sweep
-    folds the target walks in one call and the plans' walks of layers 2..N,
-    into unclosed pairs, in a second; its step, _front_step, closes both the
-    actual Gamma and the front sheet from the pair. A point gets the same
-    bits as chain_reflection and synthesize.
+    and each frequency makes two walk_reflections calls: the actual batch,
+    then the target batch. In a synthesis, each actual walk also gives one
+    sheet_plan, and each point takes the plan's step. A transmissive actual
+    batch folds the plans' walks of layers 2..N into unclosed pairs; its
+    step, _front_step, closes both the actual Gamma and the front sheet from
+    the pair. A point gets the same bits as chain_reflection and synthesize.
 
     A point whose entries are values and whose step succeeded makes no
     other call. Any other point goes to _tagged_row, which makes its row
@@ -246,12 +245,9 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
     frequency whose walks, each folded alone, raise it."""
     if mode is not None:
         from .synthesis import _front_step, _sheet_step, sheet_plan
-    angles = []
-    # each frequency's batches in angle order, one slot per walk: the actual
-    # and target walk of each angle, or, transmissive, the target walks and
-    # the plans' walks of layers 2..N. A walk that failed keeps its error in
-    # its slot; a batch folds only the walks.
-    slots, rest_slots = [], []
+    # each angle's actual and target slot: its walk, or the error of a walk that
+    # failed; a transmissive actual slot holds the plan's walk of layers 2..N
+    angles, act_slots, tgt_slots = [], [], []
     transmissive = mode is Mode.TRANSMISSIVE
     # the type of an actual entry that got through: a Gamma, or transmissive the pair that the step closes
     through = tuple if transmissive else complex
@@ -264,25 +260,20 @@ def _sweep(config: ScenarioConfig, mode: Mode | None) -> Iterator[tuple]:
             target = _angle_walk(config.target, theta)
             plan = sheet_plan(mode, actual) if mode is not None and type(actual) is tuple else None
             angles.append((theta_deg, cmath.cos(theta), actual, target, plan))
-            if transmissive:
-                slots.append(target)
-                rest_slots.append(actual if plan is None else plan[1][2])
-            else:
-                slots += actual, target
-        walks = [s for s in slots if type(s) is tuple]
-        rests = [s for s in rest_slots if type(s) is tuple]
+            act_slots.append(plan[1][2] if transmissive and plan is not None else actual)
+            tgt_slots.append(target)
+        act_walks = [s for s in act_slots if type(s) is tuple]
+        tgt_walks = [s for s in tgt_slots if type(s) is tuple]
         for f_ghz in config.freq_ghz.values():
             k0 = PlaneWave(f_ghz * 1e9).k0
             theta_deg = None
             try:
-                folds = walk_reflections(walks, k0)
-                if len(folds) < len(slots):
-                    folds = _entries(folds, slots)
-                acts = g_tgts = iter(folds)
-                if transmissive:
-                    acts = walk_reflections(rests, k0, _pairs=True)
-                    if len(acts) < len(rest_slots):
-                        acts = _entries(acts, rest_slots)
+                acts = walk_reflections(act_walks, k0, _pairs=transmissive)
+                if len(acts) < len(act_slots):
+                    acts = _entries(acts, act_slots)
+                g_tgts = walk_reflections(tgt_walks, k0)
+                if len(g_tgts) < len(tgt_slots):
+                    g_tgts = _entries(g_tgts, tgt_slots)
             except Exception:
                 # a fault inside a batch: the first angle whose walks, each folded alone, raise it names it
                 for theta_deg, _, actual, target, _ in angles:

@@ -112,6 +112,9 @@ def _pb_phase(doc: dict, where: str):
         _parse_number(doc["period_mm"], "period_mm") * 1e-3,
         sigma,
     )
+    # StripProfile bounds the peak height in m; each row's height, in mm, is at most this
+    if not math.isfinite(profile.amplitude * (profile.period / (2.0 * math.pi)) * 1e3):
+        raise ConfigError("amplitude, period_mm: the peak height in mm is past the float range")
     samples = _parse_count(doc, "samples", 101, 2, MAX_AXIS_POINTS)
     xs = [profile.period * i / (samples - 1) for i in range(samples)]
     rows = [(x * 1e3, strip_height(profile, x) * 1e3, pb_phase(profile, x)) for x in xs]

@@ -16,7 +16,7 @@ import cmath
 import math
 from importlib.resources import files
 
-from ._value import Value, _positive, _require_finite
+from ._value import Value, _modulus, _positive, _require_finite
 from .errors import (
     DuplicateStateError,
     EmptyMapError,
@@ -167,7 +167,8 @@ def select_state(
     """The record at `frequency` nearest `rho_target`.
 
     Distance is complex-plane Euclidean, or wrapped phase distance when
-    phase_only is set. Ties break toward smaller R, then smaller C.
+    phase_only is set; a distance past the float range is inf and ranks
+    last. Ties break toward smaller R, then smaller C.
     """
     rho_target = _require_finite("rho_target", complex(rho_target))
     candidates = reflection_map.records_at(frequency)
@@ -180,7 +181,7 @@ def select_state(
     else:
 
         def dist(rec: UnitCellRecord) -> float:
-            return abs(rec.rho - rho_target)
+            return _modulus(rec.rho - rho_target)
 
     return min(candidates, key=lambda rec: (dist(rec), rec.r_ohm, rec.c_pf))
 
@@ -193,10 +194,11 @@ def build_coding_set(
 ) -> CodingSet:
     """Pick 2^n_bit distinct states tracking a uniform phase progression.
 
-    Admissible states have |rho| >= min_amplitude. The progression anchors
-    at the highest-amplitude admissible state's phase (ties toward smaller
-    R, then C); each following slot takes the remaining admissible record
-    with minimal wrapped phase distance to its target.
+    Admissible states have |rho| >= min_amplitude, an |rho| past the float
+    range being inf. The progression anchors at the highest-amplitude
+    admissible state's phase (ties toward smaller R, then C); each following
+    slot takes the remaining admissible record with minimal wrapped phase
+    distance to its target.
     """
     if not (isinstance(n_bit, int) and n_bit >= 1):
         raise ValidationError(f"n_bit must be an integer >= 1, got {n_bit!r}")
@@ -204,7 +206,7 @@ def build_coding_set(
     if not (math.isfinite(min_amplitude) and min_amplitude >= 0.0):
         raise ValidationError(f"min_amplitude must be >= 0, got {min_amplitude!r}")
     admissible = [
-        rec for rec in reflection_map.records_at(frequency) if abs(rec.rho) >= min_amplitude
+        rec for rec in reflection_map.records_at(frequency) if _modulus(rec.rho) >= min_amplitude
     ]
     if n_bit >= len(admissible).bit_length():  # 2^n_bit > len(admissible), without forming it
         raise InfeasibleCodingSetError(
@@ -212,7 +214,7 @@ def build_coding_set(
             f"found {len(admissible)}"
         )
     count = 2**n_bit
-    anchor = min(admissible, key=lambda rec: (-abs(rec.rho), rec.r_ohm, rec.c_pf))
+    anchor = min(admissible, key=lambda rec: (-_modulus(rec.rho), rec.r_ohm, rec.c_pf))
     phi_0 = cmath.phase(anchor.rho)
     step = 2.0 * math.pi / count
     targets = tuple(phi_0 + k * step for k in range(count))

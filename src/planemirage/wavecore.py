@@ -12,10 +12,10 @@ a list of walks into their total reflections at one vacuum wavenumber k0
 with the Airy/Rouard recursion, taking each round-trip factor
 Z_n^2 = e^{-j k0 a_n} as the fold reaches layer n; it gives None for a
 walk whose fold fails and the typed error of one whose close fails. It is
-the only forward fold loop: a sweep folds every walk of a frequency with
-one call and tags a failed point from those entries, and walk_reflection,
-its batch of one that raises the failure, serves both inversions' front
-step and the substitution checks.
+the only forward fold loop: a sweep folds a frequency's walks in two
+calls, its actual and its target batch, and tags a failed point from those
+entries, and walk_reflection, its batch of one that raises the failure,
+serves both inversions' front step and the substitution checks.
 
 Conventions (fixed across the toolkit):
   - time factor e^{+j w t}; passive lossy media carry Im(eps_r) <= 0
@@ -250,7 +250,8 @@ def walk_reflections(
     where a round trip fails; and where only the close fails, the
     ResonantSingularityError or DomainError that _close raised, without
     its traceback, so that a batch holds no frames. It is the fold's one
-    loop; a sweep folds every walk of a frequency in one call.
+    loop; a sweep makes two calls per frequency, its actual and its target
+    batch.
 
     Each walk is folded by the Airy/Rouard recursion from the back,
 

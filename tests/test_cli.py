@@ -570,14 +570,13 @@ def test_a_synthesis_sweep_describes_each_sheet_once_per_point(monkeypatch, mode
 
 @pytest.mark.parametrize("mode", [None, Mode.REFLECTIVE, Mode.TRANSMISSIVE])
 def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
-    # a sweep folds every walk of a frequency in one walk_reflections call.
-    # A simulate or reflective sweep folds the actual and target walk of
-    # each angle, in angle order, and a reflective step folds nothing. A
-    # transmissive sweep folds the target walks in one call, then, into
-    # unclosed pairs, the actual stack's layers 2..N from the one rest walk
-    # each angle's plan holds; its step adds layer 1 itself. So each walk
-    # is folded once per point, and an error-free point makes no one-walk
-    # fold and runs nothing of the tagging rules
+    # in every mode a frequency makes two walk_reflections calls: the actual
+    # batch, then the target batch, each in angle order, and a reflective
+    # step folds nothing. A transmissive actual batch folds, into unclosed
+    # pairs, the actual stack's layers 2..N from the one rest walk each
+    # angle's plan holds; its step adds layer 1 itself. So each walk is
+    # folded once per point, and an error-free point makes no one-walk fold
+    # and runs nothing of the tagging rules
     config = builtin_scenario()
     config = ScenarioConfig(config.actual, config.target, mode, _small_axis(), SweepAxis(10.0, 10.1, 0.1))
     calls = {"walk": [], "batch": [], "one": [], "tagging": []}
@@ -596,17 +595,16 @@ def test_a_sweep_folds_each_walk_once_per_point(monkeypatch, mode):
     walks = [(angle_walk(config.actual, t), angle_walk(config.target, t)) for t in thetas]
     k0s = [PlaneWave(f * 1e9).k0 for f in config.freq_ghz.values()]
     assert len(k0s) == 2
-    if mode is Mode.TRANSMISSIVE:
-        rests = [(steps[1:], rho_t) for (steps, rho_t), _ in walks]
-        assert calls["batch"] == [
-            call for k0 in k0s for call in (([t for _, t in walks], k0), (rests, k0, {"_pairs": True}))
-        ]
+    transmissive = mode is Mode.TRANSMISSIVE
+    acts = [(steps[1:], rho_t) if transmissive else (steps, rho_t) for (steps, rho_t), _ in walks]
+    assert calls["batch"] == [
+        call for k0 in k0s for call in ((acts, k0, {"_pairs": transmissive}), ([t for _, t in walks], k0))
+    ]
+    if transmissive:
         # one rest walk per angle, the same object at every frequency
-        pairs = calls["batch"][1::2]
+        pairs = calls["batch"][0::2]
         assert len({id(rest) for batch, *_ in pairs for rest in batch}) == n_angles
         assert all(batch is pairs[0][0] for batch, *_ in pairs)
-    else:
-        assert calls["batch"] == [([w for both in walks for w in both], k0) for k0 in k0s]
     folded = sum(len(batch) for batch, *_ in calls["batch"])
     assert folded == 2 * len(rows)
 
@@ -616,8 +614,9 @@ def test_a_tagged_point_folds_only_what_its_entries_lack(monkeypatch, mode):
     # the mixed-failure grid's stacks, with no failure put in: at 20 GHz a
     # round trip of the actual stack overflows at every angle; at 11 GHz its
     # total fails at the close from 20 deg up, and at 0 deg a sheet fails in
-    # the step. A tagged simulate or reflective point is made from its
-    # frequency's batch entries alone. A tagged transmissive point's actual
+    # the step. Each frequency folds an actual and a target batch. A tagged
+    # simulate or reflective point is made from its frequency's batch
+    # entries alone. A tagged transmissive point's actual
     # entry is the unclosed pair of layers 2..N, so the sweep folds its
     # actual walk once more, closed, and _front_sheet folds layers 2..N
     # again where a synthesis is tried: at most two one-walk folds.
@@ -633,7 +632,7 @@ def test_a_tagged_point_folds_only_what_its_entries_lack(monkeypatch, mode):
     k0s = [PlaneWave(f * 1e9).k0 for f in config.freq_ghz.values()]
     walks = {t: angle_walk(actual, math.radians(t)) for t in config.theta_deg.values()}
     batches = [call for call in calls["sweep"] if len(call[0]) > 1]
-    assert [k0 for _, k0, *_ in batches] == [k0 for k0 in k0s for _ in range(1 + (mode is Mode.TRANSMISSIVE))]
+    assert [k0 for _, k0, *_ in batches] == [k0 for k0 in k0s for _ in range(2)]
     tagged = [(walks[r.theta_deg], PlaneWave(r.freq_ghz * 1e9).k0) for r in rows if r.err]
     if mode is not Mode.TRANSMISSIVE:
         assert calls["sweep"] == batches and calls["one"] == []
@@ -1427,6 +1426,75 @@ def test_a_table_may_have_as_many_rows_as_an_axis_points(monkeypatch, tmp_path):
         assert len((tmp_path / f"{command[-1]}-{most}.csv").read_text().splitlines()) == 1 + 7
 
 
+def test_an_svg_of_a_reflection_past_the_float_range_is_finite(tmp_path, capsys):
+    # a sheet whose |rho| is past the float range, behind 0 mm of air: the
+    # actual Gamma is finite, its amplitude inf. The amplitude panel's top
+    # stays finite and such a point is drawn there; the file holds no inf or nan
+    doc = _scenario_doc(output={"format": "svg"})
+    doc["actual"] = {
+        "layers": [{"eps": 1.0, "thickness_mm": 0.0}],
+        "termination": {"kind": "sheet", "rho": [1.7e308, 1.7e308]},
+    }
+    config = _write_config(tmp_path, doc)
+    svgs = []
+    for run in "ab":
+        out = tmp_path / f"{run}.svg"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        svgs.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert svgs[0] == svgs[1]
+    text = svgs[0].decode("ascii")
+    assert not re.search(r"inf|nan", text, re.I)
+    assert '<text x="6" y="52">1.8e+308</text>' in text
+    assert ' 430.00,40.00 ' in text  # the 0.5 deg point at the amplitude panel's top
+
+
+# A reflection map row whose |rho| is past the float range, among the
+# sample map's states at 5 GHz, and a target there: its distance, and its
+# modulus, is inf, so it ranks last for select-cell and anchors a coding set.
+_HUGE_RHO = "5,1,1,1.7e308,1.7e308\n"
+
+
+def test_a_reflection_past_the_float_range_ranks_by_an_infinite_modulus(monkeypatch, tmp_path, capsys):
+    from planemirage.unitcell import SAMPLE_MAP_RESOURCE
+
+    monkeypatch.chdir(tmp_path)
+    sample = files("planemirage.data").joinpath(SAMPLE_MAP_RESOURCE).read_text("utf-8")
+    (tmp_path / "map.csv").write_text(sample + _HUGE_RHO)
+    cases = (
+        # every distance is inf: the smallest R, then C, of the sample map
+        (["select-cell"], {"map": "sample", "frequency_ghz": 5.0, "rho_target": [1.7e308, 1.7e308]},
+         "5,10,0.20000000000000001,"),
+        # the huge row is farthest from every target and never chosen
+        (["select-cell"], {"map": "map.csv", "frequency_ghz": 5.0, "rho_target": [1e300, 1e300]},
+         "5,10,0.20000000000000001,"),
+        # the huge row has the highest amplitude, so it anchors slot 0
+        (["coding-set"], {"map": "map.csv", "frequency_ghz": 5.0, "n_bit": 2},
+         "0,0.78539816339744828,5,1,1,1.6999999999999999e+308,1.6999999999999999e+308"),
+    )
+    for command, doc, row in cases:
+        out = tmp_path / "table.csv"
+        assert main(command + ["--config", str(_write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith(row)
+    assert capsys.readouterr().err == ""
+
+
+def test_a_strip_whose_height_leaves_the_float_range_is_refused(tmp_path, capsys):
+    # A*(P/2pi) past the float range in m, and within it in m but not in mm
+    cases = (
+        ({"amplitude": 1e308, "period_mm": 1e300, "samples": 3},
+         "planemirage: error: peak height A*(P/2pi) is past the float range: amplitude 1e+308, period 1e+297\n"),
+        ({"amplitude": 1e308, "period_mm": 60.0, "samples": 5},
+         "planemirage: config error: amplitude, period_mm: the peak height in mm is past the float range\n"),
+    )
+    for doc, err in cases:
+        out = tmp_path / "table.csv"
+        argv = ["companion", "pb-phase", "--config", str(_write_config(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
 # Every command and mode, each reading its config and, for select-cell and
 # coding-set, a map file in the working directory.
 _EVERY_COMMAND = {
@@ -1826,7 +1894,7 @@ def _builtin_stacks_doc(freq_stop):
 
 def test_a_sweeps_memory_does_not_grow_with_its_table(tmp_path):
     # the same 161 angles at 21 and at 168 frequencies: 3,381 and 27,048
-    # rows, of which the sweep holds its angle walks and one batch
+    # rows, of which the sweep holds its angle walks and one frequency's two batches
     runs = []
     for name, freq_stop, count in (("small", 12.0, 21), ("large", 26.7, 168)):
         config = _write_config(tmp_path, _builtin_stacks_doc(freq_stop), name=f"{name}.json")

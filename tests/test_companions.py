@@ -92,6 +92,15 @@ def test_strip_height():
         assert abs(strip_height(p, x + p.period) - strip_height(p, x)) < 1e-12
 
 
+def test_a_strip_height_is_a_float_or_refused():
+    # A*(P/2pi) past the float range is refused; just inside it, every height is finite
+    with pytest.raises(ValidationError, match="peak height"):
+        StripProfile(amplitude=1e308, period=1e297)
+    p = StripProfile(amplitude=1e308, period=1e0)
+    for i in range(9):
+        assert math.isfinite(strip_height(p, p.period * i / 8.0))
+
+
 def test_pb_phase_landmarks():
     p = StripProfile(amplitude=0.8, period=0.012)
     assert abs(pb_phase(p, 0.0) - 2.0 * math.atan(p.amplitude)) < 1e-12
